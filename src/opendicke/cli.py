@@ -9,7 +9,6 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from dataclasses import asdict
 
@@ -18,9 +17,11 @@ import numpy as np
 from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
-from .config import MODES, ConfigError, RunConfig, build_config, load_config
-from .figures import MissingPhysicalParams, Table, reproduce_figure
-from .fluctuations import ValidityError, spectrum_sweep
+from .config import MODES, ConfigError, RunConfig, load_config
+from .figures import (G2_FFT_HEADER, MissingPhysicalParams, Table, branch_table,
+                      g2_fft_rows, reproduce_figure, response_map_table,
+                      spectrum_table, timeseries_table)
+from .fluctuations import ValidityError
 from .params import ParameterError
 from .runio import RunWriter, figure_plot_script, plot_script
 
@@ -50,19 +51,8 @@ def _run_map_params(cfg: RunConfig, writer: RunWriter) -> None:
 
 def _run_steady_state(cfg: RunConfig, writer: RunWriter) -> None:
     p = cfg.require_dicke()
-    grid = cfg.lam_grid()
-    branch = mfd.steady_states(p, grid)
-    lc = mfd.critical_coupling(p)
-    rows = []
-    for lam, entries in zip(branch.lam_grid, branch.states):
-        for st, flag in entries:
-            rows.append([lam, lam / lc, st.alpha.real, st.alpha.imag,
-                         st.beta.real, st.beta.imag, st.w,
-                         1.0 if flag == "stable" else 0.0])
-    writer.write_table(Table("steady_states",
-                             ["lam[omega0]", "lam_over_lam_c[1]",
-                              "re_alpha[1]", "im_alpha[1]", "re_beta[1]",
-                              "im_beta[1]", "w[1]", "stable[bool]"], rows))
+    branch = mfd.steady_states(p, cfg.lam_grid())
+    writer.write_table(branch_table("steady_states", branch, mfd.critical_coupling(p)))
     if cfg.plots:
         writer.write_script("steady_states_plot.py", plot_script("steady-state"))
 
@@ -89,24 +79,7 @@ def _run_evolve(cfg: RunConfig, writer: RunWriter) -> None:
 
 
 def _run_spectrum(cfg: RunConfig, writer: RunWriter) -> None:
-    p = cfg.require_dicke()
-    grid = cfg.lam_grid()
-    sw = spectrum_sweep(p, grid)
-    lc = mfd.critical_coupling(p)
-    rows = []
-    for i, lam in enumerate(grid):
-        row = [lam, lam / lc]
-        for b in range(4):
-            row += [sw.frequencies[i, b].real, sw.frequencies[i, b].imag]
-        row.append(float(sw.polariton_index))
-        rows.append(row)
-    writer.write_table(Table("spectrum",
-                             ["lam[omega0]", "lam_over_lam_c[1]",
-                              "re_omega_1[omega0]", "im_omega_1[omega0]",
-                              "re_omega_2[omega0]", "im_omega_2[omega0]",
-                              "re_omega_3[omega0]", "im_omega_3[omega0]",
-                              "re_omega_4[omega0]", "im_omega_4[omega0]",
-                              "polariton_branch[index]"], rows))
+    writer.write_table(spectrum_table("spectrum", cfg.require_dicke(), cfg.lam_grid()))
     if cfg.plots:
         writer.write_script("spectrum_plot.py", plot_script("spectrum"))
 
@@ -143,19 +116,12 @@ def _run_g2(cfg: RunConfig, writer: RunWriter) -> None:
 
 def _run_g2_map(cfg: RunConfig, writer: RunWriter) -> None:
     p = cfg.require_dicke()
-    grid = cfg.lam_grid()
     rows = []
-    for lam in grid:
+    for lam in cfg.lam_grid():
         q = p.with_coupling(float(lam))
-        tau = _tau_grid(cfg, q)
-        series = corr.two_time_correlations(q, tau)
-        spec = corr.g2_spectrum(series)
-        keep = spec.nu <= 3.0 * p.omega0
-        for nu, lg in zip(spec.nu[keep], spec.log_magnitude[keep]):
-            rows.append([lam, nu, lg])
-    writer.write_table(Table("g2_fft_map",
-                             ["lam[omega0]", "nu[omega0]", "log10_abs_fft[1]"],
-                             rows))
+        series = corr.two_time_correlations(q, _tau_grid(cfg, q))
+        rows += g2_fft_rows(lam, series, p.omega0)
+    writer.write_table(Table("g2_fft_map", G2_FFT_HEADER, rows))
     if cfg.plots:
         writer.write_script("g2_fft_map_plot.py", plot_script("g2-map"))
 
@@ -171,26 +137,11 @@ def _run_modulate(cfg: RunConfig, writer: RunWriter) -> None:
         traj = mod.driven_trajectory(p, float(msec["time_series_lam"]),
                                      float(msec["time_series_nu"]), eps=eps,
                                      seed=seed, t_max=t_max)
-        rows = [[t, s.beta.real, abs(s.alpha) ** 2]
-                for t, s in zip(traj.t, traj.states)]
-        writer.write_table(Table("modulate_timeseries",
-                                 ["t[1/omega0]", "re_beta_over_N[1]",
-                                  "alpha2_over_N[1]"], rows))
+        writer.write_table(timeseries_table("modulate_timeseries", traj))
         return
-    lam_grid = cfg.lam_grid()
-    nu_grid = cfg.nu_grid()
-    rmap = mod.driven_response_map(p, lam_grid, nu_grid, eps=eps, seed=seed,
-                                   t_max=t_max, workers=cfg.workers)
-    lc = mfd.critical_coupling(p)
-    rows = []
-    for i, lam in enumerate(lam_grid):
-        for j, nu in enumerate(nu_grid):
-            rows.append([lam / lc, nu / p.omega0, rmap.max_alpha2[i, j],
-                         rmap.max_re_beta[i, j], float(rmap.stabilized[i, j])])
-    writer.write_table(Table("response_map",
-                             ["lam_over_lam_c[1]", "nu_over_omega0[1]",
-                              "max_alpha2_over_N[1]", "max_rebeta_over_N[1]",
-                              "stabilized_flag[bool]"], rows))
+    rmap = mod.driven_response_map(p, cfg.lam_grid(), cfg.nu_grid(), eps=eps,
+                                   seed=seed, t_max=t_max, workers=cfg.workers)
+    writer.write_table(response_map_table("response_map", p, rmap))
     if cfg.plots:
         writer.write_script("response_map_plot.py", plot_script("modulate"))
 
@@ -258,35 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # command-line flags are overrides like any --set, applied after them
+    overrides = [*args.set, f"run.mode={args.mode}"]
+    if args.out:
+        overrides.append(f"run.out={args.out}")
+    if args.workers:
+        overrides.append(f"run.workers={args.workers}")
+    if args.format:
+        overrides.append(f"run.format={args.format}")
+    if args.plots:
+        overrides.append("run.plots=true")
+    if getattr(args, "figure", None):
+        overrides.append(f"figure.id={args.figure}")
     try:
-        if args.config:
-            cfg = load_config(args.config, args.set)
-            cfg.mode = args.mode
-        else:
-            cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-            cp.add_section("run")
-            cp.set("run", "mode", args.mode)
-            for item in args.set:
-                target, _, value = item.partition("=")
-                if "." not in target or not _:
-                    raise ConfigError(
-                        f"override must look like section.key=value: {item!r}")
-                section, key = target.split(".", 1)
-                if not cp.has_section(section):
-                    cp.add_section(section)
-                cp.set(section, key, value)
-            cfg = build_config(cp)
-        if args.out:
-            cfg.out_dir = args.out
-        if args.workers:
-            cfg.workers = args.workers
-        if args.format:
-            cfg.out_format = args.format
-        if args.plots:
-            cfg.plots = True
-        if args.mode == "reproduce-figure" and getattr(args, "figure", None):
-            cfg.figure_id = args.figure
-        cfg = RunConfig(**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__})
+        cfg = load_config(args.config, overrides)
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ modes.  Command line flags override file values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,43 +94,60 @@ class RunConfig:
         return values
 
 
-def _parse_float_list(text: str) -> list[float]:
-    seps = text.replace(",", " ").split()
-    return [float(tok) for tok in seps]
+def _parse_float(where: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number: {raw!r}")
+    return value
+
+
+def _parse_float_list(where: str, text: str) -> list[float]:
+    return [_parse_float(where, tok) for tok in text.replace(",", " ").split()]
 
 
 def _section_floats(cp: configparser.ConfigParser, name: str) -> dict:
     out: dict = {}
     for key, raw in cp[name].items():
+        where = f"[{name}] {key}"
         if key.endswith("_list"):
-            out[key] = _parse_float_list(raw)
+            out[key] = _parse_float_list(where, raw)
         else:
-            try:
-                out[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{name}] {key}: not a number: {raw!r}") from exc
+            out[key] = _parse_float(where, raw)
     return out
 
 
-def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
-    """Parse a run configuration file, applying ``section.key=value`` overrides."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path) as fh:
-            cp.read_file(fh, source=path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
+    """Parse a run configuration, applying ``section.key=value`` overrides.
+
+    ``path`` names an INI file; without it the overrides are the whole
+    configuration.  Values are taken literally (no ``%`` interpolation).
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
+    if path:
+        try:
+            with open(path) as fh:
+                cp.read_file(fh, source=path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except configparser.Error as exc:
+            raise ConfigError(f"config parse error: {exc}") from exc
 
     for item in overrides or ():
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override must look like section.key=value: {item!r}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), key.strip(), value.strip())
+        section = section.strip()
+        try:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key.strip(), value.strip())
+        except (configparser.Error, ValueError) as exc:
+            raise ConfigError(f"override {item!r}: {exc}") from exc
 
     return build_config(cp)
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .fluctuations import HPCoefficients, dynamical_matrix, hp_coefficients
-from .meanfield import MeanFieldState, critical_coupling, newton_steady_state, trivial_state
+from .meanfield import MeanFieldState, critical_coupling, operating_point
 from .params import DickeParams
 
 #: index layout of the moment vector
@@ -57,16 +57,8 @@ class MomentVector:
         return complex(self.values[3])
 
     @property
-    def atom_number_fluct(self) -> float:
-        return float(self.values[5].real)
-
-    @property
     def cd(self) -> complex:
         return complex(self.values[6])
-
-    @property
-    def cdag_d(self) -> complex:
-        return complex(self.values[8])
 
     @property
     def c_ddag(self) -> complex:
@@ -147,7 +139,7 @@ def regression_generator(p: DickeParams, coeffs: HPCoefficients
 
 def _resolve_operating_point(p: DickeParams
                              ) -> tuple[MeanFieldState, HPCoefficients]:
-    """Steady state and fluctuation coefficients for the physical branch."""
+    """Operating point and fluctuation coefficients, refused near threshold."""
     if p.lam_prime == 0.0:
         lc = critical_coupling(p)
         if p.lam >= lc:
@@ -156,11 +148,7 @@ def _resolve_operating_point(p: DickeParams
         if 1.0 - p.lam / lc < NEAR_THRESHOLD_GUARD:
             raise ThresholdError(
                 f"within {NEAR_THRESHOLD_GUARD} of threshold: moments diverge")
-        ss = trivial_state(p)
-    else:
-        n = p.atom_number
-        alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
-        ss = newton_steady_state(p, MeanFieldState(alpha0, 0j, -n / 2.0))
+    ss = operating_point(p)
     return ss, hp_coefficients(ss, p)
 
 

@@ -9,7 +9,7 @@ kappa = 200 omega0 is shared by all figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,35 +80,74 @@ class Table:
     rows: list[list[float]]
 
 
-def _downsample(arr: np.ndarray, step: int) -> np.ndarray:
-    return arr[::step]
+BRANCH_HEADER = ["lam[omega0]", "lam_over_lam_c[1]", "re_alpha[1]", "im_alpha[1]",
+                 "re_beta[1]", "im_beta[1]", "w[1]", "stable[bool]"]
+G2_FFT_HEADER = ["lam[omega0]", "nu[omega0]", "log10_abs_fft[1]"]
+
+
+def spectrum_table(name: str, p: DickeParams, lam_grid) -> Table:
+    """Tracked eigenfrequencies over a coupling sweep, one row per coupling."""
+    sw = spectrum_sweep(p, lam_grid)
+    lc = mfd.critical_coupling(p)
+    rows = []
+    for lam, freqs in zip(sw.lam_grid, sw.frequencies):
+        row = [lam, lam / lc]
+        for f in freqs:
+            row += [f.real, f.imag]
+        row.append(float(sw.polariton_index))
+        rows.append(row)
+    return Table(name, ["lam[omega0]", "lam_over_lam_c[1]",
+                        "re_omega_1[omega0]", "im_omega_1[omega0]",
+                        "re_omega_2[omega0]", "im_omega_2[omega0]",
+                        "re_omega_3[omega0]", "im_omega_3[omega0]",
+                        "re_omega_4[omega0]", "im_omega_4[omega0]",
+                        "polariton_branch[index]"], rows)
+
+
+def branch_table(name: str, branch: mfd.SteadyStateBranch, lc: float) -> Table:
+    """Steady states with stability flags, one row per state."""
+    rows = []
+    for lam, entries in zip(branch.lam_grid, branch.states):
+        for st, flag in entries:
+            rows.append([lam, lam / lc, st.alpha.real, st.alpha.imag,
+                         st.beta.real, st.beta.imag, st.w,
+                         1.0 if flag == "stable" else 0.0])
+    return Table(name, BRANCH_HEADER, rows)
+
+
+def response_map_table(name: str, p: DickeParams, rmap: mod.ResponseMap) -> Table:
+    """Driven response map, one row per (lam, nu) cell."""
+    lc = mfd.critical_coupling(p)
+    rows = []
+    for i, lam in enumerate(rmap.lam_grid):
+        for j, nu in enumerate(rmap.nu_grid):
+            rows.append([lam / lc, nu / p.omega0, rmap.max_alpha2[i, j],
+                         rmap.max_re_beta[i, j], float(rmap.stabilized[i, j])])
+    return Table(name, ["lam_over_lam_c[1]", "nu_over_omega0[1]", "max_alpha2_over_N[1]",
+                        "max_rebeta_over_N[1]", "stabilized_flag[bool]"], rows)
+
+
+def timeseries_table(name: str, traj: mfd.Trajectory) -> Table:
+    """Scaled single-cell time series of the driven system."""
+    rows = [[t, s.beta.real, abs(s.alpha) ** 2] for t, s in zip(traj.t, traj.states)]
+    return Table(name, ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"], rows)
+
+
+def g2_fft_rows(lam: float, series: corr.CorrelationSeries, omega0: float) -> list:
+    """Rows (lam, nu, log10 |FFT g2|) of the g2 spectrum up to nu = 3 omega0."""
+    spec = corr.g2_spectrum(series)
+    keep = spec.nu <= 3.0 * omega0
+    return [[lam, nu, lg] for nu, lg in zip(spec.nu[keep], spec.log_magnitude[keep])]
 
 
 def figure1_tables() -> list[Table]:
     cfg = FIGURE_PARAMS["fig1"]
     p = base_params()
     lc = mfd.critical_coupling(p)
-    header = ["lam[omega0]", "lam_over_lam_c[1]",
-              "re_omega_1[omega0]", "im_omega_1[omega0]",
-              "re_omega_2[omega0]", "im_omega_2[omega0]",
-              "re_omega_3[omega0]", "im_omega_3[omega0]",
-              "re_omega_4[omega0]", "im_omega_4[omega0]",
-              "polariton_branch[index]"]
-    tables = []
-    for name, (lo, hi), npts in (
-            ("fig1_spectrum", cfg["lam_over_lc"], cfg["points"]),
-            ("fig1_spectrum_zoom", cfg["zoom"], cfg["zoom_points"])):
-        grid = np.linspace(lo, hi, npts) * lc
-        sw = spectrum_sweep(p, grid)
-        rows = []
-        for i, lam in enumerate(grid):
-            row = [lam, lam / lc]
-            for b in range(4):
-                row += [sw.frequencies[i, b].real, sw.frequencies[i, b].imag]
-            row.append(float(sw.polariton_index))
-            rows.append(row)
-        tables.append(Table(name, header, rows))
-    return tables
+    return [spectrum_table(name, p, np.linspace(lo, hi, npts) * lc)
+            for name, (lo, hi), npts in (
+                ("fig1_spectrum", cfg["lam_over_lc"], cfg["points"]),
+                ("fig1_spectrum_zoom", cfg["zoom"], cfg["zoom_points"]))]
 
 
 def figure2_tables() -> list[Table]:
@@ -119,21 +158,16 @@ def figure2_tables() -> list[Table]:
         p = base_params(n_atoms, lam=float(lam))
         tau = corr.default_tau_grid(p)
         series = corr.two_time_correlations(p, tau)
-        for t, g in zip(_downsample(tau, 16), _downsample(series.g2, 16)):
+        for t, g in zip(tau[::16], series.g2[::16]):
             g2_rows.append([lam, t, g])
-        spec = corr.g2_spectrum(series)
-        keep = spec.nu <= 3.0 * p.omega0
-        for nu, lg in zip(spec.nu[keep], spec.log_magnitude[keep]):
-            fft_rows.append([lam, nu, lg])
+        fft_rows += g2_fft_rows(lam, series, p.omega0)
     p = base_params(n_atoms, lam=cfg["long_time_lam"])
     tau = corr.default_tau_grid(p)
     series = corr.two_time_correlations(p, tau)
-    long_rows = [[t, g] for t, g in
-                 zip(_downsample(tau, 4), _downsample(series.g2, 4))]
+    long_rows = [[t, g] for t, g in zip(tau[::4], series.g2[::4])]
     return [
         Table("fig2a_g2_tau", ["lam[omega0]", "tau[1/omega0]", "g2[1]"], g2_rows),
-        Table("fig2b_g2_fft", ["lam[omega0]", "nu[omega0]", "log10_abs_fft[1]"],
-              fft_rows),
+        Table("fig2b_g2_fft", G2_FFT_HEADER, fft_rows),
         Table("fig2c_g2_longtime", ["tau[1/omega0]", "g2[1]"], long_rows),
     ]
 
@@ -146,7 +180,7 @@ def figure3_tables() -> list[Table]:
             p = base_params(cfg["atom_number"], lam=lam, lam_prime=bias)
             tau = corr.default_tau_grid(p)
             series = corr.two_time_correlations(p, tau)
-            for t, g in zip(_downsample(tau, 8), _downsample(series.g2, 8)):
+            for t, g in zip(tau[::8], series.g2[::8]):
                 rows.append([lam, bias, t, g])
     return [Table("fig3_g2_beating",
                   ["lam[omega0]", "lam_prime[omega0]", "tau[1/omega0]", "g2[1]"],
@@ -162,38 +196,11 @@ def figure4_tables(workers: int = 1) -> list[Table]:
     nu_grid = np.linspace(*cfg["nu_over_omega0"], n) * p.omega0
     rmap = mod.driven_response_map(p, lam_grid, nu_grid, eps=cfg["eps"],
                                    workers=workers)
-    map_rows = []
-    for i, lam in enumerate(lam_grid):
-        for j, nu in enumerate(nu_grid):
-            map_rows.append([lam / lc, nu / p.omega0,
-                             rmap.max_alpha2[i, j], rmap.max_re_beta[i, j],
-                             float(rmap.stabilized[i, j])])
     cell = cfg["cell"]
     traj = mod.driven_trajectory(p, cell["lam_over_lc"] * lc, cell["nu"],
                                  eps=cfg["eps"])
-    cell_rows = [[t, s.beta.real, abs(s.alpha) ** 2]
-                 for t, s in zip(traj.t, traj.states)]
-    return [
-        Table("fig4ab_response_map",
-              ["lam_over_lam_c[1]", "nu_over_omega0[1]", "max_alpha2_over_N[1]",
-               "max_rebeta_over_N[1]", "stabilized_flag[bool]"], map_rows),
-        Table("fig4c_timeseries",
-              ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"], cell_rows),
-    ]
-
-
-def _branch_rows(branch: mfd.SteadyStateBranch, lc: float) -> list[list[float]]:
-    rows = []
-    for lam, entries in zip(branch.lam_grid, branch.states):
-        for st, flag in entries:
-            rows.append([lam, lam / lc, st.alpha.real, st.alpha.imag,
-                         st.beta.real, st.beta.imag, st.w,
-                         1.0 if flag == "stable" else 0.0])
-    return rows
-
-
-BRANCH_HEADER = ["lam[omega0]", "lam_over_lam_c[1]", "re_alpha[1]", "im_alpha[1]",
-                 "re_beta[1]", "im_beta[1]", "w[1]", "stable[bool]"]
+    return [response_map_table("fig4ab_response_map", p, rmap),
+            timeseries_table("fig4c_timeseries", traj)]
 
 
 def figure5_tables(physical: PhysicalParams | None = None) -> list[Table]:
@@ -201,19 +208,12 @@ def figure5_tables(physical: PhysicalParams | None = None) -> list[Table]:
     p = base_params(cfg["atom_number"])
     lc = mfd.critical_coupling(p)
     grid = np.linspace(*cfg["lam_over_lc"], cfg["points"]) * lc
-    tables = [Table("fig5a_branches", BRANCH_HEADER,
-                    _branch_rows(mfd.steady_states(p, grid), lc))]
+    tables = [branch_table("fig5a_branches", mfd.steady_states(p, grid), lc)]
     if physical is None:
         return tables
 
     lam_density = cfg["density_lam"]
-    mirrored = PhysicalParams(**{
-        **{k: getattr(physical, k) for k in (
-            "pump_cavity_detuning", "dispersive_shift", "pump_coupling",
-            "atom_number", "condensate_length", "cavity_length",
-            "cavity_wavevector", "atom_mass", "kappa", "hbar",
-            "max_displacement_fraction")},
-        "trap_displacement": -physical.trap_displacement})
+    mirrored = replace(physical, trap_displacement=-physical.trap_displacement)
     # density panel: one fixed trap, the two signs of the bias field select
     # the two organized configurations (patterns shifted by half a pump
     # wavelength); the branch panels below use the displaced geometries
@@ -222,25 +222,19 @@ def figure5_tables(physical: PhysicalParams | None = None) -> list[Table]:
     grid_x = np.linspace(*physical.support, 2001)
     density_rows = [[float(x)] for x in grid_x]
     for sign in (+1.0, -1.0):
-        q = DickeParams(dk.omega, dk.omega0, lam_density,
-                        sign * ratio * lam_density, dk.kappa, dk.atom_number)
-        seed = mfd.MeanFieldState(
-            -1j * q.lam_prime * math.sqrt(q.atom_number) / (q.kappa + 1j * q.omega),
-            0j, -q.atom_number / 2.0)
-        ss = mfd.newton_steady_state(q, seed)
+        ss = mfd.operating_point(dk.with_coupling(lam_density, sign * ratio * lam_density))
         dens = density_profile(physical, ss, grid_x)
         for row, value in zip(density_rows, dens):
             row.append(float(value))
-    for tag, phys in (("plus", physical), ("minus", mirrored)):
-        dk = map_to_dicke(phys)
-        ratio = dk.lam_prime / dk.lam
-        branch = mfd.steady_states(dk, grid[grid > 0], lam_prime_over_lam=ratio)
-        tables.append(Table(f"fig5{'c' if tag == 'plus' else 'd'}_branches_{tag}",
-                            BRANCH_HEADER, _branch_rows(branch, lc)))
-    tables.insert(1, Table(
+    tables.append(Table(
         "fig5b_density",
         ["x[pump_wavelength]", "density_plus[atoms_per_length]",
          "density_minus[atoms_per_length]"], density_rows))
+    for tag, panel, phys in (("plus", "c", physical), ("minus", "d", mirrored)):
+        dk = map_to_dicke(phys)
+        branch = mfd.steady_states(dk, grid[grid > 0],
+                                   lam_prime_over_lam=dk.lam_prime / dk.lam)
+        tables.append(branch_table(f"fig5{panel}_branches_{tag}", branch, lc))
     return tables
 
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .meanfield import (MeanFieldState, _continue_branch, critical_coupling,
-                        newton_steady_state, superradiant_states, trivial_state)
+from .meanfield import MeanFieldState, branch_walk, critical_coupling, operating_point
 from .params import DickeParams
 
 
@@ -127,20 +126,6 @@ def spectrum(m: np.ndarray) -> ExcitationSpectrum:
     return ExcitationSpectrum(freqs, None, vecs)
 
 
-def _steady_state_for(p: DickeParams, lam: float, prev: MeanFieldState | None,
-                      prev_lam: float | None) -> MeanFieldState:
-    q = p.with_coupling(lam)
-    if p.lam_prime == 0.0:
-        if lam <= critical_coupling(p):
-            return trivial_state(p)
-        return superradiant_states(q)[0]
-    if prev is None or prev_lam is None:
-        n = p.atom_number
-        alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
-        return newton_steady_state(q, MeanFieldState(alpha0, 0j, -n / 2.0))
-    return _continue_branch(p, prev, prev_lam, lam, lambda _: p.lam_prime)
-
-
 @dataclass
 class TrackedSpectrum:
     """Branch-tracked eigenfrequencies along a coupling sweep.
@@ -179,16 +164,16 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         n_approach = approach.size
         work_grid = np.concatenate([approach, lam_grid])
 
+    lams = work_grid.tolist()
+    if p.lam_prime == 0.0:
+        states = (operating_point(p.with_coupling(lam)) for lam in lams)
+    else:
+        states = branch_walk(p, lams)
     freqs_out = np.empty((work_grid.size, 4), dtype=complex)
     prev_vecs = None
     prev_freqs = None
-    prev_state: MeanFieldState | None = None
-    prev_lam: float | None = None
     pol_index = 0
-    for i, lam in enumerate(work_grid):
-        lam = float(lam)
-        ss = _steady_state_for(p, lam, prev_state, prev_lam)
-        prev_state, prev_lam = ss, lam
+    for i, (lam, ss) in enumerate(zip(lams, states)):
         q = p.with_coupling(lam)
         m = dynamical_matrix(hp_coefficients(ss, q), q)
         mu, vecs = np.linalg.eig(m)

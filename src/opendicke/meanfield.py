@@ -71,34 +71,22 @@ def critical_coupling(p: DickeParams) -> float:
     return 0.5 * math.sqrt((p.omega0 / p.omega) * (p.kappa ** 2 + p.omega ** 2))
 
 
-def eom_rhs(state: MeanFieldState, p: DickeParams) -> MeanFieldState:
-    """Right-hand sides of the mean-field equations of motion.
+def _rhs_vector(t, y, p: DickeParams):
+    """Mean-field equations of motion on the real vector (Re a, Im a, Re b, Im b, w).
 
     d alpha/dt = -(kappa + i omega) alpha - i (lam/sqrt(N)) (beta + beta*)
                  - i (lam'/sqrt(N)) (N/2 - w)
     d beta/dt  = -i omega0 beta + 2 i (lam/sqrt(N)) (alpha + alpha*) w
                  + i (lam'/sqrt(N)) beta (alpha + alpha*)
     d w/dt     = i (lam/sqrt(N)) (alpha + alpha*) (beta - beta*)
+
+    ``modulation._scaled_rhs`` is the per-atom copy with w slaved to beta.
     """
-    rn = math.sqrt(p.atom_number)
-    a2re = state.alpha + state.alpha.conjugate()
-    d_alpha = (-(p.kappa + 1j * p.omega) * state.alpha
-               - 1j * (p.lam / rn) * (state.beta + state.beta.conjugate())
-               - 1j * (p.lam_prime / rn) * (p.atom_number / 2.0 - state.w))
-    d_beta = (-1j * p.omega0 * state.beta
-              + 2j * (p.lam / rn) * a2re * state.w
-              + 1j * (p.lam_prime / rn) * state.beta * a2re)
-    d_w = (1j * (p.lam / rn) * a2re * (state.beta - state.beta.conjugate())).real
-    return MeanFieldState(d_alpha, d_beta, d_w)
-
-
-def _rhs_vector(t, y, p: DickeParams, lam_of_t=None):
-    lam = p.lam if lam_of_t is None else lam_of_t(t)
     rn = math.sqrt(p.atom_number)
     ar, ai, br, bi, w = y
     a2re = 2.0 * ar
     b2im = 2.0 * bi
-    k_l = lam / rn
+    k_l = p.lam / rn
     k_lp = p.lam_prime / rn
     d_ar = -p.kappa * ar + p.omega * ai
     d_ai = -p.kappa * ai - p.omega * ar - k_l * 2.0 * br - k_lp * (p.atom_number / 2.0 - w)
@@ -108,32 +96,30 @@ def _rhs_vector(t, y, p: DickeParams, lam_of_t=None):
     return [d_ar, d_ai, d_br, d_bi, d_w]
 
 
+def eom_rhs(state: MeanFieldState, p: DickeParams) -> MeanFieldState:
+    """Right-hand sides of the mean-field equations of motion (see ``_rhs_vector``)."""
+    return MeanFieldState.from_vector(_rhs_vector(0.0, state.as_vector(), p))
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray
     states: list[MeanFieldState]
 
-    def component(self, name: str) -> np.ndarray:
-        if name in ("alpha", "beta"):
-            return np.array([getattr(s, name) for s in self.states])
-        return np.array([s.w for s in self.states])
-
 
 def integrate(state0: MeanFieldState, p: DickeParams, t_span,
-              rtol: float = 1e-10, t_eval=None, method: str = "RK45",
-              lam_of_t=None) -> Trajectory:
-    """Adaptive integration of the mean-field equations.
+              rtol: float = 1e-10, t_eval=None, method: str = "RK45") -> Trajectory:
+    """Adaptive integration of the mean-field equations at fixed coupling.
 
-    ``lam_of_t`` optionally replaces the static coupling by lam(t) (used by
-    the modulated drive).  Raises IntegrationError on step-size underflow,
-    reporting the last accepted state.
+    Raises IntegrationError on step-size underflow, reporting the last
+    accepted state.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     scale = max(1.0, math.sqrt(p.atom_number))
     sol = solve_ivp(_rhs_vector, t_span, state0.as_vector(), method=method,
                     rtol=rtol, atol=rtol * scale * 1e-2, t_eval=t_eval,
-                    args=(p, lam_of_t), dense_output=t_eval is None)
+                    args=(p,), dense_output=t_eval is None)
     if not sol.success:
         last = MeanFieldState.from_vector(sol.y[:, -1]) if sol.y.size else state0
         raise IntegrationError(f"integration failed: {sol.message}",
@@ -169,11 +155,8 @@ def _w_from_beta(beta: complex, n: float) -> float:
 
 
 def _reduced_residual(z: np.ndarray, p: DickeParams, lam: float) -> np.ndarray:
-    q = p.with_coupling(lam)
-    beta = complex(z[2], z[3])
-    state = MeanFieldState(complex(z[0], z[1]), beta, _w_from_beta(beta, p.atom_number))
-    d = eom_rhs(state, q)
-    return np.array([d.alpha.real, d.alpha.imag, d.beta.real, d.beta.imag])
+    w = _w_from_beta(complex(z[2], z[3]), p.atom_number)
+    return np.array(_rhs_vector(0.0, (z[0], z[1], z[2], z[3], w), p.with_coupling(lam))[:4])
 
 
 def newton_steady_state(p: DickeParams, seed: MeanFieldState, lam: float | None = None,
@@ -203,21 +186,63 @@ def newton_steady_state(p: DickeParams, seed: MeanFieldState, lam: float | None 
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian at lam = {lam}") from exc
         # keep beta inside the physical disc |beta| < N/2
+        trial = None
         damping = 1.0
         for _ in range(40):
             z_new = z + damping * step
-            if complex(z_new[2], z_new[3]).__abs__() < 0.5 * n:
-                f_new = _reduced_residual(z_new, p, lam)
-                if np.linalg.norm(f_new) <= np.linalg.norm(f) or damping < 1e-3:
+            if abs(complex(z_new[2], z_new[3])) < 0.5 * n:
+                trial = z_new, _reduced_residual(z_new, p, lam)
+                if np.linalg.norm(trial[1]) <= np.linalg.norm(f) or damping < 1e-3:
                     break
             damping *= 0.5
-        z, f = z_new, f_new
+        if trial is None:
+            raise ConvergenceError(
+                f"no Newton step stays inside |beta| < N/2 at lam = {lam}")
+        z, f = trial
     else:
         raise ConvergenceError(
             f"Newton iteration did not converge at lam = {lam} "
             f"(|residual| = {np.linalg.norm(f, ord=np.inf):.3e})")
     beta = complex(z[2], z[3])
     return MeanFieldState(complex(z[0], z[1]), beta, _w_from_beta(beta, n))
+
+
+def operating_point(p: DickeParams) -> MeanFieldState:
+    """Physical steady state at the coupling and bias of ``p``.
+
+    For lam' = 0 it is the closed form: the trivial state up to lam_c and
+    the first of the symmetry-broken pair above.  Otherwise Newton starts
+    from the linear-response seed, the cavity field driven by the bias with
+    the atoms unexcited: alpha = -i lam' sqrt(N) / (kappa + i omega).
+    """
+    if p.lam_prime == 0.0:
+        if p.lam <= critical_coupling(p):
+            return trivial_state(p)
+        return superradiant_states(p)[0]
+    n = p.atom_number
+    alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
+    return newton_steady_state(p, MeanFieldState(alpha0, 0j, -n / 2.0))
+
+
+def branch_walk(p: DickeParams, lam_grid, bias=None):
+    """Yield the physical branch along a sorted coupling grid, point by point.
+
+    The first point is the operating point; every later one is continued
+    from its predecessor.  ``bias(lam)`` gives lam' at each coupling; by
+    default it is the fixed ``p.lam_prime``.
+    """
+    if bias is None:
+        def bias(_lam: float) -> float:
+            return p.lam_prime
+    prev = prev_lam = None
+    for lam in lam_grid:
+        lam = float(lam)
+        if prev is None:
+            state = operating_point(p.with_coupling(lam, bias(lam)))
+        else:
+            state = _continue_branch(p, prev, prev_lam, lam, bias)
+        prev, prev_lam = state, lam
+        yield state
 
 
 def _stability_flag(state: MeanFieldState, p: DickeParams, lam: float) -> str:
@@ -242,10 +267,10 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
 
     With lam' = 0 the trivial branch is returned everywhere together with
     the pair of closed-form symmetry-broken states above threshold.  With
-    lam' != 0 the unique low-energy branch is continued by Newton from the
-    linear-response seed, so no bifurcation appears.  If
-    ``lam_prime_over_lam`` is given, the bias scales with the coupling
-    (both are proportional to the pump strength for a fixed geometry).
+    lam' != 0 the unique low-energy branch is walked by ``branch_walk``,
+    so no bifurcation appears.  If ``lam_prime_over_lam`` is given, the
+    bias scales with the coupling (both are proportional to the pump
+    strength for a fixed geometry).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
@@ -253,40 +278,22 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     if np.any(np.diff(lam_grid) < 0):
         raise ValueError("coupling grid must be sorted ascending")
 
-    n = p.atom_number
-    lc = critical_coupling(p)
-    per_lam: list[list[tuple[MeanFieldState, str]]] = []
-
-    def bias(lam: float) -> float:
-        if lam_prime_over_lam is not None:
-            return lam_prime_over_lam * lam
-        return p.lam_prime
-
     if p.lam_prime == 0.0 and lam_prime_over_lam is None:
-        for lam in lam_grid:
-            q = p.with_coupling(float(lam))
-            entries = [(trivial_state(p), _stability_flag(trivial_state(p), p, float(lam)))]
+        lc = critical_coupling(p)
+        per_lam = []
+        for lam in lam_grid.tolist():
+            states = [trivial_state(p)]
             if lam > lc:
-                for st in superradiant_states(q):
-                    entries.append((st, _stability_flag(st, p, float(lam))))
-            per_lam.append(entries)
+                states += superradiant_states(p.with_coupling(lam))
+            per_lam.append([(st, _stability_flag(st, p, lam)) for st in states])
         return SteadyStateBranch(lam_grid, per_lam)
 
-    prev: MeanFieldState | None = None
-    prev_lam: float | None = None
-    for lam in lam_grid:
-        lam = float(lam)
-        if prev is None:
-            lp = bias(lam)
-            alpha0 = -1j * lp * math.sqrt(n) / (p.kappa + 1j * p.omega)
-            seed = MeanFieldState(alpha0, 0j, -n / 2.0)
-            st = newton_steady_state(
-                DickeParams(p.omega, p.omega0, lam, lp, p.kappa, n), seed)
-        else:
-            st = _continue_branch(p, prev, prev_lam, lam, bias)
-        prev, prev_lam = st, lam
-        q = DickeParams(p.omega, p.omega0, lam, bias(lam), p.kappa, n)
-        per_lam.append([(st, _stability_flag(st, q, lam))])
+    def bias(lam: float) -> float:
+        return p.lam_prime if lam_prime_over_lam is None else lam_prime_over_lam * lam
+
+    lams = lam_grid.tolist()
+    per_lam = [[(st, _stability_flag(st, p.with_coupling(lam, bias(lam)), lam))]
+               for lam, st in zip(lams, branch_walk(p, lams, bias))]
     return SteadyStateBranch(lam_grid, per_lam)
 
 
@@ -299,8 +306,7 @@ def _continue_branch(p: DickeParams, state: MeanFieldState, lam_from: float,
     steps that move the state too far are re-done in halves.
     """
     n = p.atom_number
-    q = DickeParams(p.omega, p.omega0, lam_to, bias(lam_to), p.kappa, n)
-    new = newton_steady_state(q, state)
+    new = newton_steady_state(p.with_coupling(lam_to, bias(lam_to)), state)
     jump = max(abs(new.alpha - state.alpha) / math.sqrt(n),
                abs(new.beta - state.beta) / n)
     if jump < 0.05 or depth >= 24:

@@ -51,11 +51,6 @@ class ModulationConfig:
     def eps_tilde(self) -> float:
         return (self.lam / self.lam_c) ** 2 * self.eps
 
-    @classmethod
-    def from_params(cls, p: DickeParams, lam: float, eps: float, nu: float
-                    ) -> "ModulationConfig":
-        return cls(lam, eps, nu, p.omega0, critical_coupling(p))
-
 
 @dataclass
 class FloquetResult:
@@ -145,7 +140,8 @@ class ResponseMap:
 
 
 def _scaled_rhs(t, y, p: DickeParams, lam0: float, eps: float, nu: float):
-    # per-atom variables: alpha/sqrt(N), beta/N; inversion on negative root
+    # meanfield._rhs_vector per atom (alpha/sqrt(N), beta/N) with w slaved to
+    # beta on its negative root; kept flat, as the response map's hot kernel
     ar, ai, br, bi = y
     lam = lam0 * (1.0 + eps * math.cos(nu * t))
     w = -math.sqrt(max(0.25 - (br * br + bi * bi), 0.0))

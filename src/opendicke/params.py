@@ -75,12 +75,6 @@ class DickeParams:
                            self.lam_prime if lam_prime is None else lam_prime,
                            self.kappa, self.atom_number)
 
-    def normalized(self) -> "DickeParams":
-        """Same model with all frequencies expressed in units of omega0."""
-        s = 1.0 / self.omega0
-        return DickeParams(self.omega * s, 1.0, self.lam * s,
-                           self.lam_prime * s, self.kappa * s, self.atom_number)
-
 
 @dataclass(frozen=True)
 class PhysicalParams:

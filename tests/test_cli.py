@@ -108,6 +108,24 @@ class TestSubcommands:
                    "--set", "grid.lam_points=4"])
         assert rc == 3
 
+    def test_spaced_override_without_config(self, tmp_path):
+        # overrides are parsed once, with or without a config file
+        out = tmp_path / "out"
+        rc = main(["map-params", "--out", str(out), *DICKE_SETS,
+                   "--set", "dicke.lam = 9"])
+        assert rc == 0
+        payload = json.loads((out / "dicke_params.json").read_text())
+        assert payload["lam"] == 9.0
+
+    @pytest.mark.parametrize("argv, output", [
+        (["map-params", *DICKE_SETS, "--set", "dicke.lam=nan"], "dicke_params.json"),
+        (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=nan"], "photon_flux.csv"),
+    ])
+    def test_non_finite_value_is_config_failure(self, tmp_path, argv, output):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not (out / output).exists()
+
     def test_missing_grid_is_config_failure(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["steady-state", "--out", str(out), *DICKE_SETS])

@@ -177,6 +177,14 @@ class TestSteadyStateBranches:
         assert abs(found.beta - target.beta) < 1e-9 * n
         assert abs(found.w - target.w) < 1e-9 * n
 
+    def test_newton_refuses_iterate_outside_disc(self):
+        # seeded outside |beta| < N/2: no trial step of the first iteration
+        # lands inside the physical disc, which must be a ConvergenceError
+        p = DickeParams(300.0, 1.0, 12.0, 0.01, 200.0, 1e5)
+        seed = mfd.MeanFieldState(1e6 + 0j, 0.51e5 + 0j, 0.0)
+        with pytest.raises(mfd.ConvergenceError, match="inside"):
+            mfd.newton_steady_state(p, seed)
+
     def test_branch_residuals_below_spec(self):
         p = params(lam_prime=0.0)
         lc = mfd.critical_coupling(p)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
@@ -186,6 +188,24 @@ class TestDrivenResponse:
         rmap = mod.driven_response_map(p, [0.9 * LC], [nu_res], eps=1.0 / 50.0,
                                        t_max=300.0)
         assert not bool(rmap.stabilized[0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0, 4000), ar=st.floats(-1, 1), ai=st.floats(-1, 1),
+           br=st.floats(-0.6, 0.6), bi=st.floats(-0.6, 0.6),
+           lam0=st.floats(0, 20), eps=st.floats(0, 0.19), nu=st.floats(0.01, 5),
+           omega=st.floats(1, 500), omega0=st.floats(0.1, 5),
+           kappa=st.floats(0, 400), lam_prime=st.floats(-0.5, 0.5))
+    def test_scaled_rhs_is_the_per_atom_mean_field_rhs(
+            self, t, ar, ai, br, bi, lam0, eps, nu, omega, omega0, kappa, lam_prime):
+        # the flat kernel must stay bit-identical to the shared equations at
+        # N = 1 with the driven coupling and w on its negative root
+        p = DickeParams(omega, omega0, lam0, lam_prime, kappa, 1.0)
+        y = [ar, ai, br, bi]
+        w = -math.sqrt(max(0.25 - (br * br + bi * bi), 0.0))
+        driven = p.with_coupling(lam0 * (1 + eps * math.cos(nu * t)))
+        expected = mfd._rhs_vector(t, [*y, w], driven)[:4]
+        got = mod._scaled_rhs(t, y, p, lam0, eps, nu)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_trajectory_states_stay_on_bloch_sphere(self):
         p = params(lam=0.8 * LC)
