@@ -31,6 +31,13 @@ _PHYSICAL_KEYS = ("pump_cavity_detuning", "dispersive_shift", "pump_coupling",
                   "trap_displacement", "cavity_wavevector", "atom_mass",
                   "kappa", "hbar", "max_displacement_fraction")
 _PHYSICAL_OPTIONAL = ("hbar", "max_displacement_fraction")
+_RUN_KEYS = ("mode", "out", "format", "plots", "workers")
+_GRID_KEYS = ("lam_list", "lam_min", "lam_max", "lam_points",
+              "nu_min", "nu_max", "nu_points", "tau_span", "tau_points")
+_MODULATION_KEYS = ("eps", "t_max", "seed", "time_series_lam", "time_series_nu")
+_EVOLVE_KEYS = ("t_max", "samples", "alpha0_re", "alpha0_im",
+                "beta0_re", "beta0_im", "w0")
+_FIGURE_KEYS = ("id",)
 
 
 @dataclass
@@ -108,6 +115,15 @@ def _parse_float_list(where: str, text: str) -> list[float]:
     return [_parse_float(where, tok) for tok in text.replace(",", " ").split()]
 
 
+def _require(name: str, values: dict, key: str, ok, wanted: str) -> None:
+    if key in values and not ok(values[key]):
+        raise ConfigError(f"[{name}] {key} must be {wanted}, got {values[key]:g}")
+
+
+def _positive(value: float) -> bool:
+    return value > 0.0
+
+
 def _section_floats(cp: configparser.ConfigParser, name: str) -> dict:
     out: dict = {}
     for key, raw in cp[name].items():
@@ -155,6 +171,13 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 def build_config(cp: configparser.ConfigParser) -> RunConfig:
     if not cp.has_section("run"):
         raise ConfigError("missing [run] section")
+    for name, known in (("run", _RUN_KEYS), ("dicke", _DICKE_KEYS),
+                        ("physical", _PHYSICAL_KEYS), ("grid", _GRID_KEYS),
+                        ("modulation", _MODULATION_KEYS),
+                        ("evolve", _EVOLVE_KEYS), ("figure", _FIGURE_KEYS)):
+        unknown = set(cp[name]) - set(known) if cp.has_section(name) else ()
+        if unknown:
+            raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}")
     run = cp["run"]
     mode = run.get("mode", "").strip()
     try:
@@ -170,9 +193,6 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
 
     if cp.has_section("dicke"):
         values = _section_floats(cp, "dicke")
-        unknown = set(values) - set(_DICKE_KEYS)
-        if unknown:
-            raise ConfigError(f"[dicke]: unknown keys {sorted(unknown)}")
         missing = set(_DICKE_KEYS) - set(values)
         if missing:
             raise ConfigError(f"[dicke]: missing keys {sorted(missing)}")
@@ -183,9 +203,6 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
 
     if cp.has_section("physical"):
         values = _section_floats(cp, "physical")
-        unknown = set(values) - set(_PHYSICAL_KEYS)
-        if unknown:
-            raise ConfigError(f"[physical]: unknown keys {sorted(unknown)}")
         missing = set(_PHYSICAL_KEYS) - set(_PHYSICAL_OPTIONAL) - set(values)
         if missing:
             raise ConfigError(f"[physical]: missing keys {sorted(missing)}")
@@ -197,10 +214,19 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
 
     if cp.has_section("grid"):
         cfg.grid = _section_floats(cp, "grid")
+        if len({"tau_span", "tau_points"} & cfg.grid.keys()) == 1:
+            raise ConfigError("[grid]: give tau_span and tau_points together")
+        _require("grid", cfg.grid, "tau_points",
+                 lambda v: v.is_integer() and v >= 2, "an integer >= 2")
+        _require("grid", cfg.grid, "tau_span", _positive, "> 0")
     if cp.has_section("modulation"):
         cfg.modulation = _section_floats(cp, "modulation")
+        _require("modulation", cfg.modulation, "t_max", _positive, "> 0")
     if cp.has_section("evolve"):
         cfg.evolve = _section_floats(cp, "evolve")
+        _require("evolve", cfg.evolve, "samples",
+                 lambda v: v.is_integer() and v >= 1, "an integer >= 1")
+        _require("evolve", cfg.evolve, "t_max", _positive, "> 0")
     if cp.has_section("figure"):
         cfg.figure_id = cp["figure"].get("id", "").strip() or None
     return cfg

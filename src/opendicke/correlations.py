@@ -1,8 +1,10 @@
 """Photodetection observables from input-output theory.
 
 Below threshold the photons leaking out of the cavity carry the statistics
-of the intracavity fluctuations.  Equal-time second moments of the two
-fluctuation modes close under a 10-dimensional linear system; two-time
+of the intracavity fluctuations.  Their dynamics is written only once, as
+the 4x4 matrix ``fluctuations.dynamical_matrix``; the 10-dimensional linear
+system that the equal-time second moments close under is derived from it
+here, through one table of normal-ordered operator pairs.  Two-time
 correlators follow either by contour integration of the frequency-domain
 Langevin solution driven by vacuum noise, or by quantum-regression
 propagation of the single-operator generator from the steady moments.
@@ -22,11 +24,27 @@ from .fluctuations import HPCoefficients, dynamical_matrix, hp_coefficients
 from .meanfield import MeanFieldState, critical_coupling, operating_point
 from .params import DickeParams
 
-#: index layout of the moment vector
-MOMENT_NAMES = ("cc", "cdagcdag", "cdagc", "dd", "ddagddag", "ddagd",
-                "cd", "cdagddag", "cdagd", "cddag")
-
 NEAR_THRESHOLD_GUARD = 1e-6
+
+#: positions of the fluctuation operators in x = (c, c+, d, d+), the vector
+#: that ``fluctuations.dynamical_matrix`` M acts on
+C, CDAG, D, DDAG = range(4)
+#: the ten normal-ordered moments <x_i x_j>; a pair's place in this table is
+#: the moment's index in ``MomentVector.values`` and in the moment system
+MOMENT_PAIRS = ((C, C), (CDAG, CDAG), (CDAG, C), (D, D), (DDAG, DDAG),
+                (DDAG, D), (C, D), (CDAG, DDAG), (CDAG, D), (C, DDAG))
+_INDEX = {pair: n for n, pair in enumerate(MOMENT_PAIRS)}
+
+
+def _normal_order(i: int, j: int) -> tuple[int, float]:
+    """Table index of <x_i x_j> and the c-number it picks up on reordering.
+
+    A product missing from the table is flipped, <x_i x_j> = <x_j x_i> +
+    [x_i, x_j]; of all the flips, only [c, c+] = [d, d+] = 1 is nonzero.
+    """
+    if (i, j) in _INDEX:
+        return _INDEX[(i, j)], 0.0
+    return _INDEX[(j, i)], 1.0 if (i, j) in ((C, CDAG), (D, DDAG)) else 0.0
 
 
 class ThresholdError(RuntimeError):
@@ -37,104 +55,67 @@ class ThresholdError(RuntimeError):
 class MomentVector:
     """Equal-time second moments of the fluctuation operators.
 
-    Layout: <cc>, <c+c+>, <c+c>, <dd>, <d+d+>, <d+d>, <cd>, <c+d+>, <c+d>,
-    <cd+>.  Conjugate pairs must close (<c+c+> = <cc>* etc.) and the two
+    ``values[n]`` is <x_i x_j> for the n-th pair (i, j) of ``MOMENT_PAIRS``.
+    Conjugate pairs must close (<c+c+> = <cc>* etc.) and the two
     occupation numbers are real and non-negative.
     """
 
     values: np.ndarray
 
+    def pair(self, i: int, j: int) -> complex:
+        """<x_i x_j> for any two of x = (c, c+, d, d+)."""
+        n, commutator = _normal_order(i, j)
+        return complex(self.values[n]) + commutator
+
     @property
     def cc(self) -> complex:
-        return complex(self.values[0])
+        return self.pair(C, C)
 
     @property
     def photon_number(self) -> float:
-        return float(self.values[2].real)
-
-    @property
-    def dd(self) -> complex:
-        return complex(self.values[3])
-
-    @property
-    def cd(self) -> complex:
-        return complex(self.values[6])
-
-    @property
-    def c_ddag(self) -> complex:
-        return complex(self.values[9])
+        return self.pair(CDAG, C).real
 
     def conjugate_closure_residual(self) -> float:
-        """Worst conjugate-pair mismatch, relative to the largest moment."""
-        v = self.values
-        pairs = ((0, 1), (3, 4), (6, 7), (8, 9))
-        res = max(abs(v[j] - np.conj(v[i])) for i, j in pairs)
-        res = max(res, abs(v[2].imag), abs(v[5].imag))
-        scale = float(np.max(np.abs(v)))
+        """Worst mismatch |<(x_i x_j)+> - <x_i x_j>*|, relative to the largest moment.
+
+        (x_i x_j)+ = x_j+ x_i+, and x_i+ sits at index i ^ 1 of x.
+        """
+        res = max(abs(self.pair(j ^ 1, i ^ 1) - self.pair(i, j).conjugate())
+                  for i, j in MOMENT_PAIRS)
+        scale = float(np.max(np.abs(self.values)))
         return res / scale if scale > 0 else res
 
 
-def regression_generator(p: DickeParams, coeffs: HPCoefficients
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Generator (A, b) of the moment system d m/dt = A m + b.
+def _derivation_maps() -> tuple[np.ndarray, np.ndarray]:
+    """Constant linear maps from the entries of M to the moment system (A, b).
 
-    The only inhomogeneous entries come from commutators picked up when
-    normal ordering the vacuum-noise-driven equations: the <cd> row (and
-    conjugate) through g2 and the <dd> row (and conjugate) through g1.
+    For every pair (i, j) of the table,
+    d<x_i x_j>/dt = sum_k M_ik <x_k x_j> + M_jk <x_i x_k>,
+    with each product normal ordered by ``_normal_order``.  Vacuum input
+    noise is anti-normally ordered, so it adds nothing to these moments.
     """
-    w, k = p.omega, p.kappa
-    w0, g1, g2 = coeffs.omega0_prime, coeffs.g1, coeffs.g2
-    a = np.zeros((10, 10), dtype=complex)
-    b = np.zeros(10, dtype=complex)
+    a_map = np.zeros((10, 10, 4, 4), dtype=complex)
+    b_map = np.zeros((10, 4, 4), dtype=complex)
+    for row, (i, j) in enumerate(MOMENT_PAIRS):
+        for k in range(4):
+            for entry, product in (((i, k), (k, j)), ((j, k), (i, k))):
+                col, commutator = _normal_order(*product)
+                a_map[(row, col) + entry] += 1.0
+                b_map[(row,) + entry] += commutator
+    return a_map.reshape(100, 16), b_map.reshape(10, 16)
 
-    # d<cc> = -2(iw+k)<cc> - 2i g2 (<cd> + <cd+>)
-    a[0, 0] = -2j * w - 2 * k
-    a[0, 6] = a[0, 9] = -2j * g2
-    # conjugate row
-    a[1, 1] = 2j * w - 2 * k
-    a[1, 7] = a[1, 8] = 2j * g2
-    # d<c+c> = -2k<c+c> + i g2 (<cd> + <cd+> - <c+d> - <c+d+>)
-    a[2, 2] = -2 * k
-    a[2, 6] = a[2, 9] = 1j * g2
-    a[2, 7] = a[2, 8] = -1j * g2
-    # d<dd> = -2i w0 <dd> - 2i g1 (2<dd> + 2<d+d> + 1) - 2i g2 (<cd> + <c+d>)
-    a[3, 3] = -2j * w0 - 4j * g1
-    a[3, 5] = -4j * g1
-    a[3, 6] = a[3, 8] = -2j * g2
-    b[3] = -2j * g1
-    # conjugate row
-    a[4, 4] = 2j * w0 + 4j * g1
-    a[4, 5] = 4j * g1
-    a[4, 7] = a[4, 9] = 2j * g2
-    b[4] = 2j * g1
-    # d<d+d> = 2i g1 (<dd> - <d+d+>) + i g2 (<cd> + <c+d> - <cd+> - <c+d+>)
-    a[5, 3] = 2j * g1
-    a[5, 4] = -2j * g1
-    a[5, 6] = a[5, 8] = 1j * g2
-    a[5, 7] = a[5, 9] = -1j * g2
-    # d<cd> = -(iw + iw0 + k)<cd> - 2i g1 (<cd> + <cd+>)
-    #         - i g2 (<cc> + <c+c> + <dd> + <d+d> + 1)
-    a[6, 6] = -1j * (w + w0) - k - 2j * g1
-    a[6, 9] = -2j * g1
-    a[6, 0] = a[6, 2] = a[6, 3] = a[6, 5] = -1j * g2
-    b[6] = -1j * g2
-    # conjugate row
-    a[7, 7] = 1j * (w + w0) - k + 2j * g1
-    a[7, 8] = 2j * g1
-    a[7, 1] = a[7, 2] = a[7, 4] = a[7, 5] = 1j * g2
-    b[7] = 1j * g2
-    # d<c+d> = (iw - iw0 - k)<c+d> - 2i g1 (<c+d> + <c+d+>)
-    #          + i g2 (<dd> + <d+d> - <c+c+> - <c+c>)
-    a[8, 8] = 1j * (w - w0) - k - 2j * g1
-    a[8, 7] = -2j * g1
-    a[8, 3] = a[8, 5] = 1j * g2
-    a[8, 1] = a[8, 2] = -1j * g2
-    # conjugate row
-    a[9, 9] = -1j * (w - w0) - k + 2j * g1
-    a[9, 6] = 2j * g1
-    a[9, 4] = a[9, 5] = -1j * g2
-    a[9, 0] = a[9, 2] = 1j * g2
-    return a, b
+
+_A_MAP, _B_MAP = _derivation_maps()
+
+
+def regression_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generator (A, b) of the moment system dv/dt = A v + b, v = MomentVector.values.
+
+    Derived from the 4x4 dynamical matrix ``m`` (see ``_derivation_maps``);
+    b collects the commutators picked up by normal ordering.
+    """
+    flat = m.reshape(16)
+    return (_A_MAP @ flat).reshape(10, 10), _B_MAP @ flat
 
 
 def _resolve_operating_point(p: DickeParams
@@ -152,26 +133,26 @@ def _resolve_operating_point(p: DickeParams
     return ss, hp_coefficients(ss, p)
 
 
-def steady_moments(p: DickeParams, coeffs: HPCoefficients | None = None
-                   ) -> MomentVector:
-    """Steady solution of the moment system, A m = -b.
+def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
+    """Steady solution of the moment system, A v = -b.
 
-    With ``coeffs`` omitted the operating point is resolved from the
-    parameters (trivial state for lam' = 0, Newton-continued state
-    otherwise).  A dynamically unstable generator is rejected as threshold
-    proximity.
+    ``m`` is the dynamical matrix at the operating point; omitted, the
+    operating point is resolved from the parameters (trivial state for
+    lam' = 0, Newton-continued state otherwise).  A dynamically unstable
+    generator is rejected as threshold proximity.
     """
-    if coeffs is None:
+    if m is None:
         _, coeffs = _resolve_operating_point(p)
-    if coeffs.g1 == 0.0 and coeffs.g2 == 0.0:
-        # decoupled modes with vacuum input: every moment vanishes (the
-        # undriven atomic moments are conserved, so the matrix is singular)
+        m = dynamical_matrix(coeffs, p)
+    if m[C, D] == 0.0 and m[D, DDAG] == 0.0:
+        # decoupled modes (g1 = g2 = 0) with vacuum input: every moment
+        # vanishes (the undriven atomic moments are conserved, so the
+        # matrix is singular)
         return MomentVector(np.zeros(10, dtype=complex))
-    a, b = regression_generator(p, coeffs)
-    m = dynamical_matrix(coeffs, p)
     growth = float(np.max(np.linalg.eigvals(m).real))
     if growth > 1e-12 * max(p.omega, p.kappa, p.omega0):
         raise ThresholdError("fluctuation dynamics is not stable at this point")
+    a, b = regression_generator(m)
     try:
         values = np.linalg.solve(a, -b)
     except np.linalg.LinAlgError as exc:
@@ -207,7 +188,7 @@ def cc_closed_form(p: DickeParams, lam: float | None = None) -> complex:
 def photon_flux(p: DickeParams) -> float:
     """Detected photon flux 2 kappa (<c+c>_ss + |alpha_ss|^2)."""
     ss, coeffs = _resolve_operating_point(p)
-    moments = steady_moments(p, coeffs)
+    moments = steady_moments(p, dynamical_matrix(coeffs, p))
     return 2.0 * p.kappa * (moments.photon_number + abs(ss.alpha) ** 2)
 
 
@@ -282,11 +263,12 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-regression propagation d v/d tau = M v from the steady moments.
 
-    v = (<c(t+tau)c(t)>, <c+(t+tau)c(t)>, <d(t+tau)c(t)>, <d+(t+tau)c(t)>),
-    seeded by (<cc>, <c+c>, <cd>, <cd+>).
+    v_k = <x_k(t+tau) c(t)> for x = (c, c+, d, d+), seeded by the steady
+    moments <x_k c>.
     """
-    v0 = np.array([moments.cc, moments.photon_number, moments.cd,
-                   moments.c_ddag], dtype=complex)
+    v0 = np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
+    # <c+c> is an occupation number; drop the rounding in its imaginary part
+    v0[CDAG] = moments.photon_number
 
     def rhs(t, y):
         v = y[:4] + 1j * y[4:]
@@ -321,7 +303,7 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency"
 
     ss, coeffs = _resolve_operating_point(p)
     m = dynamical_matrix(coeffs, p)
-    moments = steady_moments(p, coeffs)
+    moments = steady_moments(p, m)
 
     soft_freq = min(np.abs(np.linalg.eigvals(m).imag))
     if soft_freq > 0 and math.pi / float(steps[0]) < 2.0 * soft_freq:

@@ -243,8 +243,7 @@ def reproduce_figure(fig_id: str, physical: PhysicalParams | None = None,
     """All data tables of the named figure at canonical parameters.
 
     fig5's displaced-trap panels (b)-(d) need the physical trap geometry;
-    without it only panel (a) is produced and a MissingPhysicalParams error
-    is raised to make the omission explicit.
+    without it no table is produced and MissingPhysicalParams is raised.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id!r}; pick one of {FIGURE_IDS}")

@@ -212,16 +212,22 @@ def operating_point(p: DickeParams) -> MeanFieldState:
 
     For lam' = 0 it is the closed form: the trivial state up to lam_c and
     the first of the symmetry-broken pair above.  Otherwise Newton starts
-    from the linear-response seed, the cavity field driven by the bias with
-    the atoms unexcited: alpha = -i lam' sqrt(N) / (kappa + i omega).
+    up to lam_c from the linear-response seed, the cavity field driven by
+    the bias with the atoms unexcited: alpha = -i lam' sqrt(N) / (kappa +
+    i omega).  Above lam_c that seed leads to the unstable near-trivial
+    root, so Newton starts from the symmetry-broken state that the bias
+    favours, the one whose Re beta has the sign of lam'.
     """
+    above = p.lam > critical_coupling(p)
     if p.lam_prime == 0.0:
-        if p.lam <= critical_coupling(p):
-            return trivial_state(p)
-        return superradiant_states(p)[0]
-    n = p.atom_number
-    alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
-    return newton_steady_state(p, MeanFieldState(alpha0, 0j, -n / 2.0))
+        return superradiant_states(p)[0] if above else trivial_state(p)
+    if above:
+        seed = max(superradiant_states(p), key=lambda st: st.beta.real * p.lam_prime)
+    else:
+        n = p.atom_number
+        alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
+        seed = MeanFieldState(alpha0, 0j, -n / 2.0)
+    return newton_steady_state(p, seed)
 
 
 def branch_walk(p: DickeParams, lam_grid, bias=None):

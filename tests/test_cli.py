@@ -126,6 +126,41 @@ class TestSubcommands:
         assert main([*argv, "--out", str(out)]) == 2
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("sets", [
+        ["grid.tau_span=50", "grid.tau_points=0"],
+        ["grid.tau_span=50", "grid.tau_points=1"],
+        ["grid.tau_span=50", "grid.tau_points=2.5"],
+        ["grid.tau_span=-5", "grid.tau_points=64"],
+        ["grid.tau_span=0", "grid.tau_points=64"],
+        ["grid.tau_span=50"],
+        ["grid.tau_pionts=64"],
+        ["evolve.samples=0"],
+        ["evolve.samples=-3"],
+        ["evolve.samples=2.5"],
+        ["evolve.t_max=0"],
+        ["evolve.t_max=-1"],
+        ["modulation.t_max=0"],
+        ["modulation.t_max=-1"],
+        ["run.outt=x"],
+        ["figure.ids=fig1"],
+    ], ids=" ".join)
+    def test_invalid_input_is_one_line_config_failure(self, tmp_path, capsys, sets):
+        # refused while the configuration is built, before any solver runs
+        out = tmp_path / "o"
+        overrides = [arg for s in sets for arg in ("--set", s)]
+        assert main(["g2", "--out", str(out), *DICKE_SETS, *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_biased_photon_flux_above_threshold(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["photon-flux", "--out", str(out), *DICKE_SETS,
+                   "--set", "dicke.lam_prime=0.03", "--set", "grid.lam_list=12"])
+        assert rc == 0
+        _, rows = read_csv(out / "photon_flux.csv")
+        assert len(rows) == 1 and rows[0][1] > 0
+
     def test_missing_grid_is_config_failure(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["steady-state", "--out", str(out), *DICKE_SETS])

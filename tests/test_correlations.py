@@ -89,7 +89,7 @@ class TestPhotonFlux:
         ss = mfd.newton_steady_state(p, seed)
         coherent = 2 * KAPPA * abs(ss.alpha) ** 2
         fluct = 2 * KAPPA * corr.steady_moments(
-            p, fl.hp_coefficients(ss, p)).photon_number
+            p, fl.dynamical_matrix(fl.hp_coefficients(ss, p), p)).photon_number
         assert corr.photon_flux(p) == pytest.approx(coherent + fluct, rel=1e-9)
         assert coherent > 0
 
@@ -106,6 +106,16 @@ class TestTwoTimeCorrelations:
         # the contour-integrated correlators at tau = 0 must agree with the
         # independent 10x10 steady solve
         q = params(lam=0.7 * LC)
+        m = corr.steady_moments(q)
+        tau = np.linspace(0.0, 5.0, 16)
+        s = corr.two_time_correlations(q, tau, method="frequency")
+        assert abs(s.cdagc_tau[0] - m.photon_number) < 1e-9 * m.photon_number
+        assert abs(s.cc_tau[0] - m.cc) < 1e-9 * abs(m.cc)
+
+    @pytest.mark.parametrize("lam", [6.0, 9.0])
+    def test_tau_zero_reproduces_biased_moments(self, lam):
+        # with a bias g1 != 0, so the g1 terms of the moment system count
+        q = params(lam=lam, lam_prime=lam / 360.0, n=1e6)
         m = corr.steady_moments(q)
         tau = np.linspace(0.0, 5.0, 16)
         s = corr.two_time_correlations(q, tau, method="frequency")

@@ -220,6 +220,18 @@ class TestSteadyStateBranches:
             # atomic coherence sign opposite to the field quadrature sign
             assert sl.alpha.real * sl.beta.real < 0
 
+    @pytest.mark.parametrize("lam_prime", [0.03, -0.03])
+    def test_biased_operating_point_above_threshold(self, lam_prime):
+        # above lam_c the linear-response seed leads Newton to the unstable
+        # near-trivial root; the walk from below threshold is the answer
+        p = DickeParams(OMEGA, 1.0, 12.0, lam_prime, KAPPA, 1e5)
+        (state, flag), = mfd.steady_states(p, [12.0]).states[0]
+        assert flag == "stable"
+        *_, walked = mfd.branch_walk(p, np.linspace(0.5, 12.0, 60))
+        n = p.atom_number
+        assert abs(state.beta - walked.beta) < 1e-9 * n
+        assert abs(state.alpha - walked.alpha) < 1e-9 * math.sqrt(n)
+
     def test_grid_validation(self):
         p = params()
         with pytest.raises(ValueError):
