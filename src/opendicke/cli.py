@@ -95,17 +95,16 @@ def _run_photon_flux(cfg: RunConfig, writer: RunWriter) -> None:
                              ["lam[omega0]", "flux[omega0]"], rows))
 
 
-def _tau_grid(cfg: RunConfig, p) -> np.ndarray:
+def _correlations(cfg: RunConfig, p) -> corr.CorrelationSeries:
     g = cfg.grid
     if {"tau_span", "tau_points"} <= g.keys():
-        return np.linspace(0.0, float(g["tau_span"]), int(g["tau_points"]))
-    return corr.default_tau_grid(p)
+        tau = np.linspace(0.0, float(g["tau_span"]), int(g["tau_points"]))
+        return corr.two_time_correlations(p, tau)
+    return corr.default_correlations(p)
 
 
 def _run_g2(cfg: RunConfig, writer: RunWriter) -> None:
-    p = cfg.require_dicke()
-    tau = _tau_grid(cfg, p)
-    series = corr.g2(p, tau)
+    series = _correlations(cfg, cfg.require_dicke())
     rows = [[t, g1.real, g1.imag, g2v]
             for t, g1, g2v in zip(series.tau, series.g1, series.g2)]
     writer.write_table(Table("g2", ["tau[1/omega0]", "g1_re[1]", "g1_im[1]",
@@ -118,8 +117,7 @@ def _run_g2_map(cfg: RunConfig, writer: RunWriter) -> None:
     p = cfg.require_dicke()
     rows = []
     for lam in cfg.lam_grid():
-        q = p.with_coupling(float(lam))
-        series = corr.two_time_correlations(q, _tau_grid(cfg, q))
+        series = _correlations(cfg, p.with_coupling(float(lam)))
         rows += g2_fft_rows(lam, series, p.omega0)
     writer.write_table(Table("g2_fft_map", G2_FFT_HEADER, rows))
     if cfg.plots:

@@ -75,10 +75,8 @@ class RunConfig:
         if "lam_list" in g:
             values = np.asarray(g["lam_list"], dtype=float)
         elif {"lam_min", "lam_max", "lam_points"} <= g.keys():
-            n = int(g["lam_points"])
-            if n < 1:
-                raise ConfigError("lam_points must be >= 1")
-            values = np.linspace(float(g["lam_min"]), float(g["lam_max"]), n)
+            values = np.linspace(float(g["lam_min"]), float(g["lam_max"]),
+                                 int(g["lam_points"]))
         else:
             raise ConfigError(
                 "missing coupling grid: give lam_list or lam_min/lam_max/lam_points")
@@ -92,10 +90,8 @@ class RunConfig:
         g = self.grid
         if not {"nu_min", "nu_max", "nu_points"} <= g.keys():
             raise ConfigError("missing modulation grid: nu_min/nu_max/nu_points")
-        n = int(g["nu_points"])
-        if n < 1:
-            raise ConfigError("nu_points must be >= 1")
-        values = np.linspace(float(g["nu_min"]), float(g["nu_max"]), n)
+        values = np.linspace(float(g["nu_min"]), float(g["nu_max"]),
+                             int(g["nu_points"]))
         if np.any(values <= 0):
             raise ConfigError("modulation frequencies must be positive")
         return values
@@ -216,8 +212,10 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
         cfg.grid = _section_floats(cp, "grid")
         if len({"tau_span", "tau_points"} & cfg.grid.keys()) == 1:
             raise ConfigError("[grid]: give tau_span and tau_points together")
-        _require("grid", cfg.grid, "tau_points",
-                 lambda v: v.is_integer() and v >= 2, "an integer >= 2")
+        for key, least in (("lam_points", 1), ("nu_points", 1), ("tau_points", 2)):
+            _require("grid", cfg.grid, key,
+                     lambda v, least=least: v.is_integer() and v >= least,
+                     f"an integer >= {least}")
         _require("grid", cfg.grid, "tau_span", _positive, "> 0")
     if cp.has_section("modulation"):
         cfg.modulation = _section_floats(cp, "modulation")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .fluctuations import HPCoefficients, dynamical_matrix, hp_coefficients
+from .fluctuations import dynamical_matrix, hp_coefficients
 from .meanfield import MeanFieldState, critical_coupling, operating_point
 from .params import DickeParams
 
@@ -118,9 +118,8 @@ def regression_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (_A_MAP @ flat).reshape(10, 10), _B_MAP @ flat
 
 
-def _resolve_operating_point(p: DickeParams
-                             ) -> tuple[MeanFieldState, HPCoefficients]:
-    """Operating point and fluctuation coefficients, refused near threshold."""
+def _resolve_operating_point(p: DickeParams) -> tuple[MeanFieldState, np.ndarray]:
+    """Operating point and its dynamical matrix, refused near threshold."""
     if p.lam_prime == 0.0:
         lc = critical_coupling(p)
         if p.lam >= lc:
@@ -130,7 +129,7 @@ def _resolve_operating_point(p: DickeParams
             raise ThresholdError(
                 f"within {NEAR_THRESHOLD_GUARD} of threshold: moments diverge")
     ss = operating_point(p)
-    return ss, hp_coefficients(ss, p)
+    return ss, dynamical_matrix(hp_coefficients(ss, p), p)
 
 
 def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
@@ -142,8 +141,7 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     generator is rejected as threshold proximity.
     """
     if m is None:
-        _, coeffs = _resolve_operating_point(p)
-        m = dynamical_matrix(coeffs, p)
+        _, m = _resolve_operating_point(p)
     if m[C, D] == 0.0 and m[D, DDAG] == 0.0:
         # decoupled modes (g1 = g2 = 0) with vacuum input: every moment
         # vanishes (the undriven atomic moments are conserved, so the
@@ -187,8 +185,8 @@ def cc_closed_form(p: DickeParams, lam: float | None = None) -> complex:
 
 def photon_flux(p: DickeParams) -> float:
     """Detected photon flux 2 kappa (<c+c>_ss + |alpha_ss|^2)."""
-    ss, coeffs = _resolve_operating_point(p)
-    moments = steady_moments(p, dynamical_matrix(coeffs, p))
+    ss, m = _resolve_operating_point(p)
+    moments = steady_moments(p, m)
     return 2.0 * p.kappa * (moments.photon_number + abs(ss.alpha) ** 2)
 
 
@@ -285,14 +283,16 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
     return v[1], v[0]
 
 
-def two_time_correlations(p: DickeParams, tau, method: str = "frequency"
+def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
+                          resolved: tuple[MeanFieldState, np.ndarray] | None = None
                           ) -> CorrelationSeries:
     """Two-time correlators and g1/g2 on a uniform tau grid.
 
     ``method`` selects the frequency-domain route ("frequency"), the
     quantum-regression route ("regression"), or "both", which computes the
     two independently and fails loudly if they disagree beyond 1e-6
-    relative to the correlator scale.
+    relative to the correlator scale.  ``resolved`` is the operating point
+    and dynamical matrix of ``p`` when the caller has them already.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 2:
@@ -301,8 +301,7 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency"
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("tau grid must be uniform")
 
-    ss, coeffs = _resolve_operating_point(p)
-    m = dynamical_matrix(coeffs, p)
+    ss, m = resolved if resolved is not None else _resolve_operating_point(p)
     moments = steady_moments(p, m)
 
     soft_freq = min(np.abs(np.linalg.eigvals(m).imag))
@@ -368,15 +367,17 @@ def g2(p: DickeParams, tau, alpha_ss: complex | None = None,
                              series.photon_number)
 
 
-def default_tau_grid(p: DickeParams, n: int = 2 ** 14) -> np.ndarray:
+def default_tau_grid(p: DickeParams, n: int = 2 ** 14,
+                     m: np.ndarray | None = None) -> np.ndarray:
     """Tau grid resolving both the oscillation and the decay envelope.
 
     The span targets 20 decay times of the slowest fluctuation eigenmode
     and is capped so that the sampling stays well above the Nyquist rate
-    for the fastest g2 spectral content (~2 omega0).
+    for the fastest g2 spectral content (~2 omega0).  ``m`` is the
+    dynamical matrix at the operating point, resolved when omitted.
     """
-    _, coeffs = _resolve_operating_point(p)
-    m = dynamical_matrix(coeffs, p)
+    if m is None:
+        _, m = _resolve_operating_point(p)
     mu = np.linalg.eigvals(m)
     slow = -float(np.max(mu.real))
     if slow <= 0:
@@ -384,6 +385,16 @@ def default_tau_grid(p: DickeParams, n: int = 2 ** 14) -> np.ndarray:
     span = 20.0 / slow
     span = min(span, n * math.pi / (8.0 * p.omega0))
     return np.linspace(0.0, span, n)
+
+
+def default_correlations(p: DickeParams) -> CorrelationSeries:
+    """``two_time_correlations`` on ``default_tau_grid``, frequency route.
+
+    The operating point and dynamical matrix are resolved once and shared.
+    """
+    resolved = _resolve_operating_point(p)
+    return two_time_correlations(p, default_tau_grid(p, m=resolved[1]),
+                                 "frequency", resolved)
 
 
 @dataclass

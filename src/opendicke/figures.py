@@ -156,15 +156,12 @@ def figure2_tables() -> list[Table]:
     g2_rows, fft_rows = [], []
     for lam in cfg["lam_values"]:
         p = base_params(n_atoms, lam=float(lam))
-        tau = corr.default_tau_grid(p)
-        series = corr.two_time_correlations(p, tau)
-        for t, g in zip(tau[::16], series.g2[::16]):
+        series = corr.default_correlations(p)
+        for t, g in zip(series.tau[::16], series.g2[::16]):
             g2_rows.append([lam, t, g])
         fft_rows += g2_fft_rows(lam, series, p.omega0)
-    p = base_params(n_atoms, lam=cfg["long_time_lam"])
-    tau = corr.default_tau_grid(p)
-    series = corr.two_time_correlations(p, tau)
-    long_rows = [[t, g] for t, g in zip(tau[::4], series.g2[::4])]
+    series = corr.default_correlations(base_params(n_atoms, lam=cfg["long_time_lam"]))
+    long_rows = [[t, g] for t, g in zip(series.tau[::4], series.g2[::4])]
     return [
         Table("fig2a_g2_tau", ["lam[omega0]", "tau[1/omega0]", "g2[1]"], g2_rows),
         Table("fig2b_g2_fft", G2_FFT_HEADER, fft_rows),
@@ -178,9 +175,8 @@ def figure3_tables() -> list[Table]:
     for lam in cfg["lam_values"]:
         for bias in (cfg["bias_ratio"] * lam, 0.0):
             p = base_params(cfg["atom_number"], lam=lam, lam_prime=bias)
-            tau = corr.default_tau_grid(p)
-            series = corr.two_time_correlations(p, tau)
-            for t, g in zip(tau[::8], series.g2[::8]):
+            series = corr.default_correlations(p)
+            for t, g in zip(series.tau[::8], series.g2[::8]):
                 rows.append([lam, bias, t, g])
     return [Table("fig3_g2_beating",
                   ["lam[omega0]", "lam_prime[omega0]", "tau[1/omega0]", "g2[1]"],

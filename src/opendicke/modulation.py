@@ -4,9 +4,17 @@ Modulating the pump power modulates the coupling, lam(t) = lam (1 + eps
 cos(nu t)).  With the cavity adiabatically eliminated (kappa >> omega0) the
 atomic coherence obeys a single nonlinear equation whose linearization is a
 Mathieu equation; parametric instability at nu = 2 omega0 sqrt(1 -
-(lam/lam_c)^2) marks twice the soft-mode frequency.  The full nonlinear
-response map integrates the unreduced mean-field equations per (lam, nu)
-cell.
+(lam/lam_c)^2) marks twice the soft-mode frequency.
+
+The full response map sorts its (lam, nu) cells by the Floquet exponents of
+the unreduced mean-field equations linearized at the trivial state, found
+with Hill's method (``floquet_exponents``, which also serves the Mathieu
+reduction).  A cell away from the principal resonance whose exponents all
+decay and whose seeded response stays in the linear regime is evaluated
+from its Floquet solution.  Cells within ``RESONANCE_BAND`` of the ridge
+(the tongue among them), cells inside any other tongue, cells whose seed
+leaves the linear regime and every cell with lam' != 0 are integrated
+through the nonlinear equations.
 """
 
 from __future__ import annotations
@@ -84,30 +92,107 @@ def adiabatic_beta_rhs(beta: complex, lam_t: float, p: DickeParams) -> complex:
             + 1j * gain * math.sqrt(0.25 - b2) * (beta + beta.conjugate()))
 
 
-def mathieu_floquet(cfg: ModulationConfig, rtol: float = 1e-12) -> FloquetResult:
+class FloquetError(RuntimeError):
+    """The truncated Hill matrix does not resolve every Floquet exponent."""
+
+
+@dataclass
+class FloquetModes:
+    """Floquet solutions y_j(t) = exp(mu_j t) sum_n v_jn exp(i n nu t).
+
+    ``vectors[j, H + n]`` is v_jn for |n| <= H; mu is fixed modulo i nu by
+    taking the representative whose harmonics are centred on n = 0.
+    """
+
+    mu: np.ndarray          # (d,)
+    vectors: np.ndarray     # (d, 2H + 1, d)
+
+
+#: harmonics kept on each side of the Hill matrix at first.  Harmonic n of
+#: a soft Floquet vector falls roughly like (eps (lam/lam_c)^2 omega0/nu)^n
+#: / n!; on the fig4 and criterion-8 maps the outermost harmonics of H = 8
+#: carry at most 3e-15 of a vector's norm, and H = 16 moves no rate by more
+#: than 3.2e-12 omega0
+HILL_HARMONICS = 8
+#: the truncation doubles up to this many harmonics before giving up
+_MAX_HARMONICS = 64
+#: largest share of its squared norm a resolved Floquet vector may put on
+#: its outermost harmonics
+_EDGE_WEIGHT = 1e-20
+
+
+def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
+                      ) -> FloquetModes:
+    """Floquet exponents and vectors of y' = (A0 + A1 cos(nu t)) y.
+
+    Hill's method: y = exp(mu t) sum_n c_n exp(i n nu t) turns the periodic
+    system into the eigenproblem mu c_n = (A0 - i n nu) c_n + A1 (c_{n-1} +
+    c_{n+1}) / 2, truncated at |n| <= H, a block-tridiagonal matrix of size
+    d(2H+1) (Hill, Acta Math. 8, 1 (1886); Deconinck & Kutz, J. Comput.
+    Phys. 219, 296 (2006)).  Each exponent appears once per harmonic shift;
+    the copy whose harmonic weight is centred closest to n = 0 is kept.
+    H starts at ``harmonics`` and doubles, up to 64, while a kept vector
+    reaches the outermost harmonics.  Raises FloquetError when d distinct,
+    resolved exponents are not found.
+    """
+    a0 = np.asarray(a0, dtype=complex)
+    while True:
+        modes = _hill_modes(a0, 0.5 * np.asarray(a1), nu, harmonics)
+        if modes is not None:
+            return modes
+        if harmonics >= _MAX_HARMONICS:
+            raise FloquetError(f"{harmonics} harmonics do not resolve the "
+                               "Floquet exponents")
+        harmonics *= 2
+
+
+def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int
+                ) -> FloquetModes | None:
+    """The kept exponents at truncation H, None if H cuts off a kept vector."""
+    d = a0.shape[0]
+    size = 2 * harmonics + 1
+    n = np.arange(-harmonics, harmonics + 1)
+    hill = np.zeros((size, d, size, d), dtype=complex)
+    for k in range(size):
+        hill[k, :, k, :] = a0 - 1j * n[k] * nu * np.eye(d)
+        if k > 0:
+            hill[k, :, k - 1, :] = hill[k - 1, :, k, :] = half
+    mu_all, vec_all = np.linalg.eig(hill.reshape(size * d, size * d))
+    weight = np.sum(np.abs(vec_all.reshape(size, d, -1)) ** 2, axis=1)
+    centre = n @ weight / np.sum(weight, axis=0)
+    chosen: list[int] = []
+    for i in np.argsort(np.abs(centre)):
+        shift = (mu_all[i] - mu_all[chosen]) / (1j * nu)
+        if np.any(np.abs(shift - np.round(shift.real)) < 1e-9):
+            continue                      # a harmonic copy of a kept exponent
+        if weight[0, i] + weight[-1, i] > _EDGE_WEIGHT * np.sum(weight[:, i]):
+            return None
+        chosen.append(i)
+        if len(chosen) == d:
+            break
+    else:
+        raise FloquetError("Hill matrix yields fewer than "
+                           f"{d} distinct Floquet exponents")
+    vectors = vec_all[:, chosen].T.reshape(d, size, d)
+    return FloquetModes(mu_all[chosen], vectors)
+
+
+def mathieu_floquet(cfg: ModulationConfig) -> FloquetResult:
     """Monodromy matrix and Floquet exponent over one modulation period."""
     a = cfg.mathieu_a
     et = cfg.eps_tilde
     freq = cfg.nu / cfg.omega0
     period = 2.0 * math.pi / freq
-
-    def rhs(t, y):
-        u1, v1, u2, v2 = y
-        stiff = a - 2.0 * et * math.cos(freq * t)
-        return [v1, -stiff * u1, v2, -stiff * u2]
-
-    sol = solve_ivp(rhs, (0.0, period), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"monodromy integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    monodromy = np.array([[y[0], y[2]], [y[1], y[3]]])
+    modes = floquet_exponents(np.array([[0.0, 1.0], [-a, 0.0]]),
+                              np.array([[0.0, 0.0], [2.0 * et, 0.0]]), freq)
+    v0 = modes.vectors.sum(axis=1).T       # columns: Floquet vectors at t = 0
+    monodromy = (v0 * np.exp(modes.mu * period)) @ np.linalg.inv(v0)
+    monodromy = monodromy.real
     det = float(np.linalg.det(monodromy))
     if abs(det - 1.0) > 1e-8:
         raise RuntimeError(f"monodromy determinant {det} deviates from 1")
-    eigvals = np.linalg.eigvals(monodromy)
-    dominant = eigvals[np.argmax(np.abs(eigvals))]
-    mu = complex(np.log(complex(dominant))) / period
+    top = modes.mu[np.argmax(modes.mu.real)]
+    mu = complex(top.real, math.remainder(top.imag, freq))
     unstable = abs(np.trace(monodromy)) / 2.0 > 1.0
     return FloquetResult(mu, monodromy, unstable)
 
@@ -154,18 +239,101 @@ def _scaled_rhs(t, y, p: DickeParams, lam0: float, eps: float, nu: float):
     return [d_ar, d_ai, d_br, d_bi]
 
 
+def _linearization(p: DickeParams, lam: float, eps: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian of ``_scaled_rhs`` at the trivial state for lam' = 0.
+
+    y' = (A0 + A1 cos(nu t)) y with y = (Re alpha, Im alpha, Re beta,
+    Im beta); w = -1/2 + O(|beta|^2) there, so the modulation enters only
+    through the two coupling entries.
+    """
+    a0 = np.array([[-p.kappa, p.omega, 0.0, 0.0],
+                   [-p.omega, -p.kappa, -2.0 * lam, 0.0],
+                   [0.0, 0.0, 0.0, p.omega0],
+                   [-2.0 * lam, 0.0, -p.omega0, 0.0]])
+    a1 = np.zeros((4, 4))
+    a1[1, 2] = a1[3, 0] = -2.0 * lam * eps
+    return a0, a1
+
+
+#: largest a-priori bound B on the per-atom amplitude |y| for which a stable
+#: cell is evaluated from its linearization.  The neglected terms are
+#: O(|beta|^2) relative to the linear ones (w = -1/2 + |beta|^2 + ...) and
+#: mostly shift the soft-mode frequency.  Against DOP853 at rtol 1e-11 the
+#: evaluated maxima of 24 stable cells were off by at most 90 B^2 relative
+#: (2.9e-7 at B = 2.7e-4 and 0.8 lam_c, 4.5e-5 at B = 7.1e-4 and 0.95
+#: lam_c), the integrated ones (LSODA, rtol 1e-6) by 1.4e-5 to 1.3e-3.  At
+#: B <= 1e-3 that is at most 9e-5, inside the integrated path's own error
+#: range; the default seed 1e-4 gives B = 2.6e-4 to 7.1e-4 on the fig4 map.
+LINEAR_BOUND = 1e-3
+
+
+def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
+                     seed: float, t: np.ndarray) -> np.ndarray | None:
+    """Samples y(t) of a linearly stable cell, or None if it must be integrated.
+
+    y(t) = Re sum_j c_j exp(mu_j t) sum_n v_jn exp(i n nu t), with c from
+    y(0).  None when some Re mu >= 0, when the Hill matrix does not resolve
+    the exponents, or when the bound sum_j |c_j| sum_n |v_jn| on |y| leaves
+    the linear regime.
+    """
+    try:
+        modes = floquet_exponents(*_linearization(p, lam, eps), nu)
+        if np.max(modes.mu.real) >= 0.0:
+            return None
+        c = np.linalg.solve(modes.vectors.sum(axis=1).T,
+                            [seed, 0.0, seed, 0.0])
+    except (FloquetError, np.linalg.LinAlgError):
+        return None
+    norms = np.linalg.norm(modes.vectors, axis=2).sum(axis=1)
+    if not float(np.abs(c) @ norms) <= LINEAR_BOUND:
+        return None
+    harmonics = (modes.vectors.shape[1] - 1) // 2
+    z = np.exp(1j * nu * t)[:, None]
+    y = np.zeros((len(c), t.size))
+    for c_j, mu_j, v_j in zip(c, modes.mu, modes.vectors):
+        periodic = np.zeros((t.size, len(c)), dtype=complex)
+        for v_n in v_j[::-1]:        # Horner: sum_n v_jn z^(n + H)
+            periodic = periodic * z + v_n
+        y += (c_j * np.exp((mu_j - 1j * harmonics * nu) * t) * periodic.T).real
+    return y
+
+
+#: half-width, in units of omega0, of the band around the principal
+#: resonance nu = 2 omega_soft whose cells are integrated even when they are
+#: linearly stable.  At eps = 0.02 the tongue itself is 0.011 omega0 wide
+#: at 0.5 lam_c, 0.042 at 0.8 lam_c and 0.11 at 0.95 lam_c, and an
+#: integrated cell costs some 70 evaluated ones, so without the band the
+#: cost of a map row across the ridge would turn on whether one of its
+#: cells lands in the tongue.  With it, a row pays for
+#: the cells within 0.25 omega0 of the ridge (those within two steps of a
+#: 0.1 omega0 grid), wherever the grid falls, and those cells keep the
+#: integrated path's values exactly.
+RESONANCE_BAND = 0.25
+
+
+def _near_resonance(p: DickeParams, lam: float, nu: float) -> bool:
+    """True above threshold or within ``RESONANCE_BAND`` of the ridge."""
+    return (lam >= critical_coupling(p)
+            or abs(nu - instability_boundary(p, lam)) <= RESONANCE_BAND * p.omega0)
+
+
 def _solve_cell(args) -> CellResponse:
     p, lam, nu, eps, seed, t_max = args
     t_cut = 0.5 * t_max
     n_eval = 4096
     t_eval = np.linspace(t_cut, t_max, n_eval)
-    sol = solve_ivp(_scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
-                    method="LSODA", rtol=1e-6, atol=1e-13,
-                    t_eval=t_eval, args=(p, lam, eps, nu))
-    if not sol.success:
-        raise RuntimeError(f"cell (lam={lam}, nu={nu}) failed: {sol.message}")
-    alpha2 = sol.y[0] ** 2 + sol.y[1] ** 2
-    re_beta = sol.y[2]
+    y = (_linear_response(p, lam, nu, eps, seed, t_eval)
+         if p.lam_prime == 0.0 and not _near_resonance(p, lam, nu) else None)
+    if y is None:
+        sol = solve_ivp(_scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
+                        method="LSODA", rtol=1e-6, atol=1e-13,
+                        t_eval=t_eval, args=(p, lam, eps, nu))
+        if not sol.success:
+            raise RuntimeError(f"cell (lam={lam}, nu={nu}) failed: {sol.message}")
+        y = sol.y
+    alpha2 = y[0] ** 2 + y[1] ** 2
+    re_beta = y[2]
     # stationarity: the last quarter of the run must not exceed the
     # preceding quarter by more than 5%
     half = n_eval // 2
@@ -180,12 +348,14 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
                         workers: int = 1) -> ResponseMap:
     """Maximum stabilized response of the driven nonlinear system.
 
-    For every (lam, nu) cell the full mean-field equations (inversion
-    eliminated on its negative root) are integrated from a tiny seed with
-    lam(t) = lam [1 + eps cos(nu t)]; the first half of the run is
-    discarded as transient and the maxima of |alpha|^2/N and Re(beta)/N
-    over the retained window are recorded.  Cells still growing at t_max
-    are flagged as not stabilized.
+    Every (lam, nu) cell starts from a tiny seed with lam(t) = lam [1 + eps
+    cos(nu t)]; the first half of the run is discarded as transient and
+    the maxima of |alpha|^2/N and Re(beta)/N over the retained window are
+    recorded.  Cells still growing at t_max are flagged as not stabilized.
+    A cell off the ridge that is linearly stable and stays in the linear
+    regime is evaluated from its Floquet solution; any other cell
+    integrates the full mean-field equations (inversion eliminated on its
+    negative root).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)

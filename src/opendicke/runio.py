@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from .figures import Table
+
+
+class NonFiniteValue(RuntimeError):
+    """A table holds NaN or an infinity; it is refused rather than written."""
 
 
 def _fmt(x) -> str:
@@ -73,6 +78,19 @@ class RunWriter:
         self._t0 = time.monotonic()
 
     def write_table(self, table: Table) -> None:
+        try:
+            self._write_table(table)
+        except (ValueError, OverflowError) as exc:
+            # _fmt and the strict JSON encoder both fail on NaN and +-inf
+            for row in table.rows:
+                for name, value in zip(table.header, row):
+                    if not math.isfinite(float(value)):
+                        raise NonFiniteValue(
+                            f"table {table.name}, column {name}: "
+                            f"non-finite value {float(value)!r}") from exc
+            raise
+
+    def _write_table(self, table: Table) -> None:
         if self.out_format in ("csv", "both"):
             path = self.out_dir / f"{table.name}.csv"
             lines = [",".join(table.header)]
@@ -83,7 +101,7 @@ class RunWriter:
             path = self.out_dir / f"{table.name}.json"
             payload = {"columns": table.header,
                        "rows": [[float(v) for v in row] for row in table.rows]}
-            path.write_text(json.dumps(payload, sort_keys=True))
+            path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False))
             self.manifest.outputs[path.name] = _sha256(path)
 
     def write_json(self, name: str, payload: dict) -> None:

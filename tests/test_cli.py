@@ -134,6 +134,10 @@ class TestSubcommands:
         ["grid.tau_span=0", "grid.tau_points=64"],
         ["grid.tau_span=50"],
         ["grid.tau_pionts=64"],
+        ["grid.lam_points=2.5"],
+        ["grid.lam_points=0"],
+        ["grid.nu_points=2.5"],
+        ["grid.nu_points=-1"],
         ["evolve.samples=0"],
         ["evolve.samples=-3"],
         ["evolve.samples=2.5"],
@@ -152,6 +156,45 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, out_format", [
+        (float("nan"), "csv"), (float("inf"), "csv"), (-float("inf"), "json")])
+    def test_non_finite_output_is_numeric_failure(self, tmp_path, capsys,
+                                                   monkeypatch, value, out_format):
+        from opendicke import cli
+        from opendicke.figures import Table
+
+        monkeypatch.setattr(cli, "spectrum_table", lambda name, p, grid: Table(
+            name, ["lam[omega0]", "re_omega_1[omega0]"], [[1.0, 0.5], [2.0, value]]))
+        out = tmp_path / "o"
+        rc = main(["spectrum", "--out", str(out), "--format", out_format,
+                   *DICKE_SETS, "--set", "grid.lam_list=1 2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "table spectrum, column re_omega_1[omega0]" in err
+        assert not (out / f"spectrum.{out_format}").exists()
+
+    @pytest.mark.parametrize("tau_sets", [[], ["grid.tau_span=50", "grid.tau_points=64"]],
+                             ids=["default", "explicit"])
+    def test_biased_g2_resolves_the_operating_point_once(self, tmp_path, monkeypatch,
+                                                         tau_sets):
+        from opendicke import meanfield
+
+        calls = []
+        newton = meanfield.newton_steady_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "newton_steady_state", counted)
+        out = tmp_path / "o"
+        rc = main(["g2", "--out", str(out), *DICKE_SETS, "--set", "dicke.lam=9",
+                   "--set", "dicke.lam_prime=0.025",
+                   *[arg for s in tau_sets for arg in ("--set", s)]])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_biased_photon_flux_above_threshold(self, tmp_path):
         out = tmp_path / "o"

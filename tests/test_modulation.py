@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
@@ -114,6 +115,98 @@ class TestMathieuFloquet:
             mod.ModulationConfig(1.0, 0.5, 1.0, 1.0, LC)
         with pytest.raises(ValueError):
             mod.ModulationConfig(1.0, 0.01, -1.0, 1.0, LC)
+
+
+class TestFloquetExponents:
+    def test_linearization_is_the_jacobian_of_the_cell_rhs(self):
+        p = params()
+        lam, eps, nu, t, h = 0.8 * LC, 0.02, 1.3, 0.7, 1e-7
+        a0, a1 = mod._linearization(p, lam, eps)
+        jac = np.empty((4, 4))
+        for j in range(4):
+            dy = np.zeros(4)
+            dy[j] = h
+            jac[:, j] = (np.array(mod._scaled_rhs(t, dy, p, lam, eps, nu))
+                         - np.array(mod._scaled_rhs(t, -dy, p, lam, eps, nu))) / (2 * h)
+        assert np.allclose(jac, a0 + a1 * math.cos(nu * t), rtol=1e-7, atol=1e-7)
+
+    def test_off_resonant_rate_is_the_polariton_damping(self):
+        p = params()
+        lam = 0.8 * LC
+        modes = mod.floquet_exponents(*mod._linearization(p, lam, 0.02), 1.6)
+        r = (lam / LC) ** 2
+        damping = KAPPA * p.omega0 ** 2 * r / (OMEGA ** 2 + KAPPA ** 2)
+        assert -np.max(modes.mu.real) == pytest.approx(damping, rel=1e-3)
+
+    @pytest.mark.parametrize("frac, nu", [(0.8, 1.6), (0.8, 1.225), (0.6, 0.9),
+                                          (0.9, 0.85), (0.525, 2.15)])
+    def test_rates_do_not_move_when_harmonics_double(self, frac, nu):
+        a0, a1 = mod._linearization(params(), frac * LC, 0.02)
+        h = mod.HILL_HARMONICS
+        short = mod.floquet_exponents(a0, a1, nu, h)
+        long = mod.floquet_exponents(a0, a1, nu, 2 * h)
+        assert np.max(np.abs(np.sort(short.mu.real) - np.sort(long.mu.real))) < 1e-10
+
+    def test_slow_modulation_widens_the_truncation(self):
+        # at nu = 0.02 the Floquet vectors of the Mathieu oscillator spread
+        # over more than 8 harmonics; the truncation must grow, not give up
+        cfg = mod.ModulationConfig(0.8 * LC, 0.02, 0.02, 1.0, LC)
+        a, et = cfg.mathieu_a, cfg.eps_tilde
+        modes = mod.floquet_exponents(np.array([[0.0, 1.0], [-a, 0.0]]),
+                                      np.array([[0.0, 0.0], [2.0 * et, 0.0]]), 0.02)
+        assert modes.vectors.shape[1] > 2 * mod.HILL_HARMONICS + 1
+        res = mod.mathieu_floquet(cfg)
+        assert not res.unstable and abs(res.mu.real) < 1e-10
+
+    def test_fine_scan_flags_only_the_resonant_cell(self):
+        # criterion 8's fine scan: only nu = 1.2 lies in the principal tongue;
+        # every cell stabilizes, the off-resonant ones by decaying and the
+        # resonant one by saturating
+        p = params(lam=0.8 * LC)
+        nu_scan = np.linspace(0.9, 1.5, 25)
+        unstable = [np.max(mod.floquet_exponents(
+            *mod._linearization(p, 0.8 * LC, 0.02), float(nu)).mu.real) > 0
+            for nu in nu_scan]
+        assert np.flatnonzero(unstable).tolist() == [12]
+        scan = mod.driven_response_map(p, [0.8 * LC], nu_scan, eps=0.02)
+        assert scan.stabilized.all()
+
+    def test_stable_cell_matches_a_tight_nonlinear_reference(self):
+        p = params(lam=0.8 * LC)
+        lam, nu, eps, seed, t_max = 0.8 * LC, 1.6, 0.02, 1e-4, 150.0
+        cell = mod._solve_cell((p, lam, nu, eps, seed, t_max))
+        t = np.linspace(0.5 * t_max, t_max, 4096)
+        ref = solve_ivp(mod._scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
+                        method="DOP853", rtol=1e-11, atol=1e-16, t_eval=t,
+                        args=(p, lam, eps, nu))
+        assert ref.success
+        assert cell.max_alpha2 == pytest.approx(
+            np.max(ref.y[0] ** 2 + ref.y[1] ** 2), rel=1e-5)
+        assert cell.max_re_beta == pytest.approx(np.max(ref.y[2]), rel=1e-5)
+
+    def test_integrated_cells_still_call_the_integrator(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "solve_ivp", counted)
+        lam = 0.8 * LC
+        stable = (params(lam=lam), lam, 1.6, 0.02, 1e-4, 200.0)
+        mod._solve_cell(stable)
+        assert calls == []
+        mod._solve_cell((params(lam=lam, lam_prime=1e-3), *stable[1:]))
+        assert calls == ["LSODA"]
+        mod._solve_cell((params(lam=lam), lam, 1.2, 0.02, 1e-4, 200.0))
+        assert calls == ["LSODA"] * 2          # inside the resonance tongue
+        mod._solve_cell((params(lam=lam), lam, 1.6, 0.02, 0.3, 200.0))
+        assert calls == ["LSODA"] * 3          # seed outside the linear regime
+        near = (params(lam=lam), lam, 1.35, 0.02, 1e-4, 200.0)
+        a0, a1 = mod._linearization(near[0], lam, 0.02)
+        assert np.max(mod.floquet_exponents(a0, a1, 1.35).mu.real) < 0.0
+        mod._solve_cell(near)
+        assert calls == ["LSODA"] * 4          # stable, but near the ridge
 
 
 class TestInstabilityBoundary:
