@@ -18,12 +18,12 @@ from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
 from .config import MODES, ConfigError, RunConfig, load_config
-from .figures import (G2_FFT_HEADER, MissingPhysicalParams, Table, branch_table,
-                      g2_fft_rows, reproduce_figure, response_map_table,
-                      spectrum_table, timeseries_table)
+from .figures import (FIGURE_IDS, G2_FFT_HEADER, MissingPhysicalParams, Table,
+                      branch_table, g2_fft_rows, reproduce_figure,
+                      response_map_table, spectrum_table, timeseries_table)
 from .fluctuations import ValidityError
 from .params import ParameterError
-from .runio import RunWriter, figure_plot_script, plot_script
+from .runio import RunWriter, plot_script
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -44,55 +44,43 @@ def _resolved_params(cfg: RunConfig) -> dict:
     return out
 
 
-def _run_map_params(cfg: RunConfig, writer: RunWriter) -> None:
-    p = cfg.require_dicke()
-    writer.write_json("dicke_params.json", asdict(p))
-
-
-def _run_steady_state(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_steady_state(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
     branch = mfd.steady_states(p, cfg.lam_grid())
-    writer.write_table(branch_table("steady_states", branch, mfd.critical_coupling(p)))
-    if cfg.plots:
-        writer.write_script("steady_states_plot.py", plot_script("steady-state"))
+    return [branch_table("steady_states", branch, mfd.critical_coupling(p))]
 
 
-def _run_evolve(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_evolve(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
     ev = cfg.evolve
     t_max = float(ev.get("t_max", 100.0 / p.omega0))
     samples = int(ev.get("samples", 2000))
     n = p.atom_number
+    beta0 = complex(ev.get("beta0_re", 1e-3 * n), ev.get("beta0_im", 0.0))
+    if abs(beta0) > n / 2.0:
+        raise ConfigError(f"[evolve] |beta0| = {abs(beta0):g} exceeds N/2 = {n / 2.0:g}")
     state0 = mfd.MeanFieldState(
         complex(ev.get("alpha0_re", 1e-3 * np.sqrt(n)), ev.get("alpha0_im", 0.0)),
-        complex(ev.get("beta0_re", 1e-3 * n), ev.get("beta0_im", 0.0)),
-        float(ev.get("w0", -np.sqrt(n * n / 4.0 - (1e-3 * n) ** 2))))
+        beta0, float(ev.get("w0", -np.sqrt(n * n / 4.0 - abs(beta0) ** 2))))
     traj = mfd.integrate(state0, p, (0.0, t_max),
                          t_eval=np.linspace(0.0, t_max, samples))
     rows = [[t, s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag, s.w,
              s.pseudo_momentum()]
             for t, s in zip(traj.t, traj.states)]
-    writer.write_table(Table("trajectory",
-                             ["t[1/omega0]", "re_alpha[1]", "im_alpha[1]",
-                              "re_beta[1]", "im_beta[1]", "w[1]",
-                              "pseudo_momentum[1]"], rows))
+    return [Table("trajectory", ["t[1/omega0]", "re_alpha[1]", "im_alpha[1]",
+                                 "re_beta[1]", "im_beta[1]", "w[1]",
+                                 "pseudo_momentum[1]"], rows)]
 
 
-def _run_spectrum(cfg: RunConfig, writer: RunWriter) -> None:
-    writer.write_table(spectrum_table("spectrum", cfg.require_dicke(), cfg.lam_grid()))
-    if cfg.plots:
-        writer.write_script("spectrum_plot.py", plot_script("spectrum"))
+def _run_spectrum(cfg: RunConfig) -> list[Table]:
+    return [spectrum_table("spectrum", cfg.require_dicke(), cfg.lam_grid())]
 
 
-def _run_photon_flux(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_photon_flux(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
-    grid = cfg.lam_grid()
-    rows = []
-    for lam in grid:
-        q = p.with_coupling(float(lam))
-        rows.append([lam, corr.photon_flux(q)])
-    writer.write_table(Table("photon_flux",
-                             ["lam[omega0]", "flux[omega0]"], rows))
+    rows = [[lam, corr.photon_flux(p.with_coupling(float(lam)))]
+            for lam in cfg.lam_grid()]
+    return [Table("photon_flux", ["lam[omega0]", "flux[omega0]"], rows)]
 
 
 def _correlations(cfg: RunConfig, p) -> corr.CorrelationSeries:
@@ -103,28 +91,20 @@ def _correlations(cfg: RunConfig, p) -> corr.CorrelationSeries:
     return corr.default_correlations(p)
 
 
-def _run_g2(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_g2(cfg: RunConfig) -> list[Table]:
     series = _correlations(cfg, cfg.require_dicke())
-    rows = [[t, g1.real, g1.imag, g2v]
-            for t, g1, g2v in zip(series.tau, series.g1, series.g2)]
-    writer.write_table(Table("g2", ["tau[1/omega0]", "g1_re[1]", "g1_im[1]",
-                                    "g2[1]"], rows))
-    if cfg.plots:
-        writer.write_script("g2_plot.py", plot_script("g2"))
+    rows = np.column_stack([series.tau, series.g1.real, series.g1.imag, series.g2])
+    return [Table("g2", ["tau[1/omega0]", "g1_re[1]", "g1_im[1]", "g2[1]"], rows)]
 
 
-def _run_g2_map(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_g2_map(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
-    rows = []
-    for lam in cfg.lam_grid():
-        series = _correlations(cfg, p.with_coupling(float(lam)))
-        rows += g2_fft_rows(lam, series, p.omega0)
-    writer.write_table(Table("g2_fft_map", G2_FFT_HEADER, rows))
-    if cfg.plots:
-        writer.write_script("g2_fft_map_plot.py", plot_script("g2-map"))
+    rows = [g2_fft_rows(lam, _correlations(cfg, p.with_coupling(float(lam))), p.omega0)
+            for lam in cfg.lam_grid()]
+    return [Table("g2_fft_map", G2_FFT_HEADER, np.vstack(rows))]
 
 
-def _run_modulate(cfg: RunConfig, writer: RunWriter) -> None:
+def _run_modulate(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
     msec = cfg.modulation
     eps = float(msec.get("eps", 0.02))
@@ -135,35 +115,22 @@ def _run_modulate(cfg: RunConfig, writer: RunWriter) -> None:
         traj = mod.driven_trajectory(p, float(msec["time_series_lam"]),
                                      float(msec["time_series_nu"]), eps=eps,
                                      seed=seed, t_max=t_max)
-        writer.write_table(timeseries_table("modulate_timeseries", traj))
-        return
+        return [timeseries_table("modulate_timeseries", traj)]
     rmap = mod.driven_response_map(p, cfg.lam_grid(), cfg.nu_grid(), eps=eps,
                                    seed=seed, t_max=t_max, workers=cfg.workers)
-    writer.write_table(response_map_table("response_map", p, rmap))
-    if cfg.plots:
-        writer.write_script("response_map_plot.py", plot_script("modulate"))
+    return [response_map_table("response_map", p, rmap)]
 
 
-def _run_reproduce_figure(cfg: RunConfig, writer: RunWriter) -> None:
-    from .figures import FIGURE_IDS
-
+def _run_reproduce_figure(cfg: RunConfig) -> list[Table]:
     fig_id = cfg.figure_id
     if not fig_id:
         raise ConfigError("reproduce-figure needs a figure id (fig1..fig5)")
     if fig_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {fig_id!r}; valid: {FIGURE_IDS}")
-    tables = reproduce_figure(fig_id, physical=cfg.physical,
-                              workers=cfg.workers)
-    for table in tables:
-        writer.write_table(table)
-    if cfg.plots:
-        script = figure_plot_script(fig_id)
-        if script:
-            writer.write_script(f"{fig_id}_plot.py", script)
+    return reproduce_figure(fig_id, physical=cfg.physical, workers=cfg.workers)
 
 
 _RUNNERS = {
-    "map-params": _run_map_params,
     "steady-state": _run_steady_state,
     "evolve": _run_evolve,
     "spectrum": _run_spectrum,
@@ -176,9 +143,21 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> "RunWriter":
+    """Compute the mode's tables, then write them, their plot script and the manifest."""
     writer = RunWriter(cfg.out_dir, cfg.mode, _resolved_params(cfg),
                        cfg.out_format)
-    _RUNNERS[cfg.mode](cfg, writer)
+    if cfg.mode == "map-params":
+        writer.write_json("dicke_params.json", asdict(cfg.require_dicke()))
+    else:
+        tables = _RUNNERS[cfg.mode](cfg)
+        for table in tables:
+            writer.write_table(table)
+        if cfg.plots:
+            # a figure's script is named by its id, any other mode's by its one table
+            key = cfg.figure_id if cfg.mode == "reproduce-figure" else tables[0].name
+            script = plot_script(key)
+            if script:
+                writer.write_script(f"{key}_plot.py", script)
     writer.finalize()
     return writer
 
@@ -211,7 +190,7 @@ def main(argv=None) -> int:
     overrides = [*args.set, f"run.mode={args.mode}"]
     if args.out:
         overrides.append(f"run.out={args.out}")
-    if args.workers:
+    if args.workers is not None:
         overrides.append(f"run.workers={args.workers}")
     if args.format:
         overrides.append(f"run.format={args.format}")

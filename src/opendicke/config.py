@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import DickeParams, ParameterError, PhysicalParams, map_to_dicke
+from .params import (MAX_MAGNITUDE, DickeParams, ParameterError, PhysicalParams,
+                     map_to_dicke)
 
 MODES = ("steady-state", "evolve", "spectrum", "photon-flux", "g2", "g2-map",
          "modulate", "map-params", "reproduce-figure")
@@ -104,6 +105,8 @@ def _parse_float(where: str, raw: str) -> float:
         raise ConfigError(f"{where}: not a number: {raw!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{where}: not a finite number: {raw!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise ConfigError(f"{where}: above {MAX_MAGNITUDE:g} in magnitude: {raw!r}")
     return value
 
 
@@ -220,6 +223,11 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
     if cp.has_section("modulation"):
         cfg.modulation = _section_floats(cp, "modulation")
         _require("modulation", cfg.modulation, "t_max", _positive, "> 0")
+        # a deeper drive or a larger seed starts the cell off the Bloch sphere
+        _require("modulation", cfg.modulation, "eps", lambda v: 0.0 < v < 0.2,
+                 "in (0, 0.2)")
+        _require("modulation", cfg.modulation, "seed", lambda v: abs(v) < 0.5,
+                 "below 1/2 in magnitude")
     if cp.has_section("evolve"):
         cfg.evolve = _section_floats(cp, "evolve")
         _require("evolve", cfg.evolve, "samples",

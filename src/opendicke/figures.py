@@ -77,7 +77,7 @@ class Table:
 
     name: str
     header: list[str]
-    rows: list[list[float]]
+    rows: list[list[float]] | np.ndarray
 
 
 BRANCH_HEADER = ["lam[omega0]", "lam_over_lam_c[1]", "re_alpha[1]", "im_alpha[1]",
@@ -118,11 +118,11 @@ def branch_table(name: str, branch: mfd.SteadyStateBranch, lc: float) -> Table:
 def response_map_table(name: str, p: DickeParams, rmap: mod.ResponseMap) -> Table:
     """Driven response map, one row per (lam, nu) cell."""
     lc = mfd.critical_coupling(p)
-    rows = []
-    for i, lam in enumerate(rmap.lam_grid):
-        for j, nu in enumerate(rmap.nu_grid):
-            rows.append([lam / lc, nu / p.omega0, rmap.max_alpha2[i, j],
-                         rmap.max_re_beta[i, j], float(rmap.stabilized[i, j])])
+    n_lam, n_nu = rmap.max_alpha2.shape
+    rows = np.column_stack([np.repeat(rmap.lam_grid / lc, n_nu),
+                            np.tile(rmap.nu_grid / p.omega0, n_lam),
+                            rmap.max_alpha2.ravel(), rmap.max_re_beta.ravel(),
+                            rmap.stabilized.ravel()])
     return Table(name, ["lam_over_lam_c[1]", "nu_over_omega0[1]", "max_alpha2_over_N[1]",
                         "max_rebeta_over_N[1]", "stabilized_flag[bool]"], rows)
 
@@ -133,11 +133,12 @@ def timeseries_table(name: str, traj: mfd.Trajectory) -> Table:
     return Table(name, ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"], rows)
 
 
-def g2_fft_rows(lam: float, series: corr.CorrelationSeries, omega0: float) -> list:
+def g2_fft_rows(lam: float, series: corr.CorrelationSeries, omega0: float) -> np.ndarray:
     """Rows (lam, nu, log10 |FFT g2|) of the g2 spectrum up to nu = 3 omega0."""
     spec = corr.g2_spectrum(series)
     keep = spec.nu <= 3.0 * omega0
-    return [[lam, nu, lg] for nu, lg in zip(spec.nu[keep], spec.log_magnitude[keep])]
+    nu = spec.nu[keep]
+    return np.column_stack([np.full(nu.size, lam), nu, spec.log_magnitude[keep]])
 
 
 def figure1_tables() -> list[Table]:
@@ -157,15 +158,16 @@ def figure2_tables() -> list[Table]:
     for lam in cfg["lam_values"]:
         p = base_params(n_atoms, lam=float(lam))
         series = corr.default_correlations(p)
-        for t, g in zip(series.tau[::16], series.g2[::16]):
-            g2_rows.append([lam, t, g])
-        fft_rows += g2_fft_rows(lam, series, p.omega0)
+        tau = series.tau[::16]
+        g2_rows.append(np.column_stack([np.full(tau.size, lam), tau, series.g2[::16]]))
+        fft_rows.append(g2_fft_rows(lam, series, p.omega0))
     series = corr.default_correlations(base_params(n_atoms, lam=cfg["long_time_lam"]))
-    long_rows = [[t, g] for t, g in zip(series.tau[::4], series.g2[::4])]
     return [
-        Table("fig2a_g2_tau", ["lam[omega0]", "tau[1/omega0]", "g2[1]"], g2_rows),
-        Table("fig2b_g2_fft", G2_FFT_HEADER, fft_rows),
-        Table("fig2c_g2_longtime", ["tau[1/omega0]", "g2[1]"], long_rows),
+        Table("fig2a_g2_tau", ["lam[omega0]", "tau[1/omega0]", "g2[1]"],
+              np.vstack(g2_rows)),
+        Table("fig2b_g2_fft", G2_FFT_HEADER, np.vstack(fft_rows)),
+        Table("fig2c_g2_longtime", ["tau[1/omega0]", "g2[1]"],
+              np.column_stack([series.tau[::4], series.g2[::4]])),
     ]
 
 
@@ -176,11 +178,12 @@ def figure3_tables() -> list[Table]:
         for bias in (cfg["bias_ratio"] * lam, 0.0):
             p = base_params(cfg["atom_number"], lam=lam, lam_prime=bias)
             series = corr.default_correlations(p)
-            for t, g in zip(series.tau[::8], series.g2[::8]):
-                rows.append([lam, bias, t, g])
+            tau = series.tau[::8]
+            rows.append(np.column_stack([np.full(tau.size, lam), np.full(tau.size, bias),
+                                         tau, series.g2[::8]]))
     return [Table("fig3_g2_beating",
                   ["lam[omega0]", "lam_prime[omega0]", "tau[1/omega0]", "g2[1]"],
-                  rows)]
+                  np.vstack(rows))]
 
 
 def figure4_tables(workers: int = 1) -> list[Table]:
@@ -216,16 +219,14 @@ def figure5_tables(physical: PhysicalParams | None = None) -> list[Table]:
     dk = map_to_dicke(physical)
     ratio = abs(dk.lam_prime / dk.lam)
     grid_x = np.linspace(*physical.support, 2001)
-    density_rows = [[float(x)] for x in grid_x]
+    columns = [grid_x]
     for sign in (+1.0, -1.0):
         ss = mfd.operating_point(dk.with_coupling(lam_density, sign * ratio * lam_density))
-        dens = density_profile(physical, ss, grid_x)
-        for row, value in zip(density_rows, dens):
-            row.append(float(value))
+        columns.append(density_profile(physical, ss, grid_x))
     tables.append(Table(
         "fig5b_density",
         ["x[pump_wavelength]", "density_plus[atoms_per_length]",
-         "density_minus[atoms_per_length]"], density_rows))
+         "density_minus[atoms_per_length]"], np.column_stack(columns)))
     for tag, panel, phys in (("plus", "c", physical), ("minus", "d", mirrored)):
         dk = map_to_dicke(phys)
         branch = mfd.steady_states(dk, grid[grid > 0],

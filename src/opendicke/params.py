@@ -23,6 +23,11 @@ from scipy.integrate import IntegrationWarning, quad
 
 QUAD_RTOL = 1e-10
 
+#: largest magnitude of an input number or a mapped model parameter: the
+#: closed forms square and multiply parameters in Python floats, whose ``**``
+#: raises OverflowError past about 1e154, so products of several must stay finite
+MAX_MAGNITUDE = 1e30
+
 
 class ParameterError(ValueError):
     """Raised when parameters violate a documented validity condition."""
@@ -225,9 +230,12 @@ def map_to_dicke(p: PhysicalParams) -> DickeParams:
         raise ParameterError(
             f"shifted cavity frequency omega = {omega} is not positive; "
             "parameters are outside the dispersive regime")
-    return DickeParams(omega=omega, omega0=omega0, lam=lam,
-                       lam_prime=lam_prime, kappa=p.kappa,
-                       atom_number=float(p.atom_number))
+    dk = DickeParams(omega=omega, omega0=omega0, lam=lam, lam_prime=lam_prime,
+                     kappa=p.kappa, atom_number=float(p.atom_number))
+    for name, value in vars(dk).items():
+        if abs(value) > MAX_MAGNITUDE:
+            raise ParameterError(f"mapped {name} = {value:g} exceeds {MAX_MAGNITUDE:g}")
+    return dk
 
 
 def density_profile(p: PhysicalParams, state, grid) -> np.ndarray:

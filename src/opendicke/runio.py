@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .figures import Table
@@ -22,21 +23,10 @@ class NonFiniteValue(RuntimeError):
     """A table holds NaN or an infinity; it is refused rather than written."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    f = float(x)
+def _fmt(f: float) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass
@@ -77,42 +67,34 @@ class RunWriter:
             resolved_params=resolved_params)
         self._t0 = time.monotonic()
 
-    def write_table(self, table: Table) -> None:
-        try:
-            self._write_table(table)
-        except (ValueError, OverflowError) as exc:
-            # _fmt and the strict JSON encoder both fail on NaN and +-inf
-            for row in table.rows:
-                for name, value in zip(table.header, row):
-                    if not math.isfinite(float(value)):
-                        raise NonFiniteValue(
-                            f"table {table.name}, column {name}: "
-                            f"non-finite value {float(value)!r}") from exc
-            raise
+    def _emit(self, name: str, text: str) -> None:
+        """Write one output and record the sha256 of the bytes written."""
+        data = text.encode()
+        (self.out_dir / name).write_bytes(data)
+        self.manifest.outputs[name] = hashlib.sha256(data).hexdigest()
 
-    def _write_table(self, table: Table) -> None:
+    def write_table(self, table: Table) -> None:
+        values = np.asarray(table.rows, dtype=float)
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise NonFiniteValue(f"table {table.name}, column {table.header[j]}: "
+                                 f"non-finite value {float(values[i, j])!r}")
+        rows = values.tolist()
         if self.out_format in ("csv", "both"):
-            path = self.out_dir / f"{table.name}.csv"
             lines = [",".join(table.header)]
-            lines += [",".join(_fmt(v) for v in row) for row in table.rows]
-            path.write_text("\n".join(lines) + "\n")
-            self.manifest.outputs[path.name] = _sha256(path)
+            lines += [",".join(map(_fmt, row)) for row in rows]
+            self._emit(f"{table.name}.csv", "\n".join(lines) + "\n")
         if self.out_format in ("json", "both"):
-            path = self.out_dir / f"{table.name}.json"
-            payload = {"columns": table.header,
-                       "rows": [[float(v) for v in row] for row in table.rows]}
-            path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False))
-            self.manifest.outputs[path.name] = _sha256(path)
+            payload = {"columns": table.header, "rows": rows}
+            self._emit(f"{table.name}.json",
+                       json.dumps(payload, sort_keys=True, allow_nan=False))
 
     def write_json(self, name: str, payload: dict) -> None:
-        path = self.out_dir / name
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        self.manifest.outputs[path.name] = _sha256(path)
+        self._emit(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def write_script(self, name: str, text: str) -> None:
-        path = self.out_dir / name
-        path.write_text(text)
-        self.manifest.outputs[path.name] = _sha256(path)
+        self._emit(name, text)
 
     def finalize(self) -> Path:
         self.manifest.wall_clock_s = time.monotonic() - self._t0
@@ -141,18 +123,35 @@ def load(name):
     return cols
 """
 
-PLOT_BODIES = {
-    "spectrum": """
-cols = load("spectrum.csv")
+#: shared bodies, formatted with the CSV table and the PNG file they use
+_SPECTRUM_BODY = """
+cols = load("{csv}.csv")
 fig, axes = plt.subplots(2, 1, figsize=(7, 7), sharex=True)
 for k in range(1, 5):
-    axes[0].plot(cols["lam_over_lam_c[1]"], cols[f"re_omega_{k}[omega0]"], ".", ms=2)
-    axes[1].plot(cols["lam_over_lam_c[1]"], cols[f"im_omega_{k}[omega0]"], ".", ms=2)
+    axes[0].plot(cols["lam_over_lam_c[1]"], cols[f"re_omega_{{k}}[omega0]"], ".", ms=2)
+    axes[1].plot(cols["lam_over_lam_c[1]"], cols[f"im_omega_{{k}}[omega0]"], ".", ms=2)
 axes[0].set_ylabel("Re omega / omega0"); axes[0].set_ylim(-1.5, 1.5)
 axes[1].set_ylabel("Im omega / omega0"); axes[1].set_ylim(-0.01, 0.001)
 axes[1].set_xlabel("lam / lam_c")
-plt.tight_layout(); plt.savefig("spectrum.png", dpi=150)
-""",
+plt.tight_layout(); plt.savefig("{png}.png", dpi=150)
+"""
+_RESPONSE_MAP_BODY = """
+cols = load("{csv}.csv")
+import numpy as np
+lam = np.array(cols["lam_over_lam_c[1]"]); nu = np.array(cols["nu_over_omega0[1]"])
+lam_u, nu_u = np.unique(lam), np.unique(nu)
+for field, tag in (("max_alpha2_over_N[1]", "alpha2"), ("max_rebeta_over_N[1]", "rebeta")):
+    z = np.array(cols[field]).reshape(lam_u.size, nu_u.size)
+    plt.figure(figsize=(7, 5))
+    plt.pcolormesh(lam_u, nu_u, np.log10(z + 1e-30).T, shading="nearest")
+    plt.xlabel("lam / lam_c"); plt.ylabel("nu / omega0")
+    plt.colorbar(label=f"log10 {{tag}}")
+    plt.tight_layout(); plt.savefig(f"{png}_{{tag}}.png", dpi=150)
+"""
+
+#: plot bodies keyed by the run's figure id or by the name of its one table
+PLOT_BODIES = {
+    "spectrum": _SPECTRUM_BODY.format(csv="spectrum", png="spectrum"),
     "g2": """
 cols = load("g2.csv")
 plt.figure(figsize=(8, 4))
@@ -160,7 +159,7 @@ plt.plot(cols["tau[1/omega0]"], cols["g2[1]"])
 plt.xlabel("tau * omega0"); plt.ylabel("g2(tau)")
 plt.tight_layout(); plt.savefig("g2.png", dpi=150)
 """,
-    "g2-map": """
+    "g2_fft_map": """
 cols = load("g2_fft_map.csv")
 import numpy as np
 lam = np.array(cols["lam[omega0]"]); nu = np.array(cols["nu[omega0]"])
@@ -172,20 +171,8 @@ plt.pcolormesh(lam_u, nu_u, grid.T, shading="nearest")
 plt.xlabel("lam / omega0"); plt.ylabel("nu / omega0"); plt.colorbar(label="log10 |FFT g2|")
 plt.tight_layout(); plt.savefig("g2_fft_map.png", dpi=150)
 """,
-    "modulate": """
-cols = load("response_map.csv")
-import numpy as np
-lam = np.array(cols["lam_over_lam_c[1]"]); nu = np.array(cols["nu_over_omega0[1]"])
-lam_u, nu_u = np.unique(lam), np.unique(nu)
-for field, tag in (("max_alpha2_over_N[1]", "alpha2"), ("max_rebeta_over_N[1]", "rebeta")):
-    z = np.array(cols[field]).reshape(lam_u.size, nu_u.size)
-    plt.figure(figsize=(7, 5))
-    plt.pcolormesh(lam_u, nu_u, np.log10(z + 1e-30).T, shading="nearest")
-    plt.xlabel("lam / lam_c"); plt.ylabel("nu / omega0")
-    plt.colorbar(label=f"log10 {tag}")
-    plt.tight_layout(); plt.savefig(f"response_{tag}.png", dpi=150)
-""",
-    "steady-state": """
+    "response_map": _RESPONSE_MAP_BODY.format(csv="response_map", png="response"),
+    "steady_states": """
 cols = load("steady_states.csv")
 plt.figure(figsize=(7, 4))
 stable = [s > 0.5 for s in cols["stable[bool]"]]
@@ -195,19 +182,7 @@ plt.plot([xi for xi, s in zip(x, stable) if not s], [yi for yi, s in zip(y, stab
 plt.xlabel("lam / lam_c"); plt.ylabel("Re alpha"); plt.legend()
 plt.tight_layout(); plt.savefig("steady_states.png", dpi=150)
 """,
-}
-
-
-def plot_script(kind: str) -> str | None:
-    body = PLOT_BODIES.get(kind)
-    if body is None:
-        return None
-    return PLOT_PREAMBLE + body
-
-
-FIGURE_PLOT_BODIES = {
-    "fig1": PLOT_BODIES["spectrum"].replace('"spectrum.csv"', '"fig1_spectrum.csv"')
-    .replace('"spectrum.png"', '"fig1.png"'),
+    "fig1": _SPECTRUM_BODY.format(csv="fig1_spectrum", png="fig1"),
     "fig2": """
 cols = load("fig2a_g2_tau.csv")
 import numpy as np
@@ -243,8 +218,7 @@ for ax, lv in zip(axes, lam_u):
 axes[0].legend(); axes[-1].set_xlabel("tau * omega0")
 plt.tight_layout(); plt.savefig("fig3.png", dpi=150)
 """,
-    "fig4": PLOT_BODIES["modulate"].replace('"response_map.csv"', '"fig4ab_response_map.csv"')
-    .replace('"response_{tag}.png"', '"fig4_{tag}.png"') + """
+    "fig4": _RESPONSE_MAP_BODY.format(csv="fig4ab_response_map", png="fig4") + """
 cols_c = load("fig4c_timeseries.csv")
 plt.figure(figsize=(8, 3))
 plt.plot(cols_c["t[1/omega0]"], cols_c["re_beta_over_N[1]"])
@@ -273,8 +247,8 @@ except FileNotFoundError:
 }
 
 
-def figure_plot_script(fig_id: str) -> str | None:
-    body = FIGURE_PLOT_BODIES.get(fig_id)
+def plot_script(name: str) -> str | None:
+    body = PLOT_BODIES.get(name)
     if body is None:
         return None
     return PLOT_PREAMBLE + body

@@ -1,11 +1,18 @@
 """Command-line surface: configs, outputs, manifests, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opendicke.cli import main
 from opendicke.config import ConfigError, load_config
@@ -120,6 +127,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, output", [
         (["map-params", *DICKE_SETS, "--set", "dicke.lam=nan"], "dicke_params.json"),
         (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=nan"], "photon_flux.csv"),
+        # finite, but its square overflows a Python float
+        (["map-params", "--config", str(FIG5_CONFIG),
+          "--set", "physical.cavity_wavevector=1e300"], "dicke_params.json"),
     ])
     def test_non_finite_value_is_config_failure(self, tmp_path, argv, output):
         out = tmp_path / "o"
@@ -145,6 +155,12 @@ class TestSubcommands:
         ["evolve.t_max=-1"],
         ["modulation.t_max=0"],
         ["modulation.t_max=-1"],
+        ["modulation.eps=-3"],
+        ["modulation.eps=0"],
+        ["modulation.eps=0.2"],
+        ["modulation.seed=0.7"],
+        ["modulation.seed=-0.5"],
+        ["dicke.kappa=1e31"],
         ["run.outt=x"],
         ["figure.ids=fig1"],
     ], ids=" ".join)
@@ -156,6 +172,37 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["0", "-1"])
+    def test_non_positive_workers_flag_is_config_failure(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        rc = main(["spectrum", "--out", str(out), "--workers", flag, *DICKE_SETS,
+                   "--set", "grid.lam_list=1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_evolve_default_w0_follows_given_beta0(self, tmp_path):
+        # w0 defaults to the negative root of |beta0|^2 + w0^2 = N^2/4
+        out = tmp_path / "o"
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", "evolve.beta0_re=30000", "--set", "evolve.beta0_im=-4000",
+                   "--set", "evolve.t_max=1", "--set", "evolve.samples=3"])
+        assert rc == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows[0][3:5] == [30000.0, -4000.0]
+        assert rows[0][5] < 0
+        assert rows[0][6] == pytest.approx(0.25e10, rel=1e-12)
+
+    def test_evolve_beta0_beyond_bloch_sphere_is_config_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", "evolve.beta0_re=60000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("value, out_format", [
         (float("nan"), "csv"), (float("inf"), "csv"), (-float("inf"), "json")])
@@ -296,3 +343,112 @@ class TestReproduceFigure:
     def test_unknown_figure_id(self, tmp_path):
         rc = main(["reproduce-figure", "fig9", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+#: canonical figure settings shrunk so that every bundle runs in seconds
+FIGURE_REDUCTIONS = {
+    "fig2": dict(lam_values=np.array([6.0])),
+    "fig3": dict(lam_values=(6.0,)),
+    "fig4": dict(map_points=2),
+    "fig5": dict(points=8),
+}
+TAU_SETS = ["--set", "grid.tau_span=50", "--set", "grid.tau_points=64"]
+
+
+class TestPlotScripts:
+    @pytest.mark.parametrize("argv, scripts", [
+        (["map-params", *DICKE_SETS], []),
+        (["steady-state", *DICKE_SETS, "--set", "grid.lam_list=1 2"],
+         ["steady_states_plot.py"]),
+        (["evolve", *DICKE_SETS, "--set", "evolve.t_max=1", "--set", "evolve.samples=3"],
+         []),
+        (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=1 2"], ["spectrum_plot.py"]),
+        (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=1 2"], []),
+        (["g2", *DICKE_SETS, *TAU_SETS], ["g2_plot.py"]),
+        (["g2-map", *DICKE_SETS, *TAU_SETS, "--set", "grid.lam_list=5"],
+         ["g2_fft_map_plot.py"]),
+        (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5", "--set", "grid.nu_min=0.6",
+          "--set", "grid.nu_max=0.6", "--set", "grid.nu_points=1"],
+         ["response_map_plot.py"]),
+        (["modulate", *DICKE_SETS, "--set", "modulation.time_series_lam=5",
+          "--set", "modulation.time_series_nu=0.6", "--set", "modulation.t_max=20"], []),
+        (["reproduce-figure", "fig1"], ["fig1_plot.py"]),
+        (["reproduce-figure", "fig2"], ["fig2_plot.py"]),
+        (["reproduce-figure", "fig3"], ["fig3_plot.py"]),
+        (["reproduce-figure", "fig4"], ["fig4_plot.py"]),
+        (["reproduce-figure", "fig5", "--config", str(FIG5_CONFIG)], ["fig5_plot.py"]),
+    ], ids=["map-params", "steady-state", "evolve", "spectrum", "photon-flux", "g2",
+            "g2-map", "modulate-map", "modulate-timeseries", "fig1", "fig2", "fig3",
+            "fig4", "fig5"])
+    def test_plot_script_named_by_figure_or_single_table(self, tmp_path, monkeypatch,
+                                                         argv, scripts):
+        from opendicke import figures
+
+        for fig_id, reduced in FIGURE_REDUCTIONS.items():
+            monkeypatch.setitem(figures.FIGURE_PARAMS, fig_id,
+                                dict(figures.FIGURE_PARAMS[fig_id], **reduced))
+        out = tmp_path / "o"
+        assert main([*argv, "--plots", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*_plot.py")) == scripts
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in scripts:
+            assert name in manifest["outputs"]
+            # every table the script loads was written next to it
+            for table in re.findall(r'load\("([^"]+)"\)', (out / name).read_text()):
+                assert (out / table).exists(), table
+
+
+#: pools for fuzzing ``--set`` items; counts stay small, so that no example
+#: asks for more than a few hundred grid points
+FUZZ_NUMBER_KEYS = ["dicke.omega", "dicke.omega0", "dicke.lam", "dicke.lam_prime",
+                    "dicke.kappa", "dicke.atom_number", "grid.lam_list",
+                    "grid.lam_min", "grid.lam_max"]
+FUZZ_COUNT_KEYS = ["grid.lam_points", "run.workers"]
+FUZZ_ODD_KEYS = ["dicke.frob", "grid.bogus", "grid.tau_points", "run.format",
+                 "run.plots", "run.mode", "figure.id", "nosection.key",
+                 "physical.kappa", "evolve.samples"]
+FUZZ_NUMBERS = ["0", "-0", "0.5", "3", "12", "-1", "2.5", "-2.5", "1e-3", "1e-300",
+                "1e300", "-1e300", "1 2", "12 3"]
+FUZZ_COUNTS = ["0", "1", "2.5", "-3", "300"]
+FUZZ_MALFORMED = ["", "x", "nan", "inf", "-inf", "1e400", "1,,2", "true", "csv", "fig1"]
+
+
+def _override_items():
+    """One to three well-formed items, then at most one malformed item."""
+    def item(keys, values):
+        return st.builds(lambda k, v: f"{k}={v}", st.sampled_from(keys), values)
+
+    numbers = st.sampled_from(FUZZ_NUMBERS) | st.floats(-1e3, 1e3).map(repr)
+    any_key = FUZZ_NUMBER_KEYS + FUZZ_COUNT_KEYS + FUZZ_ODD_KEYS
+    valid = (item(FUZZ_NUMBER_KEYS, numbers)
+             | item(FUZZ_COUNT_KEYS, st.sampled_from(FUZZ_COUNTS)))
+    malformed = (item(any_key, st.sampled_from(FUZZ_MALFORMED))
+                 | item(FUZZ_ODD_KEYS, numbers)
+                 | st.builds(lambda k, v: f"{k}{v}", st.sampled_from(any_key), numbers)
+                 | st.builds(lambda v: f"dicke={v}", numbers))
+    return st.lists(valid, min_size=1, max_size=3).flatmap(
+        lambda items: st.lists(malformed, max_size=1).map(lambda odd: items + odd))
+
+
+class TestFailureContract:
+    @settings(max_examples=150, deadline=timedelta(seconds=20), database=None)
+    @given(mode=st.sampled_from(["map-params", "spectrum", "steady-state", "photon-flux"]),
+           items=_override_items())
+    # finite inputs whose squares overflow a Python float
+    @example(mode="spectrum", items=["dicke.omega=1e300"])
+    @example(mode="steady-state", items=["dicke.kappa=1e300"])
+    @example(mode="photon-flux", items=["grid.lam_list=1e300"])
+    def test_fuzzed_overrides_keep_the_exit_contract(self, mode, items):
+        """Exit 0, 2 or 3, with one stderr line on failure and no traceback."""
+        argv = [mode, *DICKE_SETS, "--set", "grid.lam_min=1", "--set", "grid.lam_max=8",
+                "--set", "grid.lam_points=3",
+                *[arg for item in items for arg in ("--set", item)]]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            rc = main([*argv, "--out", tmp])
+        text = err.getvalue()
+        assert rc in (0, 2, 3), (argv, rc)
+        assert "Traceback" not in text
+        if rc:
+            assert text.count("\n") == 1 and text.startswith(
+                ("configuration error:", "numerical failure:")), (argv, text)
