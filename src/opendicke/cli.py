@@ -61,7 +61,10 @@ def _run_evolve(cfg: RunConfig) -> list[Table]:
         raise ConfigError(f"[evolve] |beta0| = {abs(beta0):g} exceeds N/2 = {n / 2.0:g}")
     state0 = mfd.MeanFieldState(
         complex(ev.get("alpha0_re", 1e-3 * np.sqrt(n)), ev.get("alpha0_im", 0.0)),
-        beta0, float(ev.get("w0", -np.sqrt(n * n / 4.0 - abs(beta0) ** 2))))
+        beta0, ev.get("w0", mfd._w_from_beta(beta0, n)))
+    if abs(state0.pseudo_momentum() - n * n / 4.0) > 1e-6 * n * n / 4.0:
+        raise ConfigError(f"[evolve] |beta0|^2 + w0^2 = {state0.pseudo_momentum():g} "
+                          f"differs from N^2/4 = {n * n / 4.0:g}")
     traj = mfd.integrate(state0, p, (0.0, t_max),
                          t_eval=np.linspace(0.0, t_max, samples))
     rows = [[t, s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag, s.w,

@@ -261,8 +261,8 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-regression propagation d v/d tau = M v from the steady moments.
 
-    v_k = <x_k(t+tau) c(t)> for x = (c, c+, d, d+), seeded by the steady
-    moments <x_k c>.
+    v_k = <x_k(t+tau) c(t)> for x = (c, c+, d, d+), seeded at tau = 0 by
+    the steady moments <x_k c>, whatever the first sample of the grid.
     """
     v0 = np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
     # <c+c> is an occupation number; drop the rounding in its imaginary part
@@ -275,7 +275,7 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
 
     y0 = np.concatenate([v0.real, v0.imag])
     scale = max(np.max(np.abs(v0)), 1e-12)
-    sol = solve_ivp(rhs, (float(tau[0]), float(tau[-1])), y0, t_eval=tau,
+    sol = solve_ivp(rhs, (0.0, float(tau[-1])), y0, t_eval=tau,
                     method="LSODA", rtol=1e-10, atol=1e-12 * scale)
     if not sol.success:
         raise RuntimeError(f"regression propagation failed: {sol.message}")
@@ -297,6 +297,8 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 2:
         raise ValueError("tau grid must be a 1-d array with at least 2 points")
+    if tau.min() < 0.0:
+        raise ValueError(f"tau grid reaches tau = {tau.min():g} < 0")
     steps = np.diff(tau)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("tau grid must be uniform")

@@ -202,15 +202,12 @@ def figure4_tables(workers: int = 1) -> list[Table]:
             timeseries_table("fig4c_timeseries", traj)]
 
 
-def figure5_tables(physical: PhysicalParams | None = None) -> list[Table]:
+def figure5_tables(physical: PhysicalParams) -> list[Table]:
     cfg = FIGURE_PARAMS["fig5"]
     p = base_params(cfg["atom_number"])
     lc = mfd.critical_coupling(p)
     grid = np.linspace(*cfg["lam_over_lc"], cfg["points"]) * lc
     tables = [branch_table("fig5a_branches", mfd.steady_states(p, grid), lc)]
-    if physical is None:
-        return tables
-
     lam_density = cfg["density_lam"]
     mirrored = replace(physical, trap_displacement=-physical.trap_displacement)
     # density panel: one fixed trap, the two signs of the bias field select

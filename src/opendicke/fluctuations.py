@@ -102,28 +102,16 @@ def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
 class ExcitationSpectrum:
     """Eigenfrequencies omega_k = i*mu_k of the dynamical matrix.
 
-    ``frequencies`` is deterministically sorted by (|Re|, Im).  The
-    polariton index is only known in the context of a coupling sweep and is
-    None for an isolated matrix.
+    ``frequencies`` is deterministically sorted by (|Re|, Im).
     """
 
     frequencies: np.ndarray
-    polariton_index: int | None = None
-    eigenvectors: np.ndarray | None = None
-
-
-def _sorted_spectrum(freqs: np.ndarray, vecs: np.ndarray | None = None):
-    order = np.lexsort((freqs.imag, np.abs(freqs.real)))
-    if vecs is None:
-        return freqs[order], None
-    return freqs[order], vecs[:, order]
 
 
 def spectrum(m: np.ndarray) -> ExcitationSpectrum:
     """Exact eigenfrequencies of a 4x4 fluctuation matrix."""
-    mu, vecs = np.linalg.eig(m)
-    freqs, vecs = _sorted_spectrum(1j * mu, vecs)
-    return ExcitationSpectrum(freqs, None, vecs)
+    freqs = 1j * np.linalg.eigvals(m)
+    return ExcitationSpectrum(freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))])
 
 
 @dataclass

@@ -9,6 +9,7 @@ state solvers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,25 +72,27 @@ def critical_coupling(p: DickeParams) -> float:
     return 0.5 * math.sqrt((p.omega0 / p.omega) * (p.kappa ** 2 + p.omega ** 2))
 
 
-def _rhs_vector(t, y, p: DickeParams):
+def _couplings(p: DickeParams) -> tuple[float, float, float]:
+    """The coupling arguments of ``_rhs_vector``: lam/sqrt(N), lam'/sqrt(N), N/2."""
+    rn = math.sqrt(p.atom_number)
+    return p.lam / rn, p.lam_prime / rn, p.atom_number / 2.0
+
+
+def _rhs_vector(t, y, p: DickeParams, k_l: float, k_lp: float, half_n: float):
     """Mean-field equations of motion on the real vector (Re a, Im a, Re b, Im b, w).
 
-    d alpha/dt = -(kappa + i omega) alpha - i (lam/sqrt(N)) (beta + beta*)
-                 - i (lam'/sqrt(N)) (N/2 - w)
-    d beta/dt  = -i omega0 beta + 2 i (lam/sqrt(N)) (alpha + alpha*) w
-                 + i (lam'/sqrt(N)) beta (alpha + alpha*)
-    d w/dt     = i (lam/sqrt(N)) (alpha + alpha*) (beta - beta*)
+    d alpha/dt = -(kappa + i omega) alpha - i k_l (beta + beta*) - i k_lp (half_n - w)
+    d beta/dt  = -i omega0 beta + 2 i k_l (alpha + alpha*) w + i k_lp beta (alpha + alpha*)
+    d w/dt     = i k_l (alpha + alpha*) (beta - beta*)
 
-    ``modulation._scaled_rhs`` is the per-atom copy with w slaved to beta.
+    with k_l = lam/sqrt(N), k_lp = lam'/sqrt(N), half_n = N/2 (``_couplings``),
+    or lam, lam', 1/2 for the per-atom fields alpha/sqrt(N), beta/N, w/N.
     """
-    rn = math.sqrt(p.atom_number)
     ar, ai, br, bi, w = y
     a2re = 2.0 * ar
     b2im = 2.0 * bi
-    k_l = p.lam / rn
-    k_lp = p.lam_prime / rn
     d_ar = -p.kappa * ar + p.omega * ai
-    d_ai = -p.kappa * ai - p.omega * ar - k_l * 2.0 * br - k_lp * (p.atom_number / 2.0 - w)
+    d_ai = -p.kappa * ai - p.omega * ar - k_l * 2.0 * br - k_lp * (half_n - w)
     d_br = p.omega0 * bi - k_lp * bi * a2re
     d_bi = -p.omega0 * br + 2.0 * k_l * a2re * w + k_lp * br * a2re
     d_w = -k_l * a2re * b2im
@@ -98,7 +101,8 @@ def _rhs_vector(t, y, p: DickeParams):
 
 def eom_rhs(state: MeanFieldState, p: DickeParams) -> MeanFieldState:
     """Right-hand sides of the mean-field equations of motion (see ``_rhs_vector``)."""
-    return MeanFieldState.from_vector(_rhs_vector(0.0, state.as_vector(), p))
+    return MeanFieldState.from_vector(_rhs_vector(0.0, state.as_vector(), p,
+                                                  *_couplings(p)))
 
 
 @dataclass
@@ -107,19 +111,36 @@ class Trajectory:
     states: list[MeanFieldState]
 
 
+#: most right-hand-side evaluations one ``integrate`` call may spend, about
+#: two minutes of RK45 on one core; the default ``evolve`` run needs 8e4
+MAX_RHS_EVALS = 10 ** 7
+
+
 def integrate(state0: MeanFieldState, p: DickeParams, t_span,
               rtol: float = 1e-10, t_eval=None, method: str = "RK45") -> Trajectory:
     """Adaptive integration of the mean-field equations at fixed coupling.
 
     Raises IntegrationError on step-size underflow, reporting the last
-    accepted state.
+    accepted state, and once ``MAX_RHS_EVALS`` evaluations are spent: the
+    cost grows with the span and with the precession rate, which a large
+    initial field makes arbitrarily fast.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     scale = max(1.0, math.sqrt(p.atom_number))
-    sol = solve_ivp(_rhs_vector, t_span, state0.as_vector(), method=method,
+    couplings = _couplings(p)
+    evals = itertools.count(1)
+    limit = MAX_RHS_EVALS
+
+    def rhs(t, y):
+        if next(evals) > limit:
+            raise IntegrationError(f"integration stopped after {limit} "
+                                   "right-hand-side evaluations")
+        return _rhs_vector(t, y, p, *couplings)
+
+    sol = solve_ivp(rhs, t_span, state0.as_vector(), method=method,
                     rtol=rtol, atol=rtol * scale * 1e-2, t_eval=t_eval,
-                    args=(p,), dense_output=t_eval is None)
+                    dense_output=t_eval is None)
     if not sol.success:
         last = MeanFieldState.from_vector(sol.y[:, -1]) if sol.y.size else state0
         raise IntegrationError(f"integration failed: {sol.message}",
@@ -154,25 +175,23 @@ def _w_from_beta(beta: complex, n: float) -> float:
     return -math.sqrt(max(n * n / 4.0 - abs(beta) ** 2, 0.0))
 
 
-def _reduced_residual(z: np.ndarray, p: DickeParams, lam: float) -> np.ndarray:
+def _reduced_residual(z: np.ndarray, p: DickeParams) -> np.ndarray:
     w = _w_from_beta(complex(z[2], z[3]), p.atom_number)
-    return np.array(_rhs_vector(0.0, (z[0], z[1], z[2], z[3], w), p.with_coupling(lam))[:4])
+    return np.array(_rhs_vector(0.0, (z[0], z[1], z[2], z[3], w), p, *_couplings(p))[:4])
 
 
-def newton_steady_state(p: DickeParams, seed: MeanFieldState, lam: float | None = None,
-                        tol: float | None = None, max_iter: int = 60) -> MeanFieldState:
+def newton_steady_state(p: DickeParams, seed: MeanFieldState) -> MeanFieldState:
     """Newton solve of the fixed-point equations with w eliminated.
 
     The inversion is slaved to beta through the conserved pseudo angular
     momentum (negative root).  The seed fixes which solution branch the
     iteration converges to.
     """
-    lam = p.lam if lam is None else lam
     n = p.atom_number
-    tol = 1e-11 * n if tol is None else tol
+    tol = 1e-11 * n
     z = np.array([seed.alpha.real, seed.alpha.imag, seed.beta.real, seed.beta.imag])
-    f = _reduced_residual(z, p, lam)
-    for _ in range(max_iter):
+    f = _reduced_residual(z, p)
+    for _ in range(60):
         if np.linalg.norm(f, ord=np.inf) < tol:
             break
         jac = np.empty((4, 4))
@@ -180,28 +199,28 @@ def newton_steady_state(p: DickeParams, seed: MeanFieldState, lam: float | None 
             h = 1e-7 * max(abs(z[j]), 1e-3 * n)
             zp = z.copy()
             zp[j] += h
-            jac[:, j] = (_reduced_residual(zp, p, lam) - f) / h
+            jac[:, j] = (_reduced_residual(zp, p) - f) / h
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian at lam = {lam}") from exc
+            raise ConvergenceError(f"singular Jacobian at lam = {p.lam}") from exc
         # keep beta inside the physical disc |beta| < N/2
         trial = None
         damping = 1.0
         for _ in range(40):
             z_new = z + damping * step
             if abs(complex(z_new[2], z_new[3])) < 0.5 * n:
-                trial = z_new, _reduced_residual(z_new, p, lam)
+                trial = z_new, _reduced_residual(z_new, p)
                 if np.linalg.norm(trial[1]) <= np.linalg.norm(f) or damping < 1e-3:
                     break
             damping *= 0.5
         if trial is None:
             raise ConvergenceError(
-                f"no Newton step stays inside |beta| < N/2 at lam = {lam}")
+                f"no Newton step stays inside |beta| < N/2 at lam = {p.lam}")
         z, f = trial
     else:
         raise ConvergenceError(
-            f"Newton iteration did not converge at lam = {lam} "
+            f"Newton iteration did not converge at lam = {p.lam} "
             f"(|residual| = {np.linalg.norm(f, ord=np.inf):.3e})")
     beta = complex(z[2], z[3])
     return MeanFieldState(complex(z[0], z[1]), beta, _w_from_beta(beta, n))

@@ -103,10 +103,6 @@ class PhysicalParams:
     kappa: float
     hbar: float = 1.0
     max_displacement_fraction: float = 0.1
-    # provenance only, never used in computations
-    g0: float | None = None
-    pump_rabi: float | None = None
-    atom_detuning: float | None = None
 
     def __post_init__(self) -> None:
         if self.atom_number < 1:

@@ -8,12 +8,14 @@ import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opendicke import meanfield
 from opendicke.cli import main
 from opendicke.config import ConfigError, load_config
 from opendicke.params import map_to_dicke
@@ -195,6 +197,41 @@ class TestSubcommands:
         assert rows[0][5] < 0
         assert rows[0][6] == pytest.approx(0.25e10, rel=1e-12)
 
+    @pytest.mark.parametrize("w0", [0.0, -4e4, 5e4 + 1.0])
+    def test_evolve_w0_off_the_bloch_sphere_is_config_failure(self, tmp_path, capsys, w0):
+        # default beta0 = 1e-3 N = 100, so |beta0|^2 + w0^2 misses N^2/4 = 2.5e9
+        out = tmp_path / "o"
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", f"evolve.w0={w0!r}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "w0" in err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_evolve_positive_w0_root_runs(self, tmp_path):
+        out = tmp_path / "o"
+        w0 = math.sqrt(0.25e10 - 3e4 ** 2)
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", "evolve.beta0_re=30000", "--set", f"evolve.w0={w0!r}",
+                   "--set", "evolve.t_max=1", "--set", "evolve.samples=3"])
+        assert rc == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert rows[0][5] == w0
+        assert rows[0][6] == pytest.approx(0.25e10, rel=1e-12)
+
+    def test_evolve_work_limit_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # a huge initial field precesses the spin at ~1e29 omega0
+        monkeypatch.setattr(meanfield, "MAX_RHS_EVALS", 10 ** 4)
+        out = tmp_path / "o"
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", "evolve.alpha0_re=1e30", "--set", "evolve.t_max=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: integration stopped after 10000 "
+                       "right-hand-side evaluations\n")
+        assert not (out / "trajectory.csv").exists()
+
     def test_evolve_beta0_beyond_bloch_sphere_is_config_failure(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["evolve", "--out", str(out), *DICKE_SETS,
@@ -226,8 +263,6 @@ class TestSubcommands:
                              ids=["default", "explicit"])
     def test_biased_g2_resolves_the_operating_point_once(self, tmp_path, monkeypatch,
                                                          tau_sets):
-        from opendicke import meanfield
-
         calls = []
         newton = meanfield.newton_steady_state
 
@@ -430,6 +465,59 @@ def _override_items():
         lambda items: st.lists(malformed, max_size=1).map(lambda odd: items + odd))
 
 
+#: ``[evolve]`` pools; t_max and samples never exceed the base run's 1 and 20
+FUZZ_STATE_KEYS = ["evolve.alpha0_re", "evolve.alpha0_im", "evolve.beta0_re",
+                   "evolve.beta0_im", "evolve.w0"]
+FUZZ_STATE_NUMBERS = FUZZ_NUMBERS + ["5e4", "-5e4", "4e4", "-1e30", "1e30"]
+FUZZ_T_MAX = ["1", "0.5", "1e-3", "1e-300", "0", "-1"]
+FUZZ_SAMPLES = ["1", "2", "20", "0", "-3", "2.5"]
+
+
+def _evolve_items():
+    """One to three ``[evolve]`` items, then at most one malformed item.
+
+    A start on the Bloch sphere, beta0 with either root w0, is one of them.
+    """
+    def item(keys, values):
+        return st.builds(lambda k, v: f"{k}={v}", st.sampled_from(keys), values)
+
+    def on_sphere(beta, sign):
+        return [f"evolve.beta0_re={beta!r}",
+                f"evolve.w0={sign * math.sqrt(0.25e10 - beta * beta)!r}"]
+
+    numbers = st.sampled_from(FUZZ_STATE_NUMBERS) | st.floats(-6e4, 6e4).map(repr)
+    valid = (item(FUZZ_STATE_KEYS, numbers).map(lambda i: [i])
+             | item(["evolve.t_max"], st.sampled_from(FUZZ_T_MAX)
+                    | st.floats(0.0, 1.0).map(repr)).map(lambda i: [i])
+             | item(["evolve.samples"], st.sampled_from(FUZZ_SAMPLES)).map(lambda i: [i])
+             | st.builds(on_sphere, st.floats(-5e4, 5e4), st.sampled_from([-1.0, 1.0])))
+    malformed = (item(FUZZ_STATE_KEYS + ["evolve.samples", "evolve.bogus"],
+                      st.sampled_from(FUZZ_MALFORMED))
+                 | st.builds(lambda k, v: f"{k}{v}", st.sampled_from(FUZZ_STATE_KEYS),
+                             numbers))
+    return st.lists(valid, min_size=1, max_size=3).flatmap(
+        lambda items: st.lists(malformed, max_size=1).map(
+            lambda odd: [i for group in items for i in group] + odd))
+
+
+def _run_quietly(argv):
+    """Exit code, stderr and the trajectory rows (None without a table) of a run."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", tmp])
+        table = Path(tmp) / "trajectory.csv"
+        rows = read_csv(table)[1] if table.exists() else None
+    return rc, err.getvalue(), rows
+
+
+def _assert_exit_contract(argv, rc, text):
+    assert rc in (0, 2, 3), (argv, rc)
+    assert "Traceback" not in text
+    if rc:
+        assert text.count("\n") == 1 and text.startswith(
+            ("configuration error:", "numerical failure:")), (argv, text)
+
+
 class TestFailureContract:
     @settings(max_examples=150, deadline=timedelta(seconds=20), database=None)
     @given(mode=st.sampled_from(["map-params", "spectrum", "steady-state", "photon-flux"]),
@@ -443,12 +531,26 @@ class TestFailureContract:
         argv = [mode, *DICKE_SETS, "--set", "grid.lam_min=1", "--set", "grid.lam_max=8",
                 "--set", "grid.lam_points=3",
                 *[arg for item in items for arg in ("--set", item)]]
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-            rc = main([*argv, "--out", tmp])
-        text = err.getvalue()
-        assert rc in (0, 2, 3), (argv, rc)
-        assert "Traceback" not in text
-        if rc:
-            assert text.count("\n") == 1 and text.startswith(
-                ("configuration error:", "numerical failure:")), (argv, text)
+        rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20), database=None)
+    @given(items=_evolve_items())
+    # a start off the Bloch sphere, and a precession at ~1e29 omega0 that
+    # only the work limit stops
+    @example(items=["evolve.w0=0"])
+    @example(items=["evolve.alpha0_re=1e30"])
+    def test_fuzzed_evolve_keeps_the_exit_contract(self, items):
+        """As above for ``evolve``; a run that starts must start on the sphere.
+
+        The integrator's work limit is lowered so that an example that
+        reaches it takes about a second.
+        """
+        argv = ["evolve", *DICKE_SETS, "--set", "evolve.t_max=1",
+                "--set", "evolve.samples=20",
+                *[arg for item in items for arg in ("--set", item)]]
+        with mock.patch.object(meanfield, "MAX_RHS_EVALS", 10 ** 5):
+            rc, text, rows = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+        if rc == 0:
+            assert rows[0][6] == pytest.approx(0.25e10, rel=1e-6), (argv, rows[0])

@@ -133,6 +133,22 @@ class TestTwoTimeCorrelations:
         # "both" runs the comparison internally and must not raise
         corr.two_time_correlations(q, tau, method="both")
 
+    def test_regression_on_a_grid_not_starting_at_zero(self):
+        # the regression route is seeded at tau = 0, so a grid from tau = 5
+        # must give the tau = 5 correlators, not the tau = 0 moments
+        q = params(lam=6.0)
+        tau = np.linspace(5.0, 50.0, 2001)
+        f = corr.two_time_correlations(q, tau, method="frequency")
+        r = corr.two_time_correlations(q, tau, method="regression")
+        assert r.g2 == pytest.approx(f.g2, rel=1e-6)
+        corr.two_time_correlations(q, tau, method="both")
+
+    @pytest.mark.parametrize("method", ["frequency", "regression", "both"])
+    def test_negative_tau_rejected(self, method):
+        with pytest.raises(ValueError, match="< 0"):
+            corr.two_time_correlations(params(lam=6.0), np.linspace(-1.0, 10.0, 64),
+                                       method=method)
+
     def test_envelope_decays_at_soft_mode_rate(self):
         q = params(lam=0.6 * LC)
         tau = corr.default_tau_grid(q, n=2 ** 12)

@@ -290,14 +290,17 @@ class TestDrivenResponse:
            kappa=st.floats(0, 400), lam_prime=st.floats(-0.5, 0.5))
     def test_scaled_rhs_is_the_per_atom_mean_field_rhs(
             self, t, ar, ai, br, bi, lam0, eps, nu, omega, omega0, kappa, lam_prime):
-        # the flat kernel must stay bit-identical to the shared equations at
-        # N = 1 with the driven coupling and w on its negative root
-        p = DickeParams(omega, omega0, lam0, lam_prime, kappa, 1.0)
-        y = [ar, ai, br, bi]
+        # the response-map kernel must equal the public equations of motion
+        # bit for bit at N = 1, with the driven coupling lam0 (1 + eps cos(nu
+        # t)) and w on its negative root; the kernel itself does not use N
+        p = DickeParams(omega, omega0, lam0, lam_prime, kappa, 1e5)
         w = -math.sqrt(max(0.25 - (br * br + bi * bi), 0.0))
-        driven = p.with_coupling(lam0 * (1 + eps * math.cos(nu * t)))
-        expected = mfd._rhs_vector(t, [*y, w], driven)[:4]
-        got = mod._scaled_rhs(t, y, p, lam0, eps, nu)
+        driven = DickeParams(omega, omega0, lam0 * (1 + eps * math.cos(nu * t)),
+                             lam_prime, kappa, 1.0)
+        rates = mfd.eom_rhs(mfd.MeanFieldState(complex(ar, ai), complex(br, bi), w),
+                            driven)
+        expected = [rates.alpha.real, rates.alpha.imag, rates.beta.real, rates.beta.imag]
+        got = mod._scaled_rhs(t, np.array([ar, ai, br, bi]), p, lam0, eps, nu)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_trajectory_states_stay_on_bloch_sphere(self):
