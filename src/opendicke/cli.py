@@ -110,17 +110,14 @@ def _run_g2_map(cfg: RunConfig) -> list[Table]:
 def _run_modulate(cfg: RunConfig) -> list[Table]:
     p = cfg.require_dicke()
     msec = cfg.modulation
-    eps = float(msec.get("eps", 0.02))
-    t_max = msec.get("t_max")
-    t_max = float(t_max) if t_max is not None else None
-    seed = float(msec.get("seed", 1e-4))
+    # the keys given, so the defaults stay those of ``modulation``
+    drive = {k: msec[k] for k in ("eps", "seed", "t_max") if k in msec}
     if {"time_series_lam", "time_series_nu"} <= msec.keys():
-        traj = mod.driven_trajectory(p, float(msec["time_series_lam"]),
-                                     float(msec["time_series_nu"]), eps=eps,
-                                     seed=seed, t_max=t_max)
+        traj = mod.driven_trajectory(p, msec["time_series_lam"], msec["time_series_nu"],
+                                     **drive)
         return [timeseries_table("modulate_timeseries", traj)]
-    rmap = mod.driven_response_map(p, cfg.lam_grid(), cfg.nu_grid(), eps=eps,
-                                   seed=seed, t_max=t_max, workers=cfg.workers)
+    rmap = mod.driven_response_map(p, cfg.lam_grid(), cfg.nu_grid(),
+                                   workers=cfg.workers, **drive)
     return [response_map_table("response_map", p, rmap)]
 
 

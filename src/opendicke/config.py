@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError("empty coupling grid")
         if np.any(np.diff(values) < 0):
             raise ConfigError("coupling grid must be sorted ascending")
+        if values[0] < 0:
+            raise ConfigError(f"couplings must be >= 0, got {values[0]:g}")
         return values
 
     def nu_grid(self) -> np.ndarray:
@@ -119,8 +121,13 @@ def _require(name: str, values: dict, key: str, ok, wanted: str) -> None:
         raise ConfigError(f"[{name}] {key} must be {wanted}, got {values[key]:g}")
 
 
-def _positive(value: float) -> bool:
-    return value > 0.0
+#: shortest time span (t_max, tau_span) a run may ask for: at 5e-324 its
+#: samples collide, and at 1e-300 LSODA stalls at its smallest step
+MIN_SPAN = 1.0 / MAX_MAGNITUDE
+
+
+def _long_enough(value: float) -> bool:
+    return value >= MIN_SPAN
 
 
 def _section_floats(cp: configparser.ConfigParser, name: str) -> dict:
@@ -219,20 +226,22 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
             _require("grid", cfg.grid, key,
                      lambda v, least=least: v.is_integer() and v >= least,
                      f"an integer >= {least}")
-        _require("grid", cfg.grid, "tau_span", _positive, "> 0")
+        _require("grid", cfg.grid, "tau_span", _long_enough, f">= {MIN_SPAN:g}")
     if cp.has_section("modulation"):
         cfg.modulation = _section_floats(cp, "modulation")
-        _require("modulation", cfg.modulation, "t_max", _positive, "> 0")
+        _require("modulation", cfg.modulation, "t_max", _long_enough, f">= {MIN_SPAN:g}")
         # a deeper drive or a larger seed starts the cell off the Bloch sphere
         _require("modulation", cfg.modulation, "eps", lambda v: 0.0 < v < 0.2,
                  "in (0, 0.2)")
         _require("modulation", cfg.modulation, "seed", lambda v: abs(v) < 0.5,
                  "below 1/2 in magnitude")
+        _require("modulation", cfg.modulation, "time_series_lam", lambda v: v >= 0.0,
+                 ">= 0")
     if cp.has_section("evolve"):
         cfg.evolve = _section_floats(cp, "evolve")
         _require("evolve", cfg.evolve, "samples",
                  lambda v: v.is_integer() and v >= 1, "an integer >= 1")
-        _require("evolve", cfg.evolve, "t_max", _positive, "> 0")
+        _require("evolve", cfg.evolve, "t_max", _long_enough, f">= {MIN_SPAN:g}")
     if cp.has_section("figure"):
         cfg.figure_id = cp["figure"].get("id", "").strip() or None
     return cfg

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .fluctuations import dynamical_matrix, hp_coefficients
+from .fluctuations import dynamical_matrix, hp_coefficients, stability
 from .meanfield import MeanFieldState, critical_coupling, operating_point
 from .params import DickeParams
 
@@ -137,8 +137,9 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
 
     ``m`` is the dynamical matrix at the operating point; omitted, the
     operating point is resolved from the parameters (trivial state for
-    lam' = 0, Newton-continued state otherwise).  A dynamically unstable
-    generator is rejected as threshold proximity.
+    lam' = 0, Newton-continued state otherwise).  A generator that
+    ``fluctuations.stability`` finds unstable is refused as threshold
+    proximity; a marginal one passes.
     """
     if m is None:
         _, m = _resolve_operating_point(p)
@@ -147,8 +148,7 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
         # vanishes (the undriven atomic moments are conserved, so the
         # matrix is singular)
         return MomentVector(np.zeros(10, dtype=complex))
-    growth = float(np.max(np.linalg.eigvals(m).real))
-    if growth > 1e-12 * max(p.omega, p.kappa, p.omega0):
+    if stability(m, p.omega0) == "unstable":
         raise ThresholdError("fluctuation dynamics is not stable at this point")
     a, b = regression_generator(m)
     try:
@@ -235,11 +235,9 @@ def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
     <c+(t+tau) c(t)> = -2k sum_kl Q_k R_l e^{mu_k tau} / (mu_k + mu_l)
 
     with P_k = V_1k (V^-1)_k1, Q_k = V_2k (V^-1)_k1, R_l = V_1l (V^-1)_l2.
+    M has passed ``steady_moments``' stability check.
     """
     mu, v = np.linalg.eig(m)
-    scale = float(np.max(np.abs(mu)))
-    if np.max(mu.real) > 1e-12 * scale:
-        raise ThresholdError("correlators require a stable fluctuation matrix")
     v_inv = np.linalg.inv(v)
     p_k = v[0, :] * v_inv[:, 0]
     q_k = v[1, :] * v_inv[:, 0]

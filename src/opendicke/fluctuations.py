@@ -13,11 +13,11 @@ appears as a negative imaginary part, matching the plotted spectra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .meanfield import MeanFieldState, branch_walk, critical_coupling, operating_point
 from .params import DickeParams
@@ -98,6 +98,20 @@ def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
     ], dtype=complex)
 
 
+def stability(m: np.ndarray, omega0: float) -> str:
+    """"stable", "unstable" or "marginal" by the largest growth rate Re mu of M.
+
+    A growth rate within 1e-12 omega0 of zero is marginal: at lam = 1e-6
+    omega0 on the canonical operating point the normal phase grows at
+    +1.1e-16 omega0 from rounding alone.
+    """
+    growth = float(np.max(np.linalg.eigvals(m).real))
+    tol = 1e-12 * omega0
+    if growth < -tol:
+        return "stable"
+    return "unstable" if growth > tol else "marginal"
+
+
 @dataclass
 class ExcitationSpectrum:
     """Eigenfrequencies omega_k = i*mu_k of the dynamical matrix.
@@ -166,7 +180,6 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         m = dynamical_matrix(hp_coefficients(ss, q), q)
         mu, vecs = np.linalg.eig(m)
         freqs = 1j * mu
-        vecs = vecs / np.linalg.norm(vecs, axis=0)
         if prev_vecs is None:
             # anchor: order deterministically; the polariton branch starts
             # as the mode closest to the bare atomic frequency +omega0
@@ -175,14 +188,12 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
             pol_index = int(np.argmin(np.abs(freqs - p.omega0)))
         else:
             overlap = np.abs(prev_vecs.conj().T @ vecs)
-            row, col = linear_sum_assignment(-overlap)
-            perm = np.empty(4, dtype=int)
-            perm[row] = col
+            perm = _best_permutation(-overlap)
             freqs, vecs = freqs[perm], vecs[:, perm]
-            if np.min(overlap[row, col]) < 0.99:
+            if np.min(overlap[_ROWS, perm]) < 0.99:
                 # eigenvectors coalesce where the soft pair collides; fall
                 # back to frequency continuity across the degeneracy
-                swap = _refine_by_frequency(prev_freqs, freqs)
+                swap = _best_permutation(np.abs(freqs[None, :] - prev_freqs[:, None]))
                 freqs, vecs = freqs[swap], vecs[:, swap]
         freqs_out[i] = freqs
         prev_vecs, prev_freqs = vecs, freqs
@@ -191,12 +202,14 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     return TrackedSpectrum(lam_grid, freqs_out, pol_index)
 
 
-def _refine_by_frequency(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    cost = np.abs(cur[None, :] - prev[:, None])
-    row, col = linear_sum_assignment(cost)
-    perm = np.empty(4, dtype=int)
-    perm[row] = col
-    return perm
+_ROWS = np.arange(4)
+#: the 24 orderings of the four modes, in lexicographic order
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+
+
+def _best_permutation(cost: np.ndarray) -> np.ndarray:
+    """The ordering perm minimizing sum_i cost[i, perm[i]] of a 4x4 cost matrix."""
+    return _PERMUTATIONS[np.argmin(cost[_ROWS, _PERMUTATIONS].sum(axis=1))]
 
 
 def soft_mode_perturbative(p: DickeParams, lam: float) -> complex:

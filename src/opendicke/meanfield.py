@@ -111,9 +111,24 @@ class Trajectory:
     states: list[MeanFieldState]
 
 
-#: most right-hand-side evaluations one ``integrate`` call may spend, about
-#: two minutes of RK45 on one core; the default ``evolve`` run needs 8e4
+#: most right-hand-side evaluations one integration may spend, read when it
+#: starts: about two minutes of RK45 on one core.  At the defaults an
+#: ``evolve`` run needs 8e4, an integrated response-map cell 5e4 to 1.3e5
+#: and a driven time series 1.8e5
 MAX_RHS_EVALS = 10 ** 7
+
+
+def _bounded(fun, *args):
+    """``fun(t, y, *args)``, raising IntegrationError past ``MAX_RHS_EVALS`` calls."""
+    evals = itertools.count(1)
+    limit = MAX_RHS_EVALS
+
+    def rhs(t, y):
+        if next(evals) > limit:
+            raise IntegrationError(f"integration stopped after {limit} "
+                                   "right-hand-side evaluations")
+        return fun(t, y, *args)
+    return rhs
 
 
 def integrate(state0: MeanFieldState, p: DickeParams, t_span,
@@ -128,19 +143,9 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     scale = max(1.0, math.sqrt(p.atom_number))
-    couplings = _couplings(p)
-    evals = itertools.count(1)
-    limit = MAX_RHS_EVALS
-
-    def rhs(t, y):
-        if next(evals) > limit:
-            raise IntegrationError(f"integration stopped after {limit} "
-                                   "right-hand-side evaluations")
-        return _rhs_vector(t, y, p, *couplings)
-
-    sol = solve_ivp(rhs, t_span, state0.as_vector(), method=method,
-                    rtol=rtol, atol=rtol * scale * 1e-2, t_eval=t_eval,
-                    dense_output=t_eval is None)
+    sol = solve_ivp(_bounded(_rhs_vector, p, *_couplings(p)), t_span,
+                    state0.as_vector(), method=method,
+                    rtol=rtol, atol=rtol * scale * 1e-2, t_eval=t_eval)
     if not sol.success:
         last = MeanFieldState.from_vector(sol.y[:, -1]) if sol.y.size else state0
         raise IntegrationError(f"integration failed: {sol.message}",
@@ -154,11 +159,9 @@ def trivial_state(p: DickeParams) -> MeanFieldState:
     return MeanFieldState(0j, 0j, -p.atom_number / 2.0)
 
 
-def superradiant_states(p: DickeParams, lam: float | None = None
-                        ) -> tuple[MeanFieldState, MeanFieldState]:
+def superradiant_states(p: DickeParams) -> tuple[MeanFieldState, MeanFieldState]:
     """Closed-form symmetry-broken steady states (lam' = 0, lam > lam_c)."""
-    lam = p.lam if lam is None else lam
-    lc = critical_coupling(p)
+    lam, lc = p.lam, critical_coupling(p)
     if lam <= lc:
         raise ValueError(f"no symmetry-broken solutions below lam_c = {lc}")
     n = p.atom_number
@@ -272,18 +275,10 @@ def branch_walk(p: DickeParams, lam_grid, bias=None):
 
 def _stability_flag(state: MeanFieldState, p: DickeParams, lam: float) -> str:
     # local import: fluctuations builds on the steady states defined here
-    from .fluctuations import dynamical_matrix, hp_coefficients
+    from .fluctuations import dynamical_matrix, hp_coefficients, stability
 
     q = p.with_coupling(lam)
-    coeffs = hp_coefficients(state, q)
-    mu = np.linalg.eigvals(dynamical_matrix(coeffs, q))
-    marginal_tol = 1e-12 * p.omega0
-    max_re = float(np.max(mu.real))
-    if max_re < -marginal_tol:
-        return "stable"
-    if max_re > marginal_tol:
-        return "unstable"
-    return "marginal"
+    return stability(dynamical_matrix(hp_coefficients(state, q), q), p.omega0)
 
 
 def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None

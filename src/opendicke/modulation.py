@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .meanfield import MeanFieldState, Trajectory, _rhs_vector, critical_coupling
+from .meanfield import (MeanFieldState, Trajectory, _bounded, _rhs_vector,
+                        critical_coupling)
 from .params import DickeParams
 
 
@@ -234,6 +235,25 @@ def _scaled_rhs(t, y, p: DickeParams, lam0: float, eps: float, nu: float):
     return _rhs_vector(t, (ar, ai, br, bi, w), p, lam, p.lam_prime, 0.5)[:4]
 
 
+def _driven_run(p: DickeParams, lam: float, nu: float, eps: float, seed: float,
+                t_eval: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """LSODA samples y(t_eval) of ``_scaled_rhs`` from y(0) = (seed, 0, seed, 0).
+
+    Bounded by ``meanfield.MAX_RHS_EVALS`` evaluations (IntegrationError).
+    """
+    sol = solve_ivp(_bounded(_scaled_rhs, p, lam, eps, nu), (0.0, float(t_eval[-1])),
+                    [seed, 0.0, seed, 0.0], method="LSODA", rtol=rtol, atol=atol,
+                    t_eval=t_eval)
+    if not sol.success:
+        raise RuntimeError(f"driven run (lam={lam}, nu={nu}) failed: {sol.message}")
+    return sol.y
+
+
+def _span(p: DickeParams, t_max: float | None) -> float:
+    """Length of a driven run, by default 2000 / omega0."""
+    return 2000.0 / p.omega0 if t_max is None else t_max
+
+
 def _linearization(p: DickeParams, lam: float, eps: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian of ``_scaled_rhs`` at the trivial state for lam' = 0.
@@ -315,18 +335,12 @@ def _near_resonance(p: DickeParams, lam: float, nu: float) -> bool:
 
 def _solve_cell(args) -> CellResponse:
     p, lam, nu, eps, seed, t_max = args
-    t_cut = 0.5 * t_max
     n_eval = 4096
-    t_eval = np.linspace(t_cut, t_max, n_eval)
+    t_eval = np.linspace(0.5 * t_max, t_max, n_eval)
     y = (_linear_response(p, lam, nu, eps, seed, t_eval)
          if p.lam_prime == 0.0 and not _near_resonance(p, lam, nu) else None)
     if y is None:
-        sol = solve_ivp(_scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
-                        method="LSODA", rtol=1e-6, atol=1e-13,
-                        t_eval=t_eval, args=(p, lam, eps, nu))
-        if not sol.success:
-            raise RuntimeError(f"cell (lam={lam}, nu={nu}) failed: {sol.message}")
-        y = sol.y
+        y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-6, atol=1e-13)
     alpha2 = y[0] ** 2 + y[1] ** 2
     re_beta = y[2]
     # stationarity: the last quarter of the run must not exceed the
@@ -354,8 +368,7 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    if t_max is None:
-        t_max = 2000.0 / p.omega0
+    t_max = _span(p, t_max)
     cells = [(p, float(lam), float(nu), eps, seed, t_max)
              for lam in lam_grid for nu in nu_grid]
     if workers > 1:
@@ -376,16 +389,9 @@ def driven_trajectory(p: DickeParams, lam: float, nu: float, eps: float = 0.02,
                       seed: float = 1e-4, t_max: float | None = None,
                       n_samples: int = 4096) -> Trajectory:
     """Scaled single-cell time series of the modulated mean-field system."""
-    if t_max is None:
-        t_max = 2000.0 / p.omega0
-    t_eval = np.linspace(0.0, t_max, n_samples)
-    sol = solve_ivp(_scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
-                    method="LSODA", rtol=1e-8, atol=1e-14,
-                    t_eval=t_eval, args=(p, lam, eps, nu))
-    if not sol.success:
-        raise RuntimeError(f"trajectory failed: {sol.message}")
-    states = [MeanFieldState(complex(sol.y[0, i], sol.y[1, i]),
-                             complex(sol.y[2, i], sol.y[3, i]),
-                             -math.sqrt(max(0.25 - sol.y[2, i] ** 2 - sol.y[3, i] ** 2, 0.0)))
-              for i in range(sol.t.size)]
-    return Trajectory(sol.t, states)
+    t_eval = np.linspace(0.0, _span(p, t_max), n_samples)
+    y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-8, atol=1e-14)
+    states = [MeanFieldState(complex(y[0, i], y[1, i]), complex(y[2, i], y[3, i]),
+                             -math.sqrt(max(0.25 - y[2, i] ** 2 - y[3, i] ** 2, 0.0)))
+              for i in range(t_eval.size)]
+    return Trajectory(t_eval, states)

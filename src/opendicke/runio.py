@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +28,11 @@ def _fmt(f: float) -> str:
     return repr(f)
 
 
-@dataclass
-class RunManifest:
-    """Provenance record emitted next to every run's outputs."""
-
-    mode: str
-    tool_version: str
-    config_hash: str
-    resolved_params: dict
-    wall_clock_s: float = 0.0
-    outputs: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "tool": "opendicke",
-            "tool_version": self.tool_version,
-            "mode": self.mode,
-            "config_hash": self.config_hash,
-            "resolved_params": self.resolved_params,
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": self.outputs,
-        }, sort_keys=True, indent=2)
-
-
 class RunWriter:
-    """Collects tables and writes CSV/JSON artifacts plus the manifest."""
+    """Collects tables and writes CSV/JSON artifacts plus the manifest.
+
+    ``manifest`` is the provenance record written next to the outputs.
+    """
 
     def __init__(self, out_dir: str, mode: str, resolved_params: dict,
                  out_format: str = "csv"):
@@ -61,17 +40,17 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.out_format = out_format
         canonical = json.dumps(resolved_params, sort_keys=True)
-        self.manifest = RunManifest(
-            mode=mode, tool_version=__version__,
-            config_hash=hashlib.sha256(canonical.encode()).hexdigest(),
-            resolved_params=resolved_params)
+        self.manifest = {
+            "tool": "opendicke", "tool_version": __version__, "mode": mode,
+            "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+            "resolved_params": resolved_params, "wall_clock_s": 0.0, "outputs": {}}
         self._t0 = time.monotonic()
 
     def _emit(self, name: str, text: str) -> None:
         """Write one output and record the sha256 of the bytes written."""
         data = text.encode()
         (self.out_dir / name).write_bytes(data)
-        self.manifest.outputs[name] = hashlib.sha256(data).hexdigest()
+        self.manifest["outputs"][name] = hashlib.sha256(data).hexdigest()
 
     def write_table(self, table: Table) -> None:
         values = np.asarray(table.rows, dtype=float)
@@ -97,9 +76,9 @@ class RunWriter:
         self._emit(name, text)
 
     def finalize(self) -> Path:
-        self.manifest.wall_clock_s = time.monotonic() - self._t0
+        self.manifest["wall_clock_s"] = time.monotonic() - self._t0
         path = self.out_dir / "manifest.json"
-        path.write_text(self.manifest.to_json() + "\n")
+        path.write_text(json.dumps(self.manifest, sort_keys=True, indent=2) + "\n")
         return path
 
 

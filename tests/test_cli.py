@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from opendicke import meanfield
 from opendicke.cli import main
 from opendicke.config import ConfigError, load_config
-from opendicke.params import map_to_dicke
+from opendicke.correlations import photon_number_closed_form
+from opendicke.params import DickeParams, map_to_dicke
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
@@ -157,6 +158,13 @@ class TestSubcommands:
         ["evolve.t_max=-1"],
         ["modulation.t_max=0"],
         ["modulation.t_max=-1"],
+        # spans below 1e-30: 5e-324 made the samples collide (a traceback),
+        # 1e-300 stalled LSODA at its smallest step
+        ["modulation.t_max=1e-300"],
+        ["modulation.t_max=5e-324"],
+        ["evolve.t_max=5e-324"],
+        ["grid.tau_span=5e-324", "grid.tau_points=64"],
+        ["modulation.time_series_lam=-1"],
         ["modulation.eps=-3"],
         ["modulation.eps=0"],
         ["modulation.eps=0.2"],
@@ -303,6 +311,37 @@ class TestSubcommands:
         header, rows = read_csv(out / "modulate_timeseries.csv")
         assert header == ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"]
         assert len(rows) > 100
+
+    @pytest.mark.parametrize("sets", [
+        ["modulation.time_series_lam=8.3", "modulation.time_series_nu=1.2"],
+        ["grid.lam_list=8.3", "grid.nu_min=1.2", "grid.nu_max=1.2", "grid.nu_points=1"],
+    ], ids=["time-series", "ridge-cell"])
+    def test_modulate_work_limit_is_numeric_failure(self, tmp_path, capsys,
+                                                    monkeypatch, sets):
+        # at the default t_max the cell spends 9e4 evaluations, the series 1.8e5
+        monkeypatch.setattr(meanfield, "MAX_RHS_EVALS", 10 ** 4)
+        out = tmp_path / "o"
+        rc = main(["modulate", "--out", str(out), *DICKE_SETS,
+                   *[arg for s in sets for arg in ("--set", s)]])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: integration stopped after 10000 "
+                       "right-hand-side evaluations\n")
+        assert not list(out.glob("*.csv"))
+
+    def test_photon_flux_of_the_marginal_normal_phase(self, tmp_path):
+        # at lam = 1e-6 rounding alone makes the normal phase grow at
+        # +1e-16 omega0; the moment guard passes it as marginal
+        out = tmp_path / "o"
+        rc = main(["photon-flux", "--out", str(out), *DICKE_SETS,
+                   "--set", "grid.lam_list=1e-6 1e-4"])
+        assert rc == 0
+        _, rows = read_csv(out / "photon_flux.csv")
+        p = DickeParams(300.0, 1.0, 5.0, 0.0, 200.0, 1e5)
+        assert [lam for lam, _ in rows] == [1e-6, 1e-4]
+        for lam, flux in rows:
+            closed = 2.0 * p.kappa * photon_number_closed_form(p, lam)
+            assert flux == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 class TestDeterminism:
@@ -500,6 +539,36 @@ def _evolve_items():
             lambda odd: [i for group in items for i in group] + odd))
 
 
+#: one driven (lam, nu): a one-cell response map or a time series; t_max
+#: never exceeds 50, a fortieth of the default run
+FUZZ_DRIVE_KEYS = ["modulation.eps", "modulation.seed", "dicke.lam_prime", "dicke.lam"]
+FUZZ_DRIVE_NUMBERS = ["0.02", "0.1", "0.199", "0.2", "0", "-0.01", "1e-4", "0.49",
+                      "0.5", "1e-300", "3", "8.3", "12"]
+FUZZ_DRIVE_T_MAX = ["50", "10", "1", "1e-3", "1e-300", "0", "-1"]
+#: explicit tau grids of at most 256 points
+FUZZ_TAU_KEYS = ["grid.tau_span", "dicke.lam", "dicke.lam_prime"]
+FUZZ_TAU_POINTS = ["2", "3", "17", "256", "1", "0", "-3", "2.5"]
+
+
+def _items(keys, numbers, extra, malformed_keys):
+    """One to three items (``extra`` is a strategy for more), then at most one malformed item."""
+    def item(keys, values):
+        return st.builds(lambda k, v: f"{k}={v}", st.sampled_from(keys), values)
+
+    valid = item(keys, numbers) | extra
+    malformed = (item(malformed_keys, st.sampled_from(FUZZ_MALFORMED))
+                 | st.builds(lambda k, v: f"{k}{v}", st.sampled_from(keys), numbers))
+    return st.lists(valid, min_size=1, max_size=3).flatmap(
+        lambda items: st.lists(malformed, max_size=1).map(lambda odd: items + odd))
+
+
+def _driven_cell(series: bool, lam: float, nu: float) -> list[str]:
+    if series:
+        return [f"modulation.time_series_lam={lam!r}", f"modulation.time_series_nu={nu!r}"]
+    return [f"grid.lam_list={lam!r}", f"grid.nu_min={nu!r}", f"grid.nu_max={nu!r}",
+            "grid.nu_points=1"]
+
+
 def _run_quietly(argv):
     """Exit code, stderr and the trajectory rows (None without a table) of a run."""
     err = io.StringIO()
@@ -554,3 +623,42 @@ class TestFailureContract:
         _assert_exit_contract(argv, rc, text)
         if rc == 0:
             assert rows[0][6] == pytest.approx(0.25e10, rel=1e-6), (argv, rows[0])
+
+    @settings(max_examples=80, deadline=timedelta(seconds=20), database=None)
+    @given(cell=st.builds(_driven_cell, st.booleans(), st.floats(-12.0, 15.0),
+                          st.floats(-0.5, 3.0)),
+           items=_items(FUZZ_DRIVE_KEYS,
+                        st.sampled_from(FUZZ_DRIVE_NUMBERS) | st.floats(-1.0, 1.0).map(repr),
+                        st.sampled_from(FUZZ_DRIVE_T_MAX).map(lambda v: f"modulation.t_max={v}")
+                        | st.floats(0.0, 50.0).map(lambda v: f"modulation.t_max={v!r}"),
+                        FUZZ_DRIVE_KEYS + ["modulation.t_max", "modulation.bogus"]))
+    # a run of 1e9 / omega0 that only the work limit stops, on the ridge
+    @example(cell=_driven_cell(True, 8.3, 1.2), items=["modulation.t_max=1e9"])
+    @example(cell=_driven_cell(False, 8.3, 1.2), items=["modulation.t_max=1e9"])
+    # a map row below -lam_c took the resonance formula's square root of a
+    # negative number
+    @example(cell=_driven_cell(False, -11.0, 1.0), items=[])
+    def test_fuzzed_modulate_keeps_the_exit_contract(self, cell, items):
+        """As above for ``modulate``, on one cell or one time series.
+
+        The work limit is lowered as for ``evolve``.
+        """
+        argv = ["modulate", *DICKE_SETS, "--set", "modulation.t_max=50",
+                *[arg for item in [*cell, *items] for arg in ("--set", item)]]
+        with mock.patch.object(meanfield, "MAX_RHS_EVALS", 10 ** 5):
+            rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=80, deadline=timedelta(seconds=20), database=None)
+    @given(items=_items(FUZZ_TAU_KEYS, st.sampled_from(FUZZ_NUMBERS)
+                        | st.floats(-1e3, 1e3).map(repr),
+                        st.sampled_from(FUZZ_TAU_POINTS).map(lambda v: f"grid.tau_points={v}"),
+                        FUZZ_TAU_KEYS + ["grid.tau_points"]))
+    @example(items=["dicke.lam=0"])
+    @example(items=["dicke.lam=12", "dicke.lam_prime=0.03"])
+    def test_fuzzed_g2_keeps_the_exit_contract(self, items):
+        """As above for ``g2`` on an explicit tau grid."""
+        argv = ["g2", *DICKE_SETS, "--set", "grid.tau_span=50", "--set", "grid.tau_points=64",
+                *[arg for item in items for arg in ("--set", item)]]
+        rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)

@@ -1,12 +1,16 @@
 """Fluctuation coefficients, dynamical matrix and excitation spectra."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from opendicke import correlations as corr
 from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke.params import DickeParams
@@ -201,6 +205,54 @@ class TestSpectrum:
             else:
                 hi = mid
         assert abs(0.5 * (lo + hi) - lc) < 1e-8 * lc
+
+    def test_best_permutation_is_the_optimal_assignment(self):
+        # scipy's Hungarian solver is the oracle for the 24-ordering search
+        rng = np.random.default_rng(7)
+        for cost in rng.normal(size=(500, 4, 4)):
+            row, col = linear_sum_assignment(cost)
+            assert np.array_equal(row, np.arange(4))
+            assert np.array_equal(fl._best_permutation(cost), col)
+
+    def test_no_module_imports_scipy_optimize(self):
+        for path in Path(fl.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                assert not [n for n in names if n.startswith("scipy.optimize")], path.name
+
+
+class TestStability:
+    def test_verdicts_at_the_tolerance(self):
+        for growth, verdict in ((-2e-12, "stable"), (0.0, "marginal"),
+                                (5e-13, "marginal"), (-5e-13, "marginal"),
+                                (2e-12, "unstable")):
+            m = np.diag([growth - 1.0, growth, -3.0, -1.0]).astype(complex)
+            assert fl.stability(m, 1.0) == verdict
+            assert fl.stability(m * 10.0, 10.0) == verdict
+
+    @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
+    def test_steady_moments_refuse_exactly_the_unstable_states(self, lam_prime):
+        # the steady-state flags and the moment guard are one verdict
+        p = params(lam_prime=lam_prime)
+        lc = mfd.critical_coupling(p)
+        branch = mfd.steady_states(p, np.linspace(0.0, 1.6, 13) * lc)
+        flags = []
+        for lam, found in zip(branch.lam_grid.tolist(), branch.states):
+            q = p.with_coupling(lam)
+            for state, flag in found:
+                flags.append(flag)
+                m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+                if flag == "unstable":
+                    with pytest.raises(corr.ThresholdError):
+                        corr.steady_moments(q, m)
+                else:
+                    assert np.all(np.isfinite(corr.steady_moments(q, m).values))
+        assert "stable" in flags and (lam_prime or "unstable" in flags)
 
 
 class TestPerturbativeSoftMode:
