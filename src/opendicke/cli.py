@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -18,9 +19,9 @@ from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
 from .config import MODES, ConfigError, RunConfig, load_config
-from .figures import (FIGURE_IDS, G2_FFT_HEADER, MissingPhysicalParams, Table,
-                      branch_table, g2_fft_rows, reproduce_figure,
-                      response_map_table, spectrum_table, timeseries_table)
+from .figures import (G2_FFT_HEADER, Table, branch_table, g2_fft_rows,
+                      reproduce_figure, response_map_table, spectrum_table,
+                      timeseries_table)
 from .fluctuations import ValidityError
 from .params import ParameterError
 from .runio import RunWriter, plot_script
@@ -122,12 +123,7 @@ def _run_modulate(cfg: RunConfig) -> list[Table]:
 
 
 def _run_reproduce_figure(cfg: RunConfig) -> list[Table]:
-    fig_id = cfg.figure_id
-    if not fig_id:
-        raise ConfigError("reproduce-figure needs a figure id (fig1..fig5)")
-    if fig_id not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {fig_id!r}; valid: {FIGURE_IDS}")
-    return reproduce_figure(fig_id, physical=cfg.physical, workers=cfg.workers)
+    return reproduce_figure(cfg.figure_id, physical=cfg.physical, workers=cfg.workers)
 
 
 _RUNNERS = {
@@ -198,22 +194,19 @@ def main(argv=None) -> int:
         overrides.append("run.plots=true")
     if getattr(args, "figure", None):
         overrides.append(f"figure.id={args.figure}")
+    # warnings are held back, so that a failure stays one line
     try:
-        cfg = load_config(args.config, overrides)
-    except (ConfigError, ParameterError) as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            run(load_config(args.config, overrides))
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        run(cfg)
-    except (ConfigError, MissingPhysicalParams, ParameterError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (corr.ThresholdError, mfd.ConvergenceError, mfd.IntegrationError,
-            ValidityError, RuntimeError, np.linalg.LinAlgError,
+    except (RuntimeError, ValidityError, np.linalg.LinAlgError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return 0
 
 

@@ -3,14 +3,17 @@
 A run is described by a [run] section (mode, output directory, formats),
 one of [dicke] or [physical] for the model parameters, and optional [grid],
 [modulation], [evolve] and [figure] sections consumed by the individual
-modes.  Command line flags override file values.
+modes.  ``SECTIONS`` lists every section, its keys and the rule each
+number must pass; the [dicke] and [physical] keys are the fields of the
+parameter dataclasses.  Command line flags override file values.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,21 +27,6 @@ FORMATS = ("csv", "json", "both")
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-_DICKE_KEYS = ("omega", "omega0", "lam", "lam_prime", "kappa", "atom_number")
-_PHYSICAL_KEYS = ("pump_cavity_detuning", "dispersive_shift", "pump_coupling",
-                  "atom_number", "condensate_length", "cavity_length",
-                  "trap_displacement", "cavity_wavevector", "atom_mass",
-                  "kappa", "hbar", "max_displacement_fraction")
-_PHYSICAL_OPTIONAL = ("hbar", "max_displacement_fraction")
-_RUN_KEYS = ("mode", "out", "format", "plots", "workers")
-_GRID_KEYS = ("lam_list", "lam_min", "lam_max", "lam_points",
-              "nu_min", "nu_max", "nu_points", "tau_span", "tau_points")
-_MODULATION_KEYS = ("eps", "t_max", "seed", "time_series_lam", "time_series_nu")
-_EVOLVE_KEYS = ("t_max", "samples", "alpha0_re", "alpha0_im",
-                "beta0_re", "beta0_im", "w0")
-_FIGURE_KEYS = ("id",)
 
 
 @dataclass
@@ -112,32 +100,69 @@ def _parse_float(where: str, raw: str) -> float:
     return value
 
 
-def _parse_float_list(where: str, text: str) -> list[float]:
-    return [_parse_float(where, tok) for tok in text.replace(",", " ").split()]
-
-
-def _require(name: str, values: dict, key: str, ok, wanted: str) -> None:
-    if key in values and not ok(values[key]):
-        raise ConfigError(f"[{name}] {key} must be {wanted}, got {values[key]:g}")
-
-
 #: shortest time span (t_max, tau_span) a run may ask for: at 5e-324 its
 #: samples collide, and at 1e-300 LSODA stalls at its smallest step
 MIN_SPAN = 1.0 / MAX_MAGNITUDE
 
+#: most points a count may ask for (and most cells of a response map): the
+#: grids and the map's cell list are built whole before any work starts
+MAX_POINTS = 2 ** 20
 
-def _long_enough(value: float) -> bool:
-    return value >= MIN_SPAN
+#: a key read as text, not as a number
+TEXT = "text"
 
 
-def _section_floats(cp: configparser.ConfigParser, name: str) -> dict:
+def _count(least: int) -> tuple:
+    return (lambda v: v.is_integer() and least <= v <= MAX_POINTS,
+            f"an integer in [{least}, {MAX_POINTS}]")
+
+
+_SPAN = (lambda v: v >= MIN_SPAN, f">= {MIN_SPAN:g}")
+
+
+#: every section and its keys; a numeric key maps to its rule, None (any
+#: finite number) or a (check, wanted) pair.  The model keys are the fields
+#: of the parameter dataclasses, whose own checks apply.
+SECTIONS = {
+    "run": dict.fromkeys(("mode", "out", "format", "plots", "workers"), TEXT),
+    "dicke": dict.fromkeys(f.name for f in fields(DickeParams)),
+    "physical": dict.fromkeys(f.name for f in fields(PhysicalParams)),
+    "grid": {"lam_list": None, "lam_min": None, "lam_max": None,
+             "lam_points": _count(1), "nu_min": None, "nu_max": None,
+             "nu_points": _count(1), "tau_span": _SPAN, "tau_points": _count(2)},
+    "modulation": {
+        # a deeper drive or a larger seed starts the cell off the Bloch sphere
+        "eps": (lambda v: 0.0 < v < 0.2, "in (0, 0.2)"),
+        "t_max": _SPAN,
+        "seed": (lambda v: abs(v) < 0.5, "below 1/2 in magnitude"),
+        "time_series_lam": (lambda v: v >= 0.0, ">= 0"),
+        "time_series_nu": None},
+    "evolve": {"t_max": _SPAN, "samples": _count(1), "alpha0_re": None,
+               "alpha0_im": None, "beta0_re": None, "beta0_im": None, "w0": None},
+    "figure": {"id": TEXT},
+}
+
+
+def _section_values(cp: configparser.ConfigParser, name: str) -> dict:
+    """The numbers of one section, each checked against its rule."""
+    if name not in SECTIONS:
+        raise ConfigError(f"unknown section [{name}]; valid: {list(SECTIONS)}")
+    rules = SECTIONS[name]
+    unknown = set(cp[name]) - set(rules)
+    if unknown:
+        raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}")
     out: dict = {}
     for key, raw in cp[name].items():
-        where = f"[{name}] {key}"
+        rule, where = rules[key], f"[{name}] {key}"
+        if rule is TEXT:
+            continue
         if key.endswith("_list"):
-            out[key] = _parse_float_list(where, raw)
-        else:
-            out[key] = _parse_float(where, raw)
+            out[key] = [_parse_float(where, tok)
+                        for tok in raw.replace(",", " ").split()]
+            continue
+        out[key] = value = _parse_float(where, raw)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{where} must be {rule[1]}, got {value:g}")
     return out
 
 
@@ -177,71 +202,42 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 def build_config(cp: configparser.ConfigParser) -> RunConfig:
     if not cp.has_section("run"):
         raise ConfigError("missing [run] section")
-    for name, known in (("run", _RUN_KEYS), ("dicke", _DICKE_KEYS),
-                        ("physical", _PHYSICAL_KEYS), ("grid", _GRID_KEYS),
-                        ("modulation", _MODULATION_KEYS),
-                        ("evolve", _EVOLVE_KEYS), ("figure", _FIGURE_KEYS)):
-        unknown = set(cp[name]) - set(known) if cp.has_section(name) else ()
-        if unknown:
-            raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}")
+    values = {name: _section_values(cp, name) for name in cp.sections()}
     run = cp["run"]
-    mode = run.get("mode", "").strip()
     try:
         cfg = RunConfig(
-            mode=mode,
+            mode=run.get("mode", "").strip(),
             out_dir=run.get("out", "./out").strip(),
             out_format=run.get("format", "csv").strip(),
             plots=run.getboolean("plots", fallback=False),
             workers=run.getint("workers", fallback=1),
+            grid=values.get("grid", {}),
+            modulation=values.get("modulation", {}),
+            evolve=values.get("evolve", {}),
+            figure_id=cp.get("figure", "id", fallback="").strip() or None,
         )
     except ValueError as exc:
         raise ConfigError(f"[run]: {exc}") from exc
 
-    if cp.has_section("dicke"):
-        values = _section_floats(cp, "dicke")
-        missing = set(_DICKE_KEYS) - set(values)
+    for name, cls in (("dicke", DickeParams), ("physical", PhysicalParams)):
+        if name not in values:
+            continue
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = required - values[name].keys()
         if missing:
-            raise ConfigError(f"[dicke]: missing keys {sorted(missing)}")
+            raise ConfigError(f"[{name}]: missing keys {sorted(missing)}")
+        types = get_type_hints(cls)
         try:
-            cfg.dicke = DickeParams(**values)
+            setattr(cfg, name, cls(**{k: types[k](v) for k, v in values[name].items()}))
         except ParameterError as exc:
-            raise ConfigError(f"[dicke]: {exc}") from exc
+            raise ConfigError(f"[{name}]: {exc}") from exc
 
-    if cp.has_section("physical"):
-        values = _section_floats(cp, "physical")
-        missing = set(_PHYSICAL_KEYS) - set(_PHYSICAL_OPTIONAL) - set(values)
-        if missing:
-            raise ConfigError(f"[physical]: missing keys {sorted(missing)}")
-        values["atom_number"] = int(values["atom_number"])
-        try:
-            cfg.physical = PhysicalParams(**values)
-        except ParameterError as exc:
-            raise ConfigError(f"[physical]: {exc}") from exc
-
-    if cp.has_section("grid"):
-        cfg.grid = _section_floats(cp, "grid")
-        if len({"tau_span", "tau_points"} & cfg.grid.keys()) == 1:
-            raise ConfigError("[grid]: give tau_span and tau_points together")
-        for key, least in (("lam_points", 1), ("nu_points", 1), ("tau_points", 2)):
-            _require("grid", cfg.grid, key,
-                     lambda v, least=least: v.is_integer() and v >= least,
-                     f"an integer >= {least}")
-        _require("grid", cfg.grid, "tau_span", _long_enough, f">= {MIN_SPAN:g}")
-    if cp.has_section("modulation"):
-        cfg.modulation = _section_floats(cp, "modulation")
-        _require("modulation", cfg.modulation, "t_max", _long_enough, f">= {MIN_SPAN:g}")
-        # a deeper drive or a larger seed starts the cell off the Bloch sphere
-        _require("modulation", cfg.modulation, "eps", lambda v: 0.0 < v < 0.2,
-                 "in (0, 0.2)")
-        _require("modulation", cfg.modulation, "seed", lambda v: abs(v) < 0.5,
-                 "below 1/2 in magnitude")
-        _require("modulation", cfg.modulation, "time_series_lam", lambda v: v >= 0.0,
-                 ">= 0")
-    if cp.has_section("evolve"):
-        cfg.evolve = _section_floats(cp, "evolve")
-        _require("evolve", cfg.evolve, "samples",
-                 lambda v: v.is_integer() and v >= 1, "an integer >= 1")
-        _require("evolve", cfg.evolve, "t_max", _long_enough, f">= {MIN_SPAN:g}")
-    if cp.has_section("figure"):
-        cfg.figure_id = cp["figure"].get("id", "").strip() or None
+    grid = cfg.grid
+    if len({"tau_span", "tau_points"} & grid.keys()) == 1:
+        raise ConfigError("[grid]: give tau_span and tau_points together")
+    couplings = len(grid["lam_list"]) if "lam_list" in grid else grid.get("lam_points", 1)
+    cells = couplings * grid.get("nu_points", 1)
+    if cells > MAX_POINTS:
+        raise ConfigError(f"[grid]: {cells:.0f} response-map cells (couplings times "
+                          f"nu_points), above {MAX_POINTS}")
     return cfg

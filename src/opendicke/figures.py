@@ -16,6 +16,7 @@ import numpy as np
 from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
+from .config import ConfigError
 from .fluctuations import spectrum_sweep
 from .params import DickeParams, PhysicalParams, density_profile, map_to_dicke
 
@@ -59,10 +60,6 @@ CANONICAL_PHYSICAL = dict(
     atom_mass=2.0 * math.pi ** 2,
     kappa=200.0,
 )
-
-
-class MissingPhysicalParams(ValueError):
-    """A figure panel requires the physical trap geometry."""
 
 
 def base_params(atom_number: float = 1e5, lam: float = 0.0,
@@ -232,15 +229,18 @@ def figure5_tables(physical: PhysicalParams) -> list[Table]:
     return tables
 
 
-def reproduce_figure(fig_id: str, physical: PhysicalParams | None = None,
+def reproduce_figure(fig_id: str | None, physical: PhysicalParams | None = None,
                      workers: int = 1) -> list[Table]:
     """All data tables of the named figure at canonical parameters.
 
-    fig5's displaced-trap panels (b)-(d) need the physical trap geometry;
-    without it no table is produced and MissingPhysicalParams is raised.
+    A missing or unknown id, and fig5 without the physical trap geometry
+    that its displaced-trap panels (b)-(d) need, raise ConfigError before
+    any table is computed.
     """
+    if not fig_id:
+        raise ConfigError("reproduce-figure needs a figure id (fig1..fig5)")
     if fig_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {fig_id!r}; pick one of {FIGURE_IDS}")
+        raise ConfigError(f"unknown figure id {fig_id!r}; valid: {FIGURE_IDS}")
     if fig_id == "fig1":
         return figure1_tables()
     if fig_id == "fig2":
@@ -250,7 +250,7 @@ def reproduce_figure(fig_id: str, physical: PhysicalParams | None = None,
     if fig_id == "fig4":
         return figure4_tables(workers=workers)
     if physical is None:
-        raise MissingPhysicalParams(
+        raise ConfigError(
             "fig5 panels (b)-(d) need a [physical] parameter block "
             "(see configs/fig5_physical.ini for the canonical geometry)")
     return figure5_tables(physical)

@@ -37,7 +37,6 @@ class RunWriter:
     def __init__(self, out_dir: str, mode: str, resolved_params: dict,
                  out_format: str = "csv"):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.out_format = out_format
         canonical = json.dumps(resolved_params, sort_keys=True)
         self.manifest = {
@@ -46,10 +45,16 @@ class RunWriter:
             "resolved_params": resolved_params, "wall_clock_s": 0.0, "outputs": {}}
         self._t0 = time.monotonic()
 
+    def _write(self, name: str, text: str) -> bytes:
+        """Write one file, creating the directory at the first write."""
+        data = text.encode()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.out_dir / name).write_bytes(data)
+        return data
+
     def _emit(self, name: str, text: str) -> None:
         """Write one output and record the sha256 of the bytes written."""
-        data = text.encode()
-        (self.out_dir / name).write_bytes(data)
+        data = self._write(name, text)
         self.manifest["outputs"][name] = hashlib.sha256(data).hexdigest()
 
     def write_table(self, table: Table) -> None:
@@ -77,9 +82,9 @@ class RunWriter:
 
     def finalize(self) -> Path:
         self.manifest["wall_clock_s"] = time.monotonic() - self._t0
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.manifest, sort_keys=True, indent=2) + "\n")
-        return path
+        self._write("manifest.json",
+                    json.dumps(self.manifest, sort_keys=True, indent=2) + "\n")
+        return self.out_dir / "manifest.json"
 
 
 PLOT_PREAMBLE = """\

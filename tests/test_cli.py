@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -17,12 +20,14 @@ from hypothesis import strategies as st
 
 from opendicke import meanfield
 from opendicke.cli import main
-from opendicke.config import ConfigError, load_config
-from opendicke.correlations import photon_number_closed_form
+from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
+from opendicke.correlations import photon_number_closed_form, two_time_correlations
+from opendicke.figures import CANONICAL_PHYSICAL
 from opendicke.params import DickeParams, map_to_dicke
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
+README = REPO / "README.md"
 
 DICKE_SETS = [
     "--set", "dicke.omega=300", "--set", "dicke.omega0=1",
@@ -42,6 +47,15 @@ def write_config(tmp_path: Path, text: str) -> str:
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     return str(cfg)
+
+
+def run_cli(argv):
+    """Exit code and stderr of the CLI in a fresh interpreter, warnings as a user sees them."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src") + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "opendicke.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 class TestConfigParsing:
@@ -69,6 +83,27 @@ class TestConfigParsing:
             "lam = 0\nlam_prime = 0\nkappa = 200\natom_number = 1e5\n")
         cfg = load_config(path, overrides=["dicke.kappa=100"])
         assert cfg.dicke.kappa == 100.0
+
+    def test_counts_up_to_max_points_accepted(self):
+        # parsed only; no grid of this size is built
+        cfg = load_config(None, ["run.mode=modulate", f"grid.lam_points={MAX_POINTS}",
+                                 "grid.nu_points=1", "grid.tau_span=50",
+                                 f"grid.tau_points={MAX_POINTS}",
+                                 f"evolve.samples={MAX_POINTS}"])
+        assert cfg.grid["lam_points"] == cfg.grid["tau_points"] == MAX_POINTS
+        assert cfg.evolve["samples"] == MAX_POINTS
+
+    def test_readme_names_every_config_key(self):
+        text = README.read_text()
+        config_format = text[text.index("## Config format"):]
+        config_format = config_format[:config_format.index("\n## ", 1)]
+        physical_ini = FIG5_CONFIG.read_text()
+        for section, keys in SECTIONS.items():
+            assert f"[{section}]" in config_format, section
+            for key in keys:
+                named = re.compile(rf"(?<![\w.]){key}(?!\w)")
+                assert named.search(config_format) or (
+                    section == "physical" and named.search(physical_ini)), f"{section}.{key}"
 
 
 class TestSubcommands:
@@ -173,6 +208,15 @@ class TestSubcommands:
         ["dicke.kappa=1e31"],
         ["run.outt=x"],
         ["figure.ids=fig1"],
+        # a misspelt section
+        ["modulate.t_max=1e-300"],
+        [f"grid.lam_points={MAX_POINTS + 1}"],
+        [f"grid.nu_points={MAX_POINTS + 1}"],
+        ["grid.tau_span=50", f"grid.tau_points={MAX_POINTS + 1}"],
+        [f"evolve.samples={MAX_POINTS + 1}"],
+        # 2048 x 1024 response-map cells
+        ["grid.lam_min=1", "grid.lam_max=2", "grid.lam_points=2048",
+         "grid.nu_min=1", "grid.nu_max=2", "grid.nu_points=1024"],
     ], ids=" ".join)
     def test_invalid_input_is_one_line_config_failure(self, tmp_path, capsys, sets):
         # refused while the configuration is built, before any solver runs
@@ -342,6 +386,43 @@ class TestSubcommands:
         for lam, flux in rows:
             closed = 2.0 * p.kappa * photon_number_closed_form(p, lam)
             assert flux == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["steady-state", *DICKE_SETS], 2),
+        (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=5 1"], 2),
+        (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5"], 2),
+        (["evolve", *DICKE_SETS, "--set", "evolve.beta0_re=6e4"], 2),
+        (["reproduce-figure", "fig9"], 2),
+        (["reproduce-figure", "fig5"], 2),
+        (["g2"], 2),
+        (["g2", *DICKE_SETS, "--set", "dicke.lam=0", "--set", "grid.tau_span=50",
+          "--set", "grid.tau_points=3"], 3),
+        (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=12"], 3),
+    ], ids=["steady-state-no-grid", "spectrum-unsorted", "modulate-no-nu-grid",
+            "evolve-beta0", "fig9", "fig5-no-physical", "g2-no-model", "g2-lam-0",
+            "photon-flux-above-threshold"])
+    def test_refused_run_writes_nothing(self, tmp_path, argv, code):
+        out = tmp_path / "o"
+        rc, err = run_cli([*argv, "--out", str(out)])
+        assert rc == code
+        assert err.startswith(("configuration error:", "numerical failure:"))
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_warning_is_one_line_after_success(self, tmp_path):
+        # 17 points over 50/omega0 cannot resolve the soft mode at lam = 5
+        tau_sets = ["--set", "grid.tau_span=50", "--set", "grid.tau_points=17"]
+        out = tmp_path / "o"
+        rc, err = run_cli(["g2", *DICKE_SETS, *tau_sets, "--out", str(out)])
+        assert rc == 0
+        assert err.startswith("warning: tau grid spacing") and err.count("\n") == 1, err
+        # the table holds the correlators as computed
+        p = DickeParams(300.0, 1.0, 5.0, 0.0, 200.0, 1e5)
+        with pytest.warns(UserWarning, match="cannot resolve"):
+            series = two_time_correlations(p, np.linspace(0.0, 50.0, 17))
+        _, rows = read_csv(out / "g2.csv")
+        expected = np.column_stack([series.tau, series.g1.real, series.g1.imag, series.g2])
+        assert np.array_equal(rows, expected)
 
 
 class TestDeterminism:
@@ -562,6 +643,14 @@ def _items(keys, numbers, extra, malformed_keys):
         lambda items: st.lists(malformed, max_size=1).map(lambda odd: items + odd))
 
 
+#: ``[physical]`` items: any number, or a canonical value scaled by 1/2 to 2
+FUZZ_PHYSICAL_KEYS = [f"physical.{key}" for key in SECTIONS["physical"]]
+
+
+def _scaled_physical(key: str, factor: float) -> str:
+    return f"physical.{key}={CANONICAL_PHYSICAL[key] * factor!r}"
+
+
 def _driven_cell(series: bool, lam: float, nu: float) -> list[str]:
     if series:
         return [f"modulation.time_series_lam={lam!r}", f"modulation.time_series_nu={nu!r}"]
@@ -659,6 +748,20 @@ class TestFailureContract:
     def test_fuzzed_g2_keeps_the_exit_contract(self, items):
         """As above for ``g2`` on an explicit tau grid."""
         argv = ["g2", *DICKE_SETS, "--set", "grid.tau_span=50", "--set", "grid.tau_points=64",
+                *[arg for item in items for arg in ("--set", item)]]
+        rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=150, deadline=timedelta(seconds=20), database=None)
+    @given(items=_items(FUZZ_PHYSICAL_KEYS, st.sampled_from(FUZZ_NUMBERS)
+                        | st.floats(-1e3, 1e3).map(repr),
+                        st.builds(_scaled_physical, st.sampled_from(sorted(CANONICAL_PHYSICAL)),
+                                  st.floats(0.5, 2.0)),
+                        FUZZ_PHYSICAL_KEYS + ["physical.bogus"]))
+    @example(items=["physical.cavity_wavevector=1e300"])
+    def test_fuzzed_physical_keeps_the_exit_contract(self, items):
+        """As above for ``map-params`` on the canonical fig5 geometry."""
+        argv = ["map-params", "--config", str(FIG5_CONFIG),
                 *[arg for item in items for arg in ("--set", item)]]
         rc, text, _ = _run_quietly(argv)
         _assert_exit_contract(argv, rc, text)
