@@ -118,6 +118,13 @@ def _count(least: int) -> tuple:
 
 
 _SPAN = (lambda v: v >= MIN_SPAN, f">= {MIN_SPAN:g}")
+_INTEGER = (float.is_integer, "an integer")
+
+
+def _model_keys(cls) -> dict:
+    """A parameter dataclass's fields as keys; an ``int`` field takes integers."""
+    types = get_type_hints(cls)
+    return {f.name: _INTEGER if types[f.name] is int else None for f in fields(cls)}
 
 
 #: every section and its keys; a numeric key maps to its rule, None (any
@@ -125,8 +132,8 @@ _SPAN = (lambda v: v >= MIN_SPAN, f">= {MIN_SPAN:g}")
 #: of the parameter dataclasses, whose own checks apply.
 SECTIONS = {
     "run": dict.fromkeys(("mode", "out", "format", "plots", "workers"), TEXT),
-    "dicke": dict.fromkeys(f.name for f in fields(DickeParams)),
-    "physical": dict.fromkeys(f.name for f in fields(PhysicalParams)),
+    "dicke": _model_keys(DickeParams),
+    "physical": _model_keys(PhysicalParams),
     "grid": {"lam_list": None, "lam_min": None, "lam_max": None,
              "lam_points": _count(1), "nu_min": None, "nu_max": None,
              "nu_points": _count(1), "tau_span": _SPAN, "tau_points": _count(2)},
@@ -162,7 +169,7 @@ def _section_values(cp: configparser.ConfigParser, name: str) -> dict:
             continue
         out[key] = value = _parse_float(where, raw)
         if rule is not None and not rule[0](value):
-            raise ConfigError(f"{where} must be {rule[1]}, got {value:g}")
+            raise ConfigError(f"{where} must be {rule[1]}, got {value:.15g}")
     return out
 
 

@@ -34,6 +34,9 @@ DICKE_SETS = [
     "--set", "dicke.lam=5.0", "--set", "dicke.lam_prime=0",
     "--set", "dicke.kappa=200", "--set", "dicke.atom_number=1e5",
 ]
+#: the canonical [physical] block as overrides, all but its atom number
+PHYSICAL_SETS = [f"physical.{key}={value!r}" for key, value
+                 in CANONICAL_PHYSICAL.items() if key != "atom_number"]
 
 
 def read_csv(path: Path):
@@ -174,6 +177,24 @@ class TestSubcommands:
         assert main([*argv, "--out", str(out)]) == 2
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("value, accepted", [
+        ("100000.9", False), ("1e5", True), ("100000.0", True)])
+    def test_physical_atom_number_must_be_integral(self, tmp_path, capsys,
+                                                   value, accepted):
+        out = tmp_path / "o"
+        rc = main(["map-params", "--config", str(FIG5_CONFIG), "--out", str(out),
+                   "--set", f"physical.atom_number={value}"])
+        if accepted:
+            assert rc == 0
+            payload = json.loads((out / "dicke_params.json").read_text())
+            assert payload["atom_number"] == 100000
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "configuration error: [physical] atom_number must be an integer, "
+                "got 100000.9\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("sets", [
         ["grid.tau_span=50", "grid.tau_points=0"],
         ["grid.tau_span=50", "grid.tau_points=1"],
@@ -217,6 +238,8 @@ class TestSubcommands:
         # 2048 x 1024 response-map cells
         ["grid.lam_min=1", "grid.lam_max=2", "grid.lam_points=2048",
          "grid.nu_min=1", "grid.nu_max=2", "grid.nu_points=1024"],
+        # an atom count is an integer; it used to be truncated silently
+        [*PHYSICAL_SETS, "physical.atom_number=100000.9"],
     ], ids=" ".join)
     def test_invalid_input_is_one_line_config_failure(self, tmp_path, capsys, sets):
         # refused while the configuration is built, before any solver runs

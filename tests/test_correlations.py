@@ -1,9 +1,11 @@
 """Moment system, two-time correlators, g2 and its spectrum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from opendicke import correlations as corr
 from opendicke import fluctuations as fl
@@ -142,6 +144,50 @@ class TestTwoTimeCorrelations:
         r = corr.two_time_correlations(q, tau, method="regression")
         assert r.g2 == pytest.approx(f.g2, rel=1e-6)
         corr.two_time_correlations(q, tau, method="both")
+
+    @pytest.mark.parametrize("lam, lam_prime, n", [
+        (0.5, 0.0, 1e5), (2.0, 0.0, 1e5), (5.0, 0.0, 1e5), (9.0, 0.0, 1e5),
+        (10.3, 0.0, 1e5), (9.0, 0.025, 1e6)])
+    def test_both_passes_on_default_grid(self, lam, lam_prime, n):
+        # the full-span cross-check at its 1e-6 bound, 16384 points
+        q = params(lam=lam, lam_prime=lam_prime, n=n)
+        s = corr.two_time_correlations(q, corr.default_tau_grid(q), method="both")
+        assert s.tau.size == 2 ** 14
+
+    def test_blocked_propagation_matches_stepping(self):
+        _, m = corr._resolve_operating_point(params(lam=6.0))
+        step = corr._propagator(m, 0.05)
+        v = np.array([1.0, 0.5 - 0.2j, 0.3j, -0.1])
+        blocked = corr._propagate(step, v, 200)
+        stepped = [v]
+        for _ in range(199):
+            stepped.append(step @ stepped[-1])
+        scale = np.max(np.abs(stepped))
+        assert np.max(np.abs(blocked - np.array(stepped))) < 1e-13 * scale
+
+    @pytest.mark.parametrize("tau", [np.linspace(5000.0, 5050.0, 201),
+                                     np.linspace(0.0, 6000.0, 3)],
+                             ids=["late-start", "three-points"])
+    def test_regression_cost_is_bounded(self, monkeypatch, tau):
+        # the propagator halves long steps and squares back, so neither a far
+        # first point nor a coarse step makes the integrator walk the span
+        nfev = []
+
+        def counted(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(corr, "solve_ivp", counted)
+        q = params(lam=6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the 3-point grid is coarse
+            f = corr.two_time_correlations(q, tau, method="frequency")
+            r = corr.two_time_correlations(q, tau, method="regression")
+        assert 0 < sum(nfev) < 10 ** 4
+        scale = max(np.max(np.abs(f.cdagc_tau)), np.max(np.abs(f.cc_tau)))
+        assert np.max(np.abs(f.cdagc_tau - r.cdagc_tau)) < 1e-6 * scale
+        assert np.max(np.abs(f.cc_tau - r.cc_tau)) < 1e-6 * scale
 
     @pytest.mark.parametrize("method", ["frequency", "regression", "both"])
     def test_negative_tau_rejected(self, method):

@@ -34,6 +34,23 @@ for name, nu, t_max in (("off_ridge", 1.6, None), ("resonant", 1.2, 200.0)):
 print(json.dumps(out))
 """
 
+#: one regression-route call on its default grid, traced as the benchmark
+#: traces the photodetection workload
+TRACED_REGRESSION = """
+import json
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from opendicke import correlations
+from opendicke.params import DickeParams
+p = DickeParams(300.0, 1.0, 2.0, 0.0, 200.0, 1e5)
+tracer.active = True
+correlations.two_time_correlations(p, correlations.default_tau_grid(p),
+                                   method="regression")
+tracer.active = False
+print(json.dumps(dict(nfev=tracer.counts["correlations.nfev"])))
+"""
+
 
 def _child(code: str) -> subprocess.CompletedProcess:
     # in a child process, so the wrappers never reach the other tests
@@ -59,3 +76,12 @@ def test_traced_cells_report_integrator_work_only_where_it_runs():
     assert kind == "DickeParams" and abs(lam_ratio - 0.8) < 1e-12 and nu == 1.6
     assert off["nfev"] == 0
     assert resonant["cells"] == 1 and resonant["nfev"] > 0
+
+
+def test_traced_regression_route_reports_bounded_integrator_work():
+    # the benchmark reads correlations.regression_rhs_evals from the
+    # module's solve_ivp binding; the propagator keeps it non-zero and small
+    proc = _child(TRACED_REGRESSION)
+    assert proc.returncode == 0, proc.stderr
+    nfev = json.loads(proc.stdout)["nfev"]
+    assert 0 < nfev < 10 ** 4
