@@ -8,7 +8,6 @@ kappa = 200 omega0 is shared by all figures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,23 +43,6 @@ FIGURE_PARAMS = {
     "fig5": dict(lam_over_lc=(0.0, 2.0), points=160, atom_number=1e5,
                  density_lam=9.0),
 }
-
-#: reference geometry for the displaced-trap panels (lengths in units of the
-#: pump wavelength, hbar = 1, so omega0 = 1): trap displacement tuned to
-#: lam'/lam = +1/120 and pump strength to lam = 9 omega0.
-CANONICAL_PHYSICAL = dict(
-    pump_cavity_detuning=-200.0,
-    dispersive_shift=0.4002241204401242,
-    pump_coupling=0.8047249101911135,
-    atom_number=100000,
-    condensate_length=40.3,
-    cavity_length=200.0,
-    trap_displacement=0.11309116782829488,
-    cavity_wavevector=2.0 * math.pi,
-    atom_mass=2.0 * math.pi ** 2,
-    kappa=200.0,
-)
-
 
 def base_params(atom_number: float = 1e5, lam: float = 0.0,
                 lam_prime: float = 0.0) -> DickeParams:

@@ -20,6 +20,7 @@ through the nonlinear equations.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -364,15 +365,19 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     A cell off the ridge that is linearly stable and stays in the linear
     regime is evaluated from its Floquet solution; any other cell
     integrates the full mean-field equations (inversion eliminated on its
-    negative root).
+    negative root).  The cells run in min(workers, cells, CPU count)
+    processes, in this one when that is 1; the result does not depend on
+    the count.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     t_max = _span(p, t_max)
     cells = [(p, float(lam), float(nu), eps, seed, t_max)
              for lam in lam_grid for nu in nu_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the executor forks all its processes at the first submit
+    processes = min(workers, len(cells), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_solve_cell, cells, chunksize=4))
     else:
         results = [_solve_cell(c) for c in cells]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -27,6 +27,9 @@ QUAD_RTOL = 1e-10
 #: closed forms square and multiply parameters in Python floats, whose ``**``
 #: raises OverflowError past about 1e154, so products of several must stay finite
 MAX_MAGNITUDE = 1e30
+
+#: |trap_displacement| must stay below this fraction of the condensate length
+MAX_DISPLACEMENT_FRACTION = 0.1
 
 
 class ParameterError(ValueError):
@@ -102,7 +105,6 @@ class PhysicalParams:
     atom_mass: float
     kappa: float
     hbar: float = 1.0
-    max_displacement_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.atom_number < 1:
@@ -117,11 +119,11 @@ class PhysicalParams:
             raise ParameterError("atom_mass must be positive")
         if self.kappa < 0:
             raise ParameterError("kappa must be >= 0")
-        limit = self.max_displacement_fraction * self.condensate_length
+        limit = MAX_DISPLACEMENT_FRACTION * self.condensate_length
         if abs(self.trap_displacement) >= limit:
             raise ParameterError(
                 f"|trap_displacement| = {abs(self.trap_displacement)} exceeds "
-                f"{self.max_displacement_fraction} * condensate_length = {limit}")
+                f"{MAX_DISPLACEMENT_FRACTION} * condensate_length = {limit}")
 
     @property
     def pump_wavelength(self) -> float:
@@ -170,16 +172,21 @@ class ModeFunctions:
 
 
 def mode_functions(p: PhysicalParams) -> ModeFunctions:
+    return _oriented_modes(p)[0]
+
+
+def _oriented_modes(p: PhysicalParams) -> tuple[ModeFunctions, float]:
+    """The mode functions and the non-negative overlap of cavity and excited mode."""
     x_left, x_right = p.support
     n = max(1, round(p.cavity_wavevector * p.condensate_length / math.pi))
     k_n = math.pi * n / p.condensate_length
     mf = ModeFunctions(x_left, x_right, n, k_n, p.condensate_length,
                        p.cavity_length, p.cavity_wavevector)
     overlap = _overlap(lambda x: mf.cavity(x) * mf.excited(x), x_left, x_right)
+    # flipping the sign of the integrand flips the sign of quad's result exactly
     if overlap < 0:
-        mf = ModeFunctions(x_left, x_right, n, k_n, p.condensate_length,
-                           p.cavity_length, p.cavity_wavevector, orientation=-1.0)
-    return mf
+        mf = replace(mf, orientation=-1.0)
+    return mf, abs(overlap)
 
 
 def _overlap(f, a: float, b: float) -> float:
@@ -209,12 +216,11 @@ def map_to_dicke(p: PhysicalParams) -> DickeParams:
         If the shifted cavity frequency comes out non-positive, which
         signals leaving the dispersive operating regime.
     """
-    mf = mode_functions(p)
+    mf, i_exc = _oriented_modes(p)
     a, b = p.support
     n_over_d = p.atom_number / p.condensate_length
 
     i_cavity2 = _overlap(lambda x: mf.cavity(x) ** 2, a, b)
-    i_exc = _overlap(lambda x: mf.cavity(x) * mf.excited(x), a, b)
     i_ground = _overlap(lambda x: mf.cavity(x) * mf.ground(x), a, b)
 
     omega = -p.pump_cavity_detuning + n_over_d * p.dispersive_shift * i_cavity2

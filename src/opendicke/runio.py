@@ -1,8 +1,10 @@
 """Deterministic data emission: CSV/JSON tables, run manifest, plot scripts.
 
-Identical runs must produce byte-identical data files; floats are written
-with shortest round-trip formatting and the manifest records a sha256
-checksum per output so reproducibility is checkable after the fact.
+Identical runs must produce byte-identical data files.  Every number is
+written one way, as Python's shortest round-trip ``repr`` of its float64
+value: a CSV cell carries the same text as the same value in a JSON table,
+and integral values carry ".0".  The manifest records a sha256 checksum
+per output so reproducibility is checkable after the fact.
 """
 
 from __future__ import annotations
@@ -20,12 +22,6 @@ from .figures import Table
 
 class NonFiniteValue(RuntimeError):
     """A table holds NaN or an infinity; it is refused rather than written."""
-
-
-def _fmt(f: float) -> str:
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
 
 
 class RunWriter:
@@ -67,7 +63,7 @@ class RunWriter:
         rows = values.tolist()
         if self.out_format in ("csv", "both"):
             lines = [",".join(table.header)]
-            lines += [",".join(map(_fmt, row)) for row in rows]
+            lines += [",".join(map(repr, row)) for row in rows]
             self._emit(f"{table.name}.csv", "\n".join(lines) + "\n")
         if self.out_format in ("json", "both"):
             payload = {"columns": table.header, "rows": rows}

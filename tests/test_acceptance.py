@@ -11,6 +11,7 @@ project notes.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from opendicke import correlations as corr
 from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
-from opendicke.figures import CANONICAL_PHYSICAL
-from opendicke.params import DickeParams, PhysicalParams, density_profile, map_to_dicke
+from opendicke.config import load_config
+from opendicke.params import DickeParams, density_profile, map_to_dicke
 
 from util import alternation_ratio, correlation_shift, loglog_slope
 
 OMEGA, KAPPA = 300.0, 200.0
+FIG5_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fig5_physical.ini"
 
 
 def params(lam=0.0, lam_prime=0.0, n=1e5):
@@ -237,7 +239,7 @@ def test_criterion_11_symmetry_breaking_steady_states():
                     abs(found.beta - target.beta) / n, abs(found.w - target.w) / n)
     closed_ok = worst < 1e-9
     # the two bias signs select density patterns half a pump wavelength apart
-    phys = PhysicalParams(**CANONICAL_PHYSICAL)
+    phys = load_config(str(FIG5_CONFIG)).physical
     dk = map_to_dicke(phys)
     ratio = abs(dk.lam_prime / dk.lam)
     x = np.linspace(*phys.support, 4001)

@@ -22,8 +22,9 @@ from opendicke import meanfield
 from opendicke.cli import main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
-from opendicke.figures import CANONICAL_PHYSICAL
+from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
+from opendicke.runio import RunWriter
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
@@ -34,6 +35,10 @@ DICKE_SETS = [
     "--set", "dicke.lam=5.0", "--set", "dicke.lam_prime=0",
     "--set", "dicke.kappa=200", "--set", "dicke.atom_number=1e5",
 ]
+#: the canonical fig5 geometry: the keys FIG5_CONFIG sets in [physical]
+CANONICAL_PHYSICAL = {key: value for key, value
+                      in vars(load_config(str(FIG5_CONFIG)).physical).items()
+                      if key != "hbar"}
 #: the canonical [physical] block as overrides, all but its atom number
 PHYSICAL_SETS = [f"physical.{key}={value!r}" for key, value
                  in CANONICAL_PHYSICAL.items() if key != "atom_number"]
@@ -240,6 +245,9 @@ class TestSubcommands:
          "grid.nu_min=1", "grid.nu_max=2", "grid.nu_points=1024"],
         # an atom count is an integer; it used to be truncated silently
         [*PHYSICAL_SETS, "physical.atom_number=100000.9"],
+        # the displacement bound is a constant, not a key
+        [*PHYSICAL_SETS, "physical.atom_number=100000",
+         "physical.max_displacement_fraction=0.2"],
     ], ids=" ".join)
     def test_invalid_input_is_one_line_config_failure(self, tmp_path, capsys, sets):
         # refused while the configuration is built, before any solver runs
@@ -462,6 +470,52 @@ class TestDeterminism:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
         assert m1["config_hash"] == m2["config_hash"]
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+#: finite float64 values that a number format can get wrong: signed zeros,
+#: integral values on either side of 1e15 and 1e16, subnormals
+EDGE_VALUES = [0.0, -0.0, 1.0, -50000.0, 1e15 - 1, 1e15, 1e15 + 1, -1e15,
+               1e16 - 2, 1e16, 1e16 + 2, -1e16, 2.0 ** 60, 5e-324, -5e-324,
+               2.2250738585072014e-308 / 3, 0.1, 1 / 3, 1.7976931348623157e308]
+
+
+class TestNumberFormat:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from(EDGE_VALUES)
+                 | st.integers(-2 ** 62, 2 ** 62).map(float)
+                 | st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=width, max_size=width), min_size=1, max_size=6)))
+    def test_csv_and_json_write_every_number_one_way(self, rows):
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = RunWriter(tmp, "test", {}, out_format="both")
+            writer.write_table(Table("t", header, rows))
+            csv_lines = (Path(tmp) / "t.csv").read_text().splitlines()
+            payload = json.loads((Path(tmp) / "t.json").read_text())
+        assert csv_lines[0] == ",".join(header)
+        parsed = [[float(cell) for cell in line.split(",")] for line in csv_lines[1:]]
+        assert np.array_equal(_bits(parsed), _bits(rows))
+        assert np.array_equal(_bits(payload["rows"]), _bits(rows))
+        for line, row in zip(csv_lines[1:], payload["rows"], strict=True):
+            assert line == ",".join(json.dumps(value) for value in row)
+
+    def test_steady_state_csv_and_json_agree_cell_for_cell(self, tmp_path):
+        # across lam_c = 10.4083: zero fields, stability flags, both branches
+        out = tmp_path / "o"
+        assert main(["steady-state", "--out", str(out), "--format", "both", *DICKE_SETS,
+                     "--set", "grid.lam_min=0", "--set", "grid.lam_max=14",
+                     "--set", "grid.lam_points=15"]) == 0
+        lines = (out / "steady_states.csv").read_text().splitlines()
+        payload = json.loads((out / "steady_states.json").read_text())
+        assert lines[0].split(",") == payload["columns"]
+        cells = [line.split(",") for line in lines[1:]]
+        assert cells == [[json.dumps(value) for value in row] for row in payload["rows"]]
 
 
 class TestReproduceFigure:

@@ -208,6 +208,43 @@ class TestFloquetExponents:
         mod._solve_cell(near)
         assert calls == ["LSODA"] * 4          # stable, but near the ridge
 
+    @pytest.mark.parametrize("workers, cpus, cells, started", [
+        (100000, 64, 1, None),      # one cell runs in this process
+        (100000, 64, 3, 3),         # capped by the cells
+        (100000, 2, 3, 2),          # capped by the CPU count
+        (2, 64, 3, 2),
+        (100000, 1, 3, None),
+        (1, 64, 3, None),
+    ])
+    def test_worker_processes_are_capped(self, monkeypatch, workers, cpus, cells,
+                                         started):
+        created = []
+
+        class RecordingExecutor:
+            """Records max_workers and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        lam = 0.8 * LC
+        p, nu = params(lam=lam), np.linspace(1.6, 1.8, cells)
+        serial = mod.driven_response_map(p, [lam], nu, t_max=150.0)
+        monkeypatch.setattr(mod, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(mod.os, "cpu_count", lambda: cpus)
+        rmap = mod.driven_response_map(p, [lam], nu, t_max=150.0, workers=workers)
+        assert created == ([] if started is None else [started])
+        for field in ("max_alpha2", "max_re_beta", "stabilized"):
+            assert np.array_equal(getattr(rmap, field), getattr(serial, field))
+
 
 class TestInstabilityBoundary:
     def test_resonance_at_eighty_percent(self):
