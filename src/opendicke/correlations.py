@@ -351,6 +351,8 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
     if tau.min() < 0.0:
         raise ValueError(f"tau grid reaches tau = {tau.min():g} < 0")
     steps = np.diff(tau)
+    if steps.min() <= 0.0:
+        raise ValueError("tau grid must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("tau grid must be uniform")
 
@@ -400,24 +402,6 @@ def assemble_g2(cdagc_tau, cc_tau, photon_number: float, alpha_ss: complex
     anomalous = np.abs(np.asarray(cc_tau) + alpha_ss ** 2) ** 2 - 2.0 * a2 ** 2
     g2_vals = 1.0 + np.abs(g1) ** 2 + anomalous / total ** 2
     return g1, g2_vals
-
-
-def g2(p: DickeParams, tau, alpha_ss: complex | None = None,
-       method: str = "frequency") -> CorrelationSeries:
-    """Second-order correlation g2(tau) of the output light.
-
-    ``alpha_ss`` overrides the coherent amplitude entering the dc terms;
-    by default it is resolved from the mean-field branch (zero for a
-    symmetric trap below threshold).
-    """
-    series = two_time_correlations(p, tau, method=method)
-    if alpha_ss is None or complex(alpha_ss) == series.alpha_ss:
-        return series
-    g1, g2_vals = assemble_g2(series.cdagc_tau, series.cc_tau,
-                              series.photon_number, complex(alpha_ss))
-    return CorrelationSeries(series.tau, g1, g2_vals, series.cdagc_tau,
-                             series.cc_tau, complex(alpha_ss),
-                             series.photon_number)
 
 
 def default_tau_grid(p: DickeParams, n: int = 2 ** 14,

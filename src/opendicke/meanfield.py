@@ -233,12 +233,13 @@ def operating_point(p: DickeParams) -> MeanFieldState:
     """Physical steady state at the coupling and bias of ``p``.
 
     For lam' = 0 it is the closed form: the trivial state up to lam_c and
-    the first of the symmetry-broken pair above.  Otherwise Newton starts
-    up to lam_c from the linear-response seed, the cavity field driven by
-    the bias with the atoms unexcited: alpha = -i lam' sqrt(N) / (kappa +
-    i omega).  Above lam_c that seed leads to the unstable near-trivial
-    root, so Newton starts from the symmetry-broken state that the bias
-    favours, the one whose Re beta has the sign of lam'.
+    the first of the symmetry-broken pair above.  Otherwise the physical
+    root is the one whose Re beta has the sign of lam' (the branch rule).
+    Newton starts up to lam_c from the linear-response seed, the cavity
+    field driven by the bias with the atoms unexcited: alpha = -i lam'
+    sqrt(N) / (kappa + i omega).  Above lam_c that seed leads to the
+    unstable near-trivial root, so Newton starts from the symmetry-broken
+    state that the bias favours.
     """
     above = p.lam > critical_coupling(p)
     if p.lam_prime == 0.0:
@@ -256,29 +257,29 @@ def branch_walk(p: DickeParams, lam_grid, bias=None):
     """Yield the physical branch along a sorted coupling grid, point by point.
 
     The first point is the operating point; every later one is continued
-    from its predecessor.  ``bias(lam)`` gives lam' at each coupling; by
-    default it is the fixed ``p.lam_prime``.
+    from its predecessor by ``_continue_branch``, which keeps the branch
+    rule of ``operating_point``: for lam' != 0, Re beta has the sign of
+    lam'.  ``bias(lam)`` gives lam' at each coupling; by default it is the
+    fixed ``p.lam_prime``.
     """
     if bias is None:
         def bias(_lam: float) -> float:
             return p.lam_prime
-    prev = prev_lam = None
+    state = None
     for lam in lam_grid:
         lam = float(lam)
-        if prev is None:
+        if state is None:
             state = operating_point(p.with_coupling(lam, bias(lam)))
         else:
-            state = _continue_branch(p, prev, prev_lam, lam, bias)
-        prev, prev_lam = state, lam
+            state = _continue_branch(p, state, lam, bias)
         yield state
 
 
-def _stability_flag(state: MeanFieldState, p: DickeParams, lam: float) -> str:
+def _stability_flag(state: MeanFieldState, q: DickeParams) -> str:
     # local import: fluctuations builds on the steady states defined here
     from .fluctuations import dynamical_matrix, hp_coefficients, stability
 
-    q = p.with_coupling(lam)
-    return stability(dynamical_matrix(hp_coefficients(state, q), q), p.omega0)
+    return stability(dynamical_matrix(hp_coefficients(state, q), q), q.omega0)
 
 
 def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None
@@ -287,10 +288,11 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
 
     With lam' = 0 the trivial branch is returned everywhere together with
     the pair of closed-form symmetry-broken states above threshold.  With
-    lam' != 0 the unique low-energy branch is walked by ``branch_walk``,
-    so no bifurcation appears.  If ``lam_prime_over_lam`` is given, the
-    bias scales with the coupling (both are proportional to the pump
-    strength for a fixed geometry).
+    lam' != 0 one state per coupling is returned, walked by
+    ``branch_walk``: the root whose Re beta has the sign of lam', so no
+    bifurcation appears.  If ``lam_prime_over_lam`` is given, the bias
+    scales with the coupling (both are proportional to the pump strength
+    for a fixed geometry).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
@@ -302,35 +304,33 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
         lc = critical_coupling(p)
         per_lam = []
         for lam in lam_grid.tolist():
+            q = p.with_coupling(lam)
             states = [trivial_state(p)]
             if lam > lc:
-                states += superradiant_states(p.with_coupling(lam))
-            per_lam.append([(st, _stability_flag(st, p, lam)) for st in states])
+                states += superradiant_states(q)
+            per_lam.append([(st, _stability_flag(st, q)) for st in states])
         return SteadyStateBranch(lam_grid, per_lam)
 
     def bias(lam: float) -> float:
         return p.lam_prime if lam_prime_over_lam is None else lam_prime_over_lam * lam
 
     lams = lam_grid.tolist()
-    per_lam = [[(st, _stability_flag(st, p.with_coupling(lam, bias(lam)), lam))]
+    per_lam = [[(st, _stability_flag(st, p.with_coupling(lam, bias(lam))))]
                for lam, st in zip(lams, branch_walk(p, lams, bias))]
     return SteadyStateBranch(lam_grid, per_lam)
 
 
-def _continue_branch(p: DickeParams, state: MeanFieldState, lam_from: float,
-                     lam_to: float, bias, depth: int = 0) -> MeanFieldState:
-    """One continuation step with adaptive bisection.
+def _continue_branch(p: DickeParams, state: MeanFieldState, lam_to: float,
+                     bias) -> MeanFieldState:
+    """One continuation step: Newton at ``lam_to`` seeded by ``state``.
 
-    Near the smoothed critical region the connected branch bends sharply;
-    a Newton step seeded across the bend can capture a coexisting root, so
-    steps that move the state too far are re-done in halves.
+    The result is kept if its Re beta has the sign of lam' (or lam' = 0),
+    the branch rule of ``operating_point``; otherwise, or if Newton fails,
+    the step returns ``operating_point`` at ``lam_to``.
     """
-    n = p.atom_number
-    new = newton_steady_state(p.with_coupling(lam_to, bias(lam_to)), state)
-    jump = max(abs(new.alpha - state.alpha) / math.sqrt(n),
-               abs(new.beta - state.beta) / n)
-    if jump < 0.05 or depth >= 24:
-        return new
-    lam_mid = 0.5 * (lam_from + lam_to)
-    mid = _continue_branch(p, state, lam_from, lam_mid, bias, depth + 1)
-    return _continue_branch(p, mid, lam_mid, lam_to, bias, depth + 1)
+    q = p.with_coupling(lam_to, bias(lam_to))
+    try:
+        new = newton_steady_state(q, state)
+    except ConvergenceError:
+        return operating_point(q)
+    return new if new.beta.real * q.lam_prime >= 0 else operating_point(q)

@@ -51,7 +51,7 @@ def test_criterion_2_g2_zero_delay():
     worst = 0.0
     for frac in (0.2, 0.5, 0.8, 0.95):
         q = params(lam=frac * LC)
-        series = corr.g2(q, np.linspace(0.0, 1.0, 8))
+        series = corr.two_time_correlations(q, np.linspace(0.0, 1.0, 8))
         worst = max(worst, abs(series.g2[0] - 3.0))
     assert report(2, f"g2(0) = 3 within 1e-6 (worst |dev| {worst:.2e})",
                   worst < 1e-6)

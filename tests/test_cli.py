@@ -369,6 +369,23 @@ class TestSubcommands:
         _, rows = read_csv(out / "photon_flux.csv")
         assert len(rows) == 1 and rows[0][1] > 0
 
+    def test_weak_bias_steady_state_stays_on_the_biased_branch(self, tmp_path):
+        # a weak bias on a fine grid through lam_c: every point above lam = 0
+        # is the stable root whose Re beta has the sign of lam'
+        out = tmp_path / "o"
+        rc = main(["steady-state", "--out", str(out), *DICKE_SETS,
+                   "--set", "dicke.lam=0", "--set", "dicke.lam_prime=0.0001",
+                   "--set", "grid.lam_min=0", "--set", "grid.lam_max=20",
+                   "--set", "grid.lam_points=1000"])
+        assert rc == 0
+        header, rows = read_csv(out / "steady_states.csv")
+        rows = np.array(rows)
+        lam, re_beta = rows[:, 0], rows[:, header.index("re_beta[1]")]
+        stable = rows[:, header.index("stable[bool]")]
+        assert len(rows) == 1000
+        assert np.all(stable[lam > 0] == 1.0)
+        assert np.all(re_beta[lam > 0] > 0)
+
     def test_missing_grid_is_config_failure(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["steady-state", "--out", str(out), *DICKE_SETS])

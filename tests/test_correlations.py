@@ -216,6 +216,9 @@ class TestTwoTimeCorrelations:
         q = params(lam=0.5 * LC)
         with pytest.raises(ValueError, match="uniform"):
             corr.two_time_correlations(q, np.array([0.0, 1.0, 3.0]))
+        for tau in ([0.0, 0.0], [2.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                corr.two_time_correlations(q, np.array(tau))
         with pytest.raises(ValueError, match="method"):
             corr.two_time_correlations(q, np.linspace(0, 1, 8), method="magic")
 
@@ -230,20 +233,20 @@ class TestG2:
     def test_zero_delay_value_is_three(self, frac):
         q = params(lam=frac * LC)
         tau = np.linspace(0.0, 1.0, 8)
-        s = corr.g2(q, tau)
+        s = corr.two_time_correlations(q, tau)
         assert abs(s.g2[0] - 3.0) < 1e-6
 
     def test_long_time_limit_is_one(self):
         q = params(lam=0.6 * LC)
         tau = corr.default_tau_grid(q)
-        s = corr.g2(q, tau)
+        s = corr.two_time_correlations(q, tau)
         assert s.g2[-1] == pytest.approx(1.0, abs=1e-3)
 
     def test_deterministic(self):
         q = params(lam=0.5 * LC)
         tau = np.linspace(0.0, 100.0, 256)
-        a = corr.g2(q, tau)
-        b = corr.g2(q, tau)
+        a = corr.two_time_correlations(q, tau)
+        b = corr.two_time_correlations(q, tau)
         assert np.array_equal(a.g2, b.g2)
         assert np.array_equal(a.g1, b.g1)
 
@@ -313,15 +316,6 @@ class TestG2:
         s = corr.two_time_correlations(q, tau)
         ratio = alternation_ratio(s.g2)
         assert abs(ratio - 1.0) < 0.01
-
-    def test_alpha_override(self):
-        q = params(lam=0.5 * LC)
-        tau = np.linspace(0.0, 50.0, 128)
-        base = corr.g2(q, tau)
-        overridden = corr.g2(q, tau, alpha_ss=0.3 + 0.1j)
-        assert overridden.alpha_ss == 0.3 + 0.1j
-        assert not np.array_equal(base.g2, overridden.g2)
-        assert np.array_equal(base.cdagc_tau, overridden.cdagc_tau)
 
 
 class TestDefaultTauGrid:

@@ -187,6 +187,12 @@ class TestSpectrum:
         assert sw_c.polariton_index == sw_f.polariton_index
         assert np.allclose(sw_c.polariton(), sw_f.polariton()[::2], atol=1e-9)
 
+    def test_weak_bias_sweep_has_no_growing_mode(self):
+        # the biased branch through lam_c is stable everywhere; a sweep that
+        # followed the near-trivial root would show Im omega > 0 above lam_c
+        sw = fl.spectrum_sweep(params(lam_prime=1e-4), np.linspace(0.0, 20.0, 1000))
+        assert np.all(sw.frequencies.imag <= 0.0)
+
     def test_damping_crosses_zero_at_critical_coupling(self):
         p = params()
         lc = mfd.critical_coupling(p)

@@ -1,6 +1,7 @@
 """Mean-field dynamics, steady states and the bifurcation structure."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ class TestSteadyStateBranches:
         n = p.atom_number
         assert abs(state.beta - walked.beta) < 1e-9 * n
         assert abs(state.alpha - walked.alpha) < 1e-9 * math.sqrt(n)
+
+    def test_weak_bias_walk_through_threshold_returns(self):
+        # Newton used to stall just above lam_c on this grid
+        p = DickeParams(OMEGA, 1.0, 0.0, 0.000444958725361214, KAPPA, 1e5)
+        grid = np.linspace(4.416919132207562, 18.55423870268593, 1000)
+        branch = mfd.steady_states(p, grid)
+        assert all(flag == "stable" for ((_, flag),) in branch.states)
+
+    def test_weak_bias_walk_is_the_operating_point(self):
+        # grids drawn as the branch-sweeps benchmark draws them, both signs
+        rng = random.Random(14)
+        n = 1e5
+        for _ in range(10):
+            lo, hi = rng.uniform(0.0, 5.0), rng.uniform(12.0, 20.0)
+            lam_prime = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, -2.0)
+            p = DickeParams(OMEGA, 1.0, 0.0, lam_prime, KAPPA, n)
+            grid = np.linspace(lo, hi, 200)
+            for lam, walked in zip(grid, mfd.branch_walk(p, grid)):
+                ref = mfd.operating_point(p.with_coupling(float(lam)))
+                assert abs(walked.alpha - ref.alpha) < 1e-6 * math.sqrt(n), (lam_prime, lam)
+                assert abs(walked.beta - ref.beta) < 1e-6 * n, (lam_prime, lam)
 
     def test_grid_validation(self):
         p = params()
