@@ -9,6 +9,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import asdict
@@ -158,7 +159,9 @@ def run(cfg: RunConfig) -> "RunWriter":
     return writer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="opendicke",
         description="Steady states, excitation spectra and photodetection "

@@ -9,12 +9,11 @@ Mathieu equation; parametric instability at nu = 2 omega0 sqrt(1 -
 The full response map sorts its (lam, nu) cells by the Floquet exponents of
 the unreduced mean-field equations linearized at the trivial state, found
 with Hill's method (``floquet_exponents``, which also serves the Mathieu
-reduction).  A cell away from the principal resonance whose exponents all
-decay and whose seeded response stays in the linear regime is evaluated
-from its Floquet solution.  Cells within ``RESONANCE_BAND`` of the ridge
-(the tongue among them), cells inside any other tongue, cells whose seed
-leaves the linear regime and every cell with lam' != 0 are integrated
-through the nonlinear equations.
+reduction).  A cell whose exponents all decay and whose seeded response
+stays in the linear regime is evaluated from its Floquet solution, however
+close it lies to the ridge.  Cells above threshold or inside a tongue,
+cells whose seed leaves the linear regime and every cell with lam' != 0
+are integrated through the nonlinear equations.
 """
 
 from __future__ import annotations
@@ -315,31 +314,17 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
     return y
 
 
-#: half-width, in units of omega0, of the band around the principal
-#: resonance nu = 2 omega_soft whose cells are integrated even when they are
-#: linearly stable.  At eps = 0.02 the tongue itself is 0.011 omega0 wide
-#: at 0.5 lam_c, 0.042 at 0.8 lam_c and 0.11 at 0.95 lam_c, and an
-#: integrated cell costs some 70 evaluated ones, so without the band the
-#: cost of a map row across the ridge would turn on whether one of its
-#: cells lands in the tongue.  With it, a row pays for
-#: the cells within 0.25 omega0 of the ridge (those within two steps of a
-#: 0.1 omega0 grid), wherever the grid falls, and those cells keep the
-#: integrated path's values exactly.
-RESONANCE_BAND = 0.25
-
-
-def _near_resonance(p: DickeParams, lam: float, nu: float) -> bool:
-    """True above threshold or within ``RESONANCE_BAND`` of the ridge."""
-    return (lam >= critical_coupling(p)
-            or abs(nu - instability_boundary(p, lam)) <= RESONANCE_BAND * p.omega0)
-
-
 def _solve_cell(args) -> CellResponse:
+    """Response of one (lam, nu) cell over the second half of its run.
+
+    A lam' = 0 cell is evaluated from its Floquet solution when
+    ``_linear_response`` admits it; any other cell is integrated by LSODA.
+    """
     p, lam, nu, eps, seed, t_max = args
     n_eval = 4096
     t_eval = np.linspace(0.5 * t_max, t_max, n_eval)
     y = (_linear_response(p, lam, nu, eps, seed, t_eval)
-         if p.lam_prime == 0.0 and not _near_resonance(p, lam, nu) else None)
+         if p.lam_prime == 0.0 else None)
     if y is None:
         y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-6, atol=1e-13)
     alpha2 = y[0] ** 2 + y[1] ** 2
@@ -362,12 +347,12 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     cos(nu t)]; the first half of the run is discarded as transient and
     the maxima of |alpha|^2/N and Re(beta)/N over the retained window are
     recorded.  Cells still growing at t_max are flagged as not stabilized.
-    A cell off the ridge that is linearly stable and stays in the linear
-    regime is evaluated from its Floquet solution; any other cell
-    integrates the full mean-field equations (inversion eliminated on its
-    negative root).  The cells run in min(workers, cells, CPU count)
-    processes, in this one when that is 1; the result does not depend on
-    the count.
+    A lam' = 0 cell that is linearly stable and stays in the linear regime
+    is evaluated from its Floquet solution, on the ridge as off it; any
+    other cell integrates the full mean-field equations (inversion
+    eliminated on its negative root).  The cells run in min(workers,
+    cells, CPU count) processes, in this one when that is 1; the result
+    does not depend on the count.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)

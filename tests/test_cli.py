@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opendicke import meanfield
-from opendicke.cli import main
+from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
 from opendicke.figures import Table
@@ -115,6 +115,33 @@ class TestConfigParsing:
 
 
 class TestSubcommands:
+    def test_successive_runs_share_no_arguments(self, tmp_path):
+        assert build_parser() is build_parser()
+        first, second, third = (tmp_path / name for name in ("a", "b", "c"))
+        assert main(["steady-state", "--out", str(first), *DICKE_SETS,
+                     "--set", "grid.lam_min=0", "--set", "grid.lam_max=4",
+                     "--set", "grid.lam_points=3", "--workers", "2",
+                     "--format", "json", "--plots"]) == 0
+        assert main(["map-params", "--config", str(FIG5_CONFIG),
+                     "--out", str(second)]) == 0
+        # the first run's lam_min and lam_max must not complete this grid
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["steady-state", "--out", str(third), *DICKE_SETS,
+                         "--set", "grid.lam_points=2"]) == 2
+        assert "missing coupling grid" in err.getvalue()
+        assert main(["steady-state", "--out", str(third), *DICKE_SETS,
+                     "--set", "grid.lam_min=1", "--set", "grid.lam_max=2",
+                     "--set", "grid.lam_points=2"]) == 0
+        params = [json.loads((out / "manifest.json").read_text())["resolved_params"]
+                  for out in (first, second, third)]
+        assert [p["mode"] for p in params] == ["steady-state", "map-params", "steady-state"]
+        assert [p["workers"] for p in params] == [2, 1, 1]
+        assert [p["format"] for p in params] == ["json", "csv", "csv"]
+        assert "grid" not in params[1] and "dicke" not in params[1]
+        assert params[2]["grid"] == {"lam_min": 1.0, "lam_max": 2.0, "lam_points": 2}
+        assert sorted(p.name for p in third.iterdir()) == ["manifest.json",
+                                                           "steady_states.csv"]
+
     def test_map_params_emits_dicke_json(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["map-params", "--config", str(FIG5_CONFIG), "--out", str(out)])
