@@ -23,6 +23,7 @@ from .params import (MAX_MAGNITUDE, DickeParams, ParameterError, PhysicalParams,
 MODES = ("steady-state", "evolve", "spectrum", "photon-flux", "g2", "g2-map",
          "modulate", "map-params", "reproduce-figure")
 FORMATS = ("csv", "json", "both")
+FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 
 class ConfigError(ValueError):
@@ -225,6 +226,18 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"[run]: {exc}") from exc
+
+    if cfg.mode == "reproduce-figure":
+        # a figure runs at its canonical parameters; only fig5 reads the trap
+        # geometry of a [physical] section
+        unread = {"dicke", "grid", "modulation", "evolve"}
+        if cfg.figure_id in FIGURE_IDS and cfg.figure_id != "fig5":
+            unread.add("physical")
+        given = [f"[{name}]" for name in cp.sections() if name in unread]
+        if given:
+            figure = f" {cfg.figure_id}" if cfg.figure_id else ""
+            raise ConfigError(f"reproduce-figure{figure} runs at canonical parameters "
+                              f"and reads no {' or '.join(given)} section")
 
     for name, cls in (("dicke", DickeParams), ("physical", PhysicalParams)):
         if name not in values:

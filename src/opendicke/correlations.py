@@ -20,8 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._solvers import solve_ivp
 from .fluctuations import dynamical_matrix, hp_coefficients, stability
 from .meanfield import MeanFieldState, critical_coupling, operating_point
 from .params import DickeParams

@@ -15,11 +15,9 @@ import numpy as np
 from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
-from .config import ConfigError
+from .config import FIGURE_IDS, ConfigError
 from .fluctuations import spectrum_sweep
 from .params import DickeParams, PhysicalParams, density_profile, map_to_dicke
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 #: shared dispersive operating point (frequencies in units of omega0)
 BASE = dict(omega=300.0, omega0=1.0, kappa=200.0)

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._solvers import solve_ivp
 from .params import DickeParams
 
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._solvers import solve_ivp
 from .meanfield import (MeanFieldState, Trajectory, _bounded, _rhs_vector,
                         critical_coupling)
 from .params import DickeParams
@@ -362,6 +361,7 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     # the executor forks all its processes at the first submit
     processes = min(workers, len(cells), os.cpu_count() or 1)
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_solve_cell, cells, chunksize=4))
     else:

@@ -15,11 +15,11 @@ the pump wavelength 2*pi/G.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+
+from ._solvers import quad
 
 QUAD_RTOL = 1e-10
 
@@ -190,12 +190,8 @@ def _oriented_modes(p: PhysicalParams) -> tuple[ModeFunctions, float]:
 
 
 def _overlap(f, a: float, b: float) -> float:
-    # the oscillatory integrands sit at the roundoff limit of the requested
-    # tolerance; the results are verified against brute-force quadrature in
-    # the test suite, so the tolerance-not-achieved warning is noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, epsabs=0.0, epsrel=QUAD_RTOL, limit=400)
+    # ``quad`` ignores its tolerance-not-achieved warning (see ``_solvers``)
+    val, _ = quad(f, a, b, epsabs=0.0, epsrel=QUAD_RTOL, limit=400)
     return val
 
 

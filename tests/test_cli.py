@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
@@ -57,12 +58,16 @@ def write_config(tmp_path: Path, text: str) -> str:
     return str(cfg)
 
 
-def run_cli(argv):
-    """Exit code and stderr of the CLI in a fresh interpreter, warnings as a user sees them."""
+def python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with the package's sources on its path."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src") + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-m", "opendicke.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(argv):
+    """Exit code and stderr of the CLI in a fresh interpreter, warnings as a user sees them."""
+    proc = python("-m", "opendicke.cli", *argv)
     return proc.returncode, proc.stderr
 
 
@@ -73,6 +78,14 @@ class TestConfigParsing:
         dk = map_to_dicke(cfg.physical)
         assert dk.lam == pytest.approx(9.0, abs=1e-9)
         assert dk.lam_prime * 120 == pytest.approx(dk.lam, abs=1e-9)
+
+    def test_fig5_mapping_raises_no_warning(self):
+        # stricter than ``-W error::scipy.integrate.IntegrationWarning``, which
+        # the interpreter ignores: it reads -W before site-packages is on the path
+        physical = load_config(str(FIG5_CONFIG)).physical
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            map_to_dicke(physical)
 
     def test_unknown_mode_rejected(self, tmp_path):
         path = write_config(tmp_path, "[run]\nmode = frobnicate\n")
@@ -619,6 +632,64 @@ class TestReproduceFigure:
     def test_unknown_figure_id(self, tmp_path):
         rc = main(["reproduce-figure", "fig9", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    # a figure runs at its canonical parameters; only fig5 reads [physical]
+    @pytest.mark.parametrize("fig_id, item", [
+        (fig_id, item) for fig_id in ("fig1", "fig2", "fig3", "fig4", "fig5")
+        for item in ("dicke.kappa=50", "grid.lam_points=3", "modulation.eps=0.05",
+                     "evolve.samples=5", "physical.kappa=200")
+        if (fig_id, item) != ("fig5", "physical.kappa=200")])
+    def test_unread_section_refused(self, tmp_path, capsys, fig_id, item):
+        section = item.split(".")[0]
+        config = ["--config", str(FIG5_CONFIG)] if fig_id == "fig5" else []
+        out = tmp_path / "x"
+        rc = main(["reproduce-figure", fig_id, *config, "--set", item, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert f"[{section}]" in err[0]
+        assert not out.exists()
+
+
+#: modules that a run which integrates nothing must not load
+COSTLY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg",
+          "concurrent.futures.process")
+
+
+def costly_modules_after(statements: str, *argv: str) -> set:
+    """The COSTLY modules loaded once ``statements`` ran in a fresh interpreter."""
+    proc = python("-c", f"{statements}\nimport sys\n"
+                        f"print(*(m for m in {COSTLY!r} if m in sys.modules))", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+RUN_MAIN = "import sys\nfrom opendicke.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+class TestColdStart:
+    """A fresh process imports SciPy's integrators only when it integrates."""
+
+    def test_import_and_config_load_no_scipy(self):
+        loaded = costly_modules_after(
+            "import sys\nimport opendicke.cli\nfrom opendicke.config import load_config\n"
+            "load_config(sys.argv[1])", str(FIG5_CONFIG))
+        assert loaded == set()
+
+    def test_spectrum_integrates_nothing(self, tmp_path):
+        loaded = costly_modules_after(
+            RUN_MAIN, "spectrum", *DICKE_SETS, "--set", "grid.lam_list=1 2",
+            "--out", str(tmp_path / "spectrum"))
+        assert not loaded & {"scipy.integrate", "scipy.linalg"}
+
+    def test_tongue_cell_reaches_the_integrator(self, tmp_path):
+        # 0.8 lam_c at nu = 1.2 lies inside the first tongue, so LSODA runs
+        loaded = costly_modules_after(
+            RUN_MAIN, "modulate", *DICKE_SETS, "--set", "grid.lam_list=8.326663997864532",
+            "--set", "grid.nu_min=1.2", "--set", "grid.nu_max=1.2",
+            "--set", "grid.nu_points=1", "--set", "modulation.t_max=100",
+            "--out", str(tmp_path / "modulate"))
+        assert "scipy.integrate" in loaded
 
 
 #: canonical figure settings shrunk so that every bundle runs in seconds

@@ -1,11 +1,13 @@
 """Physical-parameter mapping, mode functions and density profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+from opendicke import _solvers
 from opendicke.meanfield import MeanFieldState
 from opendicke.params import (ParameterError, PhysicalParams, density_profile,
                               map_to_dicke, mode_functions)
@@ -112,6 +114,30 @@ class TestMapToDicke:
     def test_rejects_large_displacement(self):
         with pytest.raises(ParameterError, match="displacement"):
             build(d=5.0)
+
+
+class TestQuadShim:
+    """``_solvers.quad`` is SciPy's ``quad`` with only IntegrationWarning hidden."""
+
+    @staticmethod
+    def oscillatory(x):
+        return np.sin(50 * x) ** 2 / (x + 1e-3)
+
+    def test_same_result_without_the_warning(self):
+        with pytest.warns(IntegrationWarning):
+            direct = quad(self.oscillatory, 0, 10, limit=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shimmed = _solvers.quad(self.oscillatory, 0, 10, limit=2)
+        assert shimmed == direct
+
+    def test_other_warnings_reach_the_caller(self):
+        def noisy(x):
+            warnings.warn("from the integrand", UserWarning)
+            return self.oscillatory(x)
+
+        with pytest.warns(UserWarning, match="from the integrand"):
+            _solvers.quad(noisy, 0, 10, limit=2)
 
 
 class TestDensityProfile:

@@ -1,5 +1,6 @@
 """Mathieu reduction, Floquet stability and driven response maps."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -239,7 +240,8 @@ class TestFloquetExponents:
         lam = 0.8 * LC
         p, nu = params(lam=lam), np.linspace(1.6, 1.8, cells)
         serial = mod.driven_response_map(p, [lam], nu, t_max=150.0)
-        monkeypatch.setattr(mod, "ProcessPoolExecutor", RecordingExecutor)
+        # the executor is imported where it is used, only when processes > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(mod.os, "cpu_count", lambda: cpus)
         rmap = mod.driven_response_map(p, [lam], nu, t_max=150.0, workers=workers)
         assert created == ([] if started is None else [started])
