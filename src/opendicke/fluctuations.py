@@ -113,22 +113,6 @@ def stability(m: np.ndarray, omega0: float) -> str:
 
 
 @dataclass
-class ExcitationSpectrum:
-    """Eigenfrequencies omega_k = i*mu_k of the dynamical matrix.
-
-    ``frequencies`` is deterministically sorted by (|Re|, Im).
-    """
-
-    frequencies: np.ndarray
-
-
-def spectrum(m: np.ndarray) -> ExcitationSpectrum:
-    """Exact eigenfrequencies of a 4x4 fluctuation matrix."""
-    freqs = 1j * np.linalg.eigvals(m)
-    return ExcitationSpectrum(freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))])
-
-
-@dataclass
 class TrackedSpectrum:
     """Branch-tracked eigenfrequencies along a coupling sweep.
 

@@ -1,19 +1,19 @@
-"""Parametric response to a modulated pump: Mathieu reduction and full maps.
+"""Parametric response to a modulated pump: Floquet stability and driven maps.
 
 Modulating the pump power modulates the coupling, lam(t) = lam (1 + eps
-cos(nu t)).  With the cavity adiabatically eliminated (kappa >> omega0) the
-atomic coherence obeys a single nonlinear equation whose linearization is a
-Mathieu equation; parametric instability at nu = 2 omega0 sqrt(1 -
-(lam/lam_c)^2) marks twice the soft-mode frequency.
+cos(nu t)).  Linearized at the trivial state, the four-variable mean-field
+equations read y' = (A0 + A1 cos(nu t)) y (``_linearization``), and their
+Floquet exponents, found with Hill's method (``floquet_exponents``), are
+the one Floquet model here.  The soft polariton pair of A0 oscillates at
+omega0 sqrt(1 - (lam/lam_c)^2); the principal parametric resonance at
+twice that frequency (``instability_boundary``) opens an unstable tongue.
 
-The full response map sorts its (lam, nu) cells by the Floquet exponents of
-the unreduced mean-field equations linearized at the trivial state, found
-with Hill's method (``floquet_exponents``, which also serves the Mathieu
-reduction).  A cell whose exponents all decay and whose seeded response
-stays in the linear regime is evaluated from its Floquet solution, however
-close it lies to the ridge.  Cells above threshold or inside a tongue,
-cells whose seed leaves the linear regime and every cell with lam' != 0
-are integrated through the nonlinear equations.
+The response map sorts its (lam, nu) cells by those exponents.  A cell
+whose exponents all decay and whose seeded response stays in the linear
+regime is evaluated from its Floquet solution, however close it lies to
+the ridge.  Cells above threshold or inside a tongue, cells whose seed
+leaves the linear regime and every cell with lam' != 0 are integrated
+through the nonlinear equations.
 """
 
 from __future__ import annotations
@@ -28,68 +28,6 @@ from ._solvers import solve_ivp
 from .meanfield import (MeanFieldState, Trajectory, _bounded, _rhs_vector,
                         critical_coupling)
 from .params import DickeParams
-
-
-@dataclass(frozen=True)
-class ModulationConfig:
-    """Drive modulation and the derived Mathieu parameters.
-
-    The reduced oscillator in scaled time t~ = omega0 t reads
-    u'' + [A - 2 eps~ cos((nu/omega0) t~)] u = 0 with A = 1 - (lam/lam_c)^2
-    and eps~ = (lam/lam_c)^2 eps.
-    """
-
-    lam: float
-    eps: float
-    nu: float
-    omega0: float
-    lam_c: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 0.2:
-            raise ValueError(f"modulation depth must be in (0, 0.2), got {self.eps}")
-        if self.nu <= 0:
-            raise ValueError("modulation frequency must be positive")
-
-    @property
-    def mathieu_a(self) -> float:
-        return 1.0 - (self.lam / self.lam_c) ** 2
-
-    @property
-    def eps_tilde(self) -> float:
-        return (self.lam / self.lam_c) ** 2 * self.eps
-
-
-@dataclass
-class FloquetResult:
-    """Floquet exponent and monodromy of the reduced Mathieu oscillator.
-
-    ``mu`` is per scaled time; Re(mu) > 0 flags parametric instability.
-    The reduced system is Hamiltonian, so det(monodromy) = 1.
-    """
-
-    mu: complex
-    monodromy: np.ndarray
-    unstable: bool
-
-
-def adiabatic_beta_rhs(beta: complex, lam_t: float, p: DickeParams) -> complex:
-    """Atomic equation after adiabatic elimination of the cavity.
-
-    d beta/dt = -i omega0 beta + 4 i lam(t)^2 omega/(omega^2+kappa^2)
-                * sqrt(1/4 - |beta|^2) * (beta + beta*)
-
-    beta here is the per-atom coherence (|beta| <= 1/2); the inversion has
-    been eliminated on its stable, negative branch.
-    """
-    if p.kappa / p.omega0 <= 10.0:
-        raise ValueError("adiabatic elimination requires kappa/omega0 > 10")
-    b2 = abs(beta) ** 2
-    if b2 > 0.25:
-        raise ValueError(f"|beta| = {math.sqrt(b2)} left the Bloch sphere")
-    gain = 4.0 * lam_t ** 2 * p.omega / (p.omega ** 2 + p.kappa ** 2)
-    return (-1j * p.omega0 * beta
-            + 1j * gain * math.sqrt(0.25 - b2) * (beta + beta.conjugate()))
 
 
 class FloquetError(RuntimeError):
@@ -125,15 +63,18 @@ def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
                       ) -> FloquetModes:
     """Floquet exponents and vectors of y' = (A0 + A1 cos(nu t)) y.
 
-    Hill's method: y = exp(mu t) sum_n c_n exp(i n nu t) turns the periodic
-    system into the eigenproblem mu c_n = (A0 - i n nu) c_n + A1 (c_{n-1} +
-    c_{n+1}) / 2, truncated at |n| <= H, a block-tridiagonal matrix of size
-    d(2H+1) (Hill, Acta Math. 8, 1 (1886); Deconinck & Kutz, J. Comput.
-    Phys. 219, 296 (2006)).  Each exponent appears once per harmonic shift;
-    the copy whose harmonic weight is centred closest to n = 0 is kept.
-    H starts at ``harmonics`` and doubles, up to 64, while a kept vector
-    reaches the outermost harmonics.  Raises FloquetError when d distinct,
-    resolved exponents are not found.
+    A0 and A1 are the trivial-state linearization of the driven mean-field
+    equations (``_linearization``).  Hill's method: y = exp(mu t) sum_n c_n
+    exp(i n nu t) turns the periodic system into the eigenproblem mu c_n =
+    (A0 - i n nu) c_n + A1 (c_{n-1} + c_{n+1}) / 2, truncated at |n| <= H,
+    a block-tridiagonal matrix of size d(2H+1) (Hill, Acta Math. 8, 1
+    (1886); Deconinck & Kutz, J. Comput. Phys. 219, 296 (2006)).  Each
+    exponent appears once per harmonic shift; the copy whose harmonic
+    weight is centred closest to n = 0 is kept.  H starts at ``harmonics``
+    and doubles, up to 64, while a kept vector reaches the outermost
+    harmonics.  Raises FloquetError when d distinct, resolved exponents are
+    not found.  The kept exponents sum to tr A0 modulo i nu (Liouville's
+    identity), -2 kappa for ``_linearization``.
     """
     a0 = np.asarray(a0, dtype=complex)
     while True:
@@ -175,26 +116,6 @@ def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int
                            f"{d} distinct Floquet exponents")
     vectors = vec_all[:, chosen].T.reshape(d, size, d)
     return FloquetModes(mu_all[chosen], vectors)
-
-
-def mathieu_floquet(cfg: ModulationConfig) -> FloquetResult:
-    """Monodromy matrix and Floquet exponent over one modulation period."""
-    a = cfg.mathieu_a
-    et = cfg.eps_tilde
-    freq = cfg.nu / cfg.omega0
-    period = 2.0 * math.pi / freq
-    modes = floquet_exponents(np.array([[0.0, 1.0], [-a, 0.0]]),
-                              np.array([[0.0, 0.0], [2.0 * et, 0.0]]), freq)
-    v0 = modes.vectors.sum(axis=1).T       # columns: Floquet vectors at t = 0
-    monodromy = (v0 * np.exp(modes.mu * period)) @ np.linalg.inv(v0)
-    monodromy = monodromy.real
-    det = float(np.linalg.det(monodromy))
-    if abs(det - 1.0) > 1e-8:
-        raise RuntimeError(f"monodromy determinant {det} deviates from 1")
-    top = modes.mu[np.argmax(modes.mu.real)]
-    mu = complex(top.real, math.remainder(top.imag, freq))
-    unstable = abs(np.trace(monodromy)) / 2.0 > 1.0
-    return FloquetResult(mu, monodromy, unstable)
 
 
 def instability_boundary(p: DickeParams, lam: float) -> float:

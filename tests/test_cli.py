@@ -1,6 +1,7 @@
 """Command-line surface: configs, outputs, manifests, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opendicke import meanfield
+from opendicke import figures, meanfield
 from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
@@ -125,6 +126,17 @@ class TestConfigParsing:
                 named = re.compile(rf"(?<![\w.]){key}(?!\w)")
                 assert named.search(config_format) or (
                     section == "physical" and named.search(physical_ini)), f"{section}.{key}"
+
+    def test_readme_names_only_code_that_exists(self):
+        # `module.name` must resolve in opendicke.<module>; a `section.key`
+        # config reference such as `modulation.eps` is not code
+        modules = [path.stem for path in (REPO / "src" / "opendicke").glob("*.py")]
+        cited = set(re.findall(rf"`({'|'.join(modules)})\.(\w+)`", README.read_text()))
+        assert cited
+        for module, name in sorted(cited):
+            if name not in SECTIONS.get(module, ()):
+                assert hasattr(importlib.import_module(f"opendicke.{module}"), name), \
+                    f"{module}.{name}"
 
 
 class TestSubcommands:
@@ -479,6 +491,8 @@ class TestSubcommands:
         (["steady-state", *DICKE_SETS], 2),
         (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=5 1"], 2),
         (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5"], 2),
+        (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5", "--set", "grid.nu_min=0",
+          "--set", "grid.nu_max=1", "--set", "grid.nu_points=3"], 2),
         (["evolve", *DICKE_SETS, "--set", "evolve.beta0_re=6e4"], 2),
         (["reproduce-figure", "fig9"], 2),
         (["reproduce-figure", "fig5"], 2),
@@ -487,7 +501,7 @@ class TestSubcommands:
           "--set", "grid.tau_points=3"], 3),
         (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=12"], 3),
     ], ids=["steady-state-no-grid", "spectrum-unsorted", "modulate-no-nu-grid",
-            "evolve-beta0", "fig9", "fig5-no-physical", "g2-no-model", "g2-lam-0",
+            "modulate-nu-0", "evolve-beta0", "fig9", "fig5-no-physical", "g2-no-model", "g2-lam-0",
             "photon-flux-above-threshold"])
     def test_refused_run_writes_nothing(self, tmp_path, argv, code):
         out = tmp_path / "o"
@@ -729,8 +743,6 @@ class TestPlotScripts:
             "fig4", "fig5"])
     def test_plot_script_named_by_figure_or_single_table(self, tmp_path, monkeypatch,
                                                          argv, scripts):
-        from opendicke import figures
-
         for fig_id, reduced in FIGURE_REDUCTIONS.items():
             monkeypatch.setitem(figures.FIGURE_PARAMS, fig_id,
                                 dict(figures.FIGURE_PARAMS[fig_id], **reduced))
@@ -843,6 +855,13 @@ def _scaled_physical(key: str, factor: float) -> str:
     return f"physical.{key}={CANONICAL_PHYSICAL[key] * factor!r}"
 
 
+FUZZ_PHYSICAL_ITEMS = _items(
+    FUZZ_PHYSICAL_KEYS, st.sampled_from(FUZZ_NUMBERS) | st.floats(-1e3, 1e3).map(repr),
+    st.builds(_scaled_physical, st.sampled_from(sorted(CANONICAL_PHYSICAL)),
+              st.floats(0.5, 2.0)),
+    FUZZ_PHYSICAL_KEYS + ["physical.bogus"])
+
+
 def _driven_cell(series: bool, lam: float, nu: float) -> list[str]:
     if series:
         return [f"modulation.time_series_lam={lam!r}", f"modulation.time_series_nu={nu!r}"]
@@ -945,15 +964,22 @@ class TestFailureContract:
         _assert_exit_contract(argv, rc, text)
 
     @settings(max_examples=150, deadline=timedelta(seconds=20), database=None)
-    @given(items=_items(FUZZ_PHYSICAL_KEYS, st.sampled_from(FUZZ_NUMBERS)
-                        | st.floats(-1e3, 1e3).map(repr),
-                        st.builds(_scaled_physical, st.sampled_from(sorted(CANONICAL_PHYSICAL)),
-                                  st.floats(0.5, 2.0)),
-                        FUZZ_PHYSICAL_KEYS + ["physical.bogus"]))
+    @given(items=FUZZ_PHYSICAL_ITEMS)
     @example(items=["physical.cavity_wavevector=1e300"])
     def test_fuzzed_physical_keeps_the_exit_contract(self, items):
         """As above for ``map-params`` on the canonical fig5 geometry."""
         argv = ["map-params", "--config", str(FIG5_CONFIG),
                 *[arg for item in items for arg in ("--set", item)]]
         rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=20), database=None)
+    @given(items=FUZZ_PHYSICAL_ITEMS)
+    def test_fuzzed_fig5_keeps_the_exit_contract(self, items):
+        """As above for ``reproduce-figure fig5`` at its reduced point count."""
+        argv = ["reproduce-figure", "fig5", "--config", str(FIG5_CONFIG),
+                *[arg for item in items for arg in ("--set", item)]]
+        reduced = dict(figures.FIGURE_PARAMS["fig5"], **FIGURE_REDUCTIONS["fig5"])
+        with mock.patch.dict(figures.FIGURE_PARAMS, fig5=reduced):
+            rc, text, _ = _run_quietly(argv)
         _assert_exit_contract(argv, rc, text)

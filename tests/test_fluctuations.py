@@ -160,13 +160,6 @@ class TestDynamicalMatrix:
 
 
 class TestSpectrum:
-    def test_sorted_deterministically(self):
-        p = params(lam=5.0)
-        m = fl.dynamical_matrix(fl.hp_coefficients(mfd.trivial_state(p), p), p)
-        sp = fl.spectrum(m)
-        key = list(zip(np.abs(sp.frequencies.real), sp.frequencies.imag))
-        assert key == sorted(key)
-
     def test_polariton_continues_from_bare_atom(self):
         p = params()
         lc = mfd.critical_coupling(p)

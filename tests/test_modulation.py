@@ -1,4 +1,9 @@
-"""Mathieu reduction, Floquet stability and driven response maps."""
+"""Floquet stability of the full linearization and driven response maps.
+
+The reduced Mathieu oscillator's claims (soft-mode frequency, principal
+tongue, slow modulation, resonance scan) are asserted on the exponents of
+``modulation._linearization``, the one Floquet model.
+"""
 
 import concurrent.futures
 import math
@@ -24,98 +29,65 @@ def params(lam=0.0, lam_prime=0.0, n=1e5):
 LC = mfd.critical_coupling(params())
 
 
+def max_rate(frac, nu):
+    """Largest Re mu of the full linearization at lam = frac lam_c, eps = 0.02."""
+    modes = mod.floquet_exponents(*mod._linearization(params(), frac * LC, 0.02), nu)
+    return float(np.max(modes.mu.real))
+
+
 class TestAdiabaticEquation:
+    """What adiabatic elimination (kappa >> omega0) predicts, on the full kernel."""
+
     def test_origin_is_fixed_point(self):
-        assert mod.adiabatic_beta_rhs(0j, 5.0, params()) == 0
+        rates = mod._scaled_rhs(0.7, np.zeros(4), params(), 5.0, 0.02, 1.3)
+        assert rates == [0.0] * 4
 
     def test_bare_precession_without_drive(self):
-        val = mod.adiabatic_beta_rhs(0.3 + 0j, 0.0, params())
-        assert val == pytest.approx(-1j * 0.3)
-
-    def test_bloch_sphere_guard(self):
-        with pytest.raises(ValueError, match="Bloch"):
-            mod.adiabatic_beta_rhs(0.6 + 0j, 5.0, params())
-
-    def test_adiabatic_regime_guard(self):
-        slow_cavity = DickeParams(300.0, 1.0, 5.0, 0.0, 5.0, 1e5)
-        with pytest.raises(ValueError, match="adiabatic"):
-            mod.adiabatic_beta_rhs(0.1 + 0j, 5.0, slow_cavity)
+        # at lam = 0, d beta/dt = -i omega0 beta and the cavity stays empty
+        rates = mod._scaled_rhs(0.7, np.array([0.0, 0.0, 0.3, 0.0]), params(),
+                                0.0, 0.02, 1.3)
+        assert rates == pytest.approx([0.0, 0.0, 0.0, -0.3], abs=1e-15)
 
     def test_linearization_reproduces_mathieu_frequency(self):
-        # the Jacobian at the origin must oscillate at omega0 sqrt(A)
-        p = params()
-        lam = 0.8 * LC
-        h = 1e-7
-
-        def rhs_vec(z):
-            val = mod.adiabatic_beta_rhs(complex(z[0], z[1]), lam, p)
-            return np.array([val.real, val.imag])
-
-        jac = np.empty((2, 2))
-        for j in range(2):
-            zp, zm = np.zeros(2), np.zeros(2)
-            zp[j], zm[j] = h, -h
-            jac[:, j] = (rhs_vec(zp) - rhs_vec(zm)) / (2 * h)
-        eigs = np.linalg.eigvals(jac)
-        a = 1.0 - (lam / LC) ** 2
-        assert np.allclose(sorted(eigs.imag), [-math.sqrt(a), math.sqrt(a)],
-                           atol=1e-5)
-        assert np.allclose(eigs.real, 0.0, atol=1e-5)
+        # the soft pair of A0 oscillates at omega0 sqrt(A), A = 1 - (lam/lam_c)^2
+        for frac in np.linspace(0.1, 0.9, 9):
+            a0, _ = mod._linearization(params(), frac * LC, 0.02)
+            soft = np.sort(np.abs(np.linalg.eigvals(a0).imag))[:2]
+            assert soft == pytest.approx([math.sqrt(1.0 - frac ** 2)] * 2, rel=1e-5)
 
 
 class TestMathieuFloquet:
-    def test_undriven_oscillator_is_stable(self):
-        cfg = mod.ModulationConfig(0.5 * LC, 1e-9, 1.0, 1.0, LC)
-        res = mod.mathieu_floquet(cfg)
-        assert not res.unstable
-        assert abs(res.mu.real) < 1e-10
+    """The soft mode's Mathieu tongue, on the full Floquet exponents.
 
-    def test_monodromy_determinant_is_one(self):
-        for nu in (0.7, 1.2, 1.9):
-            cfg = mod.ModulationConfig(0.8 * LC, 1.0 / 50.0, nu, 1.0, LC)
-            res = mod.mathieu_floquet(cfg)
-            assert abs(np.linalg.det(res.monodromy) - 1.0) < 1e-8
+    The reduced oscillator u'' + [A - 2q cos(nu t)] u = 0 has A = 1 -
+    (lam/lam_c)^2 and q = (lam/lam_c)^2 eps; the full model adds the
+    polariton damping, which narrows the tongue.
+    """
+
+    def test_undriven_oscillator_is_stable(self):
+        a0, a1 = mod._linearization(params(), 0.5 * LC, 1e-9)
+        modes = mod.floquet_exponents(a0, a1, 1.0)
+        assert np.max(modes.mu.real) < 0.0
+        assert np.allclose(np.sort(modes.mu.real), np.sort(np.linalg.eigvals(a0).real),
+                           rtol=0.0, atol=1e-9)
 
     def test_principal_resonance_is_unstable(self):
-        lam = 0.8 * LC
-        nu_res = 2.0 * math.sqrt(1.0 - (lam / LC) ** 2)
-        res = mod.mathieu_floquet(mod.ModulationConfig(lam, 1.0 / 50.0, nu_res, 1.0, LC))
-        assert res.unstable
-        assert res.mu.real > 0
+        assert max_rate(0.8, 2.0 * math.sqrt(1.0 - 0.8 ** 2)) > 0.0
 
     def test_detuned_drive_is_stable(self):
-        lam = 0.8 * LC
-        cfg = mod.ModulationConfig(lam, 1.0 / 50.0, 1.6, 1.0, LC)
-        res = mod.mathieu_floquet(cfg)
-        assert not res.unstable
-        assert abs(res.mu.real) < 1e-10
+        assert max_rate(0.8, 1.6) < 0.0
 
     def test_tongue_boundary_matches_textbook_chart(self):
-        # principal tongue of u'' + [a - 2q cos 2T] u = 0 spans a = 1 -+ q;
-        # locate the upper boundary in nu by bisection and compare
-        lam = 0.8 * LC
-        eps = 1.0 / 50.0
-        cfg0 = mod.ModulationConfig(lam, eps, 1.0, 1.0, LC)
-        a, q = cfg0.mathieu_a, cfg0.eps_tilde
-
-        def unstable(nu):
-            return mod.mathieu_floquet(
-                mod.ModulationConfig(lam, eps, nu, 1.0, LC)).unstable
-
+        # the principal tongue spans A -+ q; locate its upper edge in nu by
+        # bisection: nu_edge = 2 sqrt(A + q) + O(q^2)
+        frac = 0.8
+        a, q = 1.0 - frac ** 2, frac ** 2 * 0.02
         lo, hi = 2.0 * math.sqrt(a), 2.0 * math.sqrt(a) + 0.1
-        assert unstable(lo) and not unstable(hi)
+        assert max_rate(frac, lo) > 0.0 and max_rate(frac, hi) < 0.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if unstable(mid) else (lo, mid)
-        # nu_edge = 2 sqrt(A + q) + O(q^2)
-        expected = 2.0 * math.sqrt(a + q)
-        assert abs(0.5 * (lo + hi) - expected) < q ** 2 * 10
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            mod.ModulationConfig(1.0, 0.5, 1.0, 1.0, LC)
-        with pytest.raises(ValueError):
-            mod.ModulationConfig(1.0, 0.01, -1.0, 1.0, LC)
+            lo, hi = (mid, hi) if max_rate(frac, mid) > 0.0 else (lo, mid)
+        assert abs(0.5 * (lo + hi) - 2.0 * math.sqrt(a + q)) < q ** 2 * 10
 
 
 class TestFloquetExponents:
@@ -147,17 +119,19 @@ class TestFloquetExponents:
         short = mod.floquet_exponents(a0, a1, nu, h)
         long = mod.floquet_exponents(a0, a1, nu, 2 * h)
         assert np.max(np.abs(np.sort(short.mu.real) - np.sort(long.mu.real))) < 1e-10
+        # Liouville: the exponents sum to tr A(t) = tr A0 = -2 kappa modulo i nu
+        trace = np.trace(a0)
+        assert trace == -2.0 * KAPPA
+        for modes in (short, long):
+            assert abs(np.sum(modes.mu.real) - trace) <= 1e-12 * abs(trace)
+            assert abs(math.remainder(np.sum(modes.mu.imag), nu)) < 1e-9
 
     def test_slow_modulation_widens_the_truncation(self):
-        # at nu = 0.02 the Floquet vectors of the Mathieu oscillator spread
-        # over more than 8 harmonics; the truncation must grow, not give up
-        cfg = mod.ModulationConfig(0.8 * LC, 0.02, 0.02, 1.0, LC)
-        a, et = cfg.mathieu_a, cfg.eps_tilde
-        modes = mod.floquet_exponents(np.array([[0.0, 1.0], [-a, 0.0]]),
-                                      np.array([[0.0, 0.0], [2.0 * et, 0.0]]), 0.02)
+        # at nu = 0.02 the Floquet vectors spread over more than 8 harmonics;
+        # the truncation must grow, not give up
+        modes = mod.floquet_exponents(*mod._linearization(params(), 0.8 * LC, 0.02), 0.02)
         assert modes.vectors.shape[1] > 2 * mod.HILL_HARMONICS + 1
-        res = mod.mathieu_floquet(cfg)
-        assert not res.unstable and abs(res.mu.real) < 1e-10
+        assert np.max(modes.mu.real) < 0.0
 
     def test_fine_scan_flags_only_the_resonant_cell(self):
         # criterion 8's fine scan: only nu = 1.2 lies in the principal tongue;
@@ -274,15 +248,12 @@ class TestInstabilityBoundary:
             2.0 * soft_mode_perturbative(p, lam).real, rel=1e-4)
 
     def test_floquet_scan_peaks_at_resonance(self):
-        p = params()
-        lam = 0.7 * LC
-        eps_t = mod.ModulationConfig(lam, 1.0 / 50.0, 1.0, 1.0, LC).eps_tilde
+        frac = 0.7
+        eps_t = frac ** 2 / 50.0            # q = (lam/lam_c)^2 eps
         nu_grid = np.linspace(1.2, 1.7, 101)
-        growth = [mod.mathieu_floquet(
-            mod.ModulationConfig(lam, 1.0 / 50.0, float(nu), 1.0, LC)).mu.real
-            for nu in nu_grid]
+        growth = [max_rate(frac, float(nu)) for nu in nu_grid]
         nu_star = nu_grid[int(np.argmax(growth))]
-        assert abs(nu_star - mod.instability_boundary(p, lam)) < eps_t
+        assert abs(nu_star - mod.instability_boundary(params(), frac * LC)) < eps_t
 
 
 class TestDrivenResponse:
