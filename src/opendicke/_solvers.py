@@ -5,11 +5,17 @@ Importing ``scipy.integrate`` also loads ``scipy.special`` and
 integrate bind these two functions instead, so a run that never integrates
 (``spectrum``, ``steady-state``, ``photon-flux``, ``g2``) never pays for
 that import.  Each passes its arguments to the SciPy function unchanged.
+``load`` imports it ahead of time, for a parent about to fork workers.
 """
 
 from __future__ import annotations
 
 import warnings
+
+
+def load() -> None:
+    """Import ``scipy.integrate`` now, so that forked processes inherit it."""
+    import scipy.integrate  # noqa: F401
 
 
 def solve_ivp(*args, **kwargs):

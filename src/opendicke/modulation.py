@@ -8,10 +8,14 @@ the one Floquet model here.  The soft polariton pair of A0 oscillates at
 omega0 sqrt(1 - (lam/lam_c)^2); the principal parametric resonance at
 twice that frequency (``instability_boundary``) opens an unstable tongue.
 
+Since A0 and A1 are real, the Hill matrix is built and diagonalized in
+real arithmetic, in the trigonometric basis of the harmonics.
+
 The response map sorts its (lam, nu) cells by those exponents.  A cell
 whose exponents all decay and whose seeded response stays in the linear
 regime is evaluated from its Floquet solution, however close it lies to
-the ridge.  Cells above threshold or inside a tongue, cells whose seed
+the ridge; the solution is sampled in blocks of times, each one product
+of a harmonic table with the Floquet vectors.  Cells above threshold or inside a tongue, cells whose seed
 leaves the linear regime and every cell with lam' != 0 are integrated
 through the nonlinear equations.
 """
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _solvers
 from ._solvers import solve_ivp
 from .meanfield import (MeanFieldState, Trajectory, _bounded, _rhs_vector,
                         critical_coupling)
@@ -63,22 +68,32 @@ def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
                       ) -> FloquetModes:
     """Floquet exponents and vectors of y' = (A0 + A1 cos(nu t)) y.
 
-    A0 and A1 are the trivial-state linearization of the driven mean-field
-    equations (``_linearization``).  Hill's method: y = exp(mu t) sum_n c_n
-    exp(i n nu t) turns the periodic system into the eigenproblem mu c_n =
-    (A0 - i n nu) c_n + A1 (c_{n-1} + c_{n+1}) / 2, truncated at |n| <= H,
-    a block-tridiagonal matrix of size d(2H+1) (Hill, Acta Math. 8, 1
-    (1886); Deconinck & Kutz, J. Comput. Phys. 219, 296 (2006)).  Each
-    exponent appears once per harmonic shift; the copy whose harmonic
-    weight is centred closest to n = 0 is kept.  H starts at ``harmonics``
-    and doubles, up to 64, while a kept vector reaches the outermost
-    harmonics.  Raises FloquetError when d distinct, resolved exponents are
-    not found.  The kept exponents sum to tr A0 modulo i nu (Liouville's
-    identity), -2 kappa for ``_linearization``.
+    A0 and A1 are the real trivial-state linearization of the driven
+    mean-field equations (``_linearization``).  Hill's method: y = exp(mu t)
+    sum_n c_n exp(i n nu t) turns the periodic system into the eigenproblem
+    mu c_n = (A0 - i n nu) c_n + A1 (c_{n-1} + c_{n+1}) / 2, truncated at
+    |n| <= H, a matrix of size d(2H+1) (Hill, Acta Math. 8, 1 (1886);
+    Deconinck & Kutz, J. Comput. Phys. 219, 296 (2006)).  Since A0 and A1
+    are real, it is solved in the trigonometric basis c_0, s_k = c_k +
+    c_-k, d_k = i (c_k - c_-k), k = 1..H, where the operator is real and
+    exactly similar to the complex one; the vectors are mapped back by
+    c_+-k = (s_k -+ i d_k) / 2.  Each exponent appears once per harmonic
+    shift; the copy whose harmonic weight is centred closest to n = 0 is
+    kept.  H starts at ``harmonics`` and doubles, up to 64, while a kept
+    vector reaches the outermost harmonics.  Raises ValueError unless A0
+    and A1 are finite and real, FloquetError when d distinct, resolved
+    exponents are not found.  The kept exponents sum to tr A0 modulo i nu
+    (Liouville's identity), -2 kappa for ``_linearization``.
     """
-    a0 = np.asarray(a0, dtype=complex)
+    a0, a1 = np.asarray(a0), np.asarray(a1)
+    for a in (a0, a1):
+        if np.iscomplexobj(a) and np.any(a.imag != 0.0):
+            raise ValueError("Hill's method here needs real A0 and A1")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("A0 and A1 must be finite")
+    a0, half = a0.real.astype(float), 0.5 * a1.real.astype(float)
     while True:
-        modes = _hill_modes(a0, 0.5 * np.asarray(a1), nu, harmonics)
+        modes = _hill_modes(a0, half, nu, harmonics)
         if modes is not None:
             return modes
         if harmonics >= _MAX_HARMONICS:
@@ -90,16 +105,31 @@ def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
 def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int
                 ) -> FloquetModes | None:
     """The kept exponents at truncation H, None if H cuts off a kept vector."""
-    d = a0.shape[0]
-    size = 2 * harmonics + 1
-    n = np.arange(-harmonics, harmonics + 1)
-    hill = np.zeros((size, d, size, d), dtype=complex)
-    for k in range(size):
-        hill[k, :, k, :] = a0 - 1j * n[k] * nu * np.eye(d)
-        if k > 0:
-            hill[k, :, k - 1, :] = hill[k - 1, :, k, :] = half
-    mu_all, vec_all = np.linalg.eig(hill.reshape(size * d, size * d))
-    weight = np.sum(np.abs(vec_all.reshape(size, d, -1)) ** 2, axis=1)
+    d, h = a0.shape[0], harmonics
+    size = 2 * h + 1
+    # real Hill matrix on the blocks (c_0, s_1..s_H, d_1..d_H):
+    #   mu c_0 = A0 c_0 + A1/2 s_1
+    #   mu s_k = A0 s_k - k nu d_k + A1/2 (s_k-1 + s_k+1),  s_0 = 2 c_0
+    #   mu d_k = A0 d_k + k nu s_k + A1/2 (d_k-1 + d_k+1),  d_0 = 0
+    k = np.arange(1, h + 1)
+    sk, dk = k, h + k                     # block indices of s_k and d_k
+    hill = np.zeros((size, d, size, d))
+    hill[np.arange(size), :, np.arange(size), :] = a0
+    hill[sk, :, dk, :] = -(k * nu)[:, None, None] * np.eye(d)
+    hill[dk, :, sk, :] = (k * nu)[:, None, None] * np.eye(d)
+    hill[0, :, 1, :] = half
+    hill[1, :, 0, :] = 2.0 * half
+    for blocks in (sk, dk):
+        hill[blocks[1:], :, blocks[:-1], :] = half
+        hill[blocks[:-1], :, blocks[1:], :] = half
+    mu_all, vec = np.linalg.eig(hill.reshape(size * d, size * d))
+    vec = vec.reshape(size, d, -1)
+    vec_all = np.empty(vec.shape, dtype=complex)     # blocks c_-H .. c_H
+    vec_all[h] = vec[0]
+    vec_all[h + k] = 0.5 * (vec[sk] - 1j * vec[dk])
+    vec_all[h - k] = 0.5 * (vec[sk] + 1j * vec[dk])
+    n = np.arange(-h, h + 1)
+    weight = np.sum(np.abs(vec_all) ** 2, axis=1)
     centre = n @ weight / np.sum(weight, axis=0)
     chosen: list[int] = []
     for i in np.argsort(np.abs(centre)):
@@ -114,8 +144,8 @@ def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int
     else:
         raise FloquetError("Hill matrix yields fewer than "
                            f"{d} distinct Floquet exponents")
-    vectors = vec_all[:, chosen].T.reshape(d, size, d)
-    return FloquetModes(mu_all[chosen], vectors)
+    vectors = np.moveaxis(vec_all[:, :, chosen], 2, 0)
+    return FloquetModes(mu_all[chosen].astype(complex), vectors)
 
 
 def instability_boundary(p: DickeParams, lam: float) -> float:
@@ -203,6 +233,11 @@ def _linearization(p: DickeParams, lam: float, eps: float
 LINEAR_BOUND = 1e-3
 
 
+#: samples per block of ``_linear_response``: its temporaries then stay
+#: smaller than one (samples, d) complex array of a 4096-sample cell
+_SAMPLE_BLOCK = 256
+
+
 def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
                      seed: float, t: np.ndarray) -> np.ndarray | None:
     """Samples y(t) of a linearly stable cell, or None if it must be integrated.
@@ -210,7 +245,11 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
     y(t) = Re sum_j c_j exp(mu_j t) sum_n v_jn exp(i n nu t), with c from
     y(0).  None when some Re mu >= 0, when the Hill matrix does not resolve
     the exponents, or when the bound sum_j |c_j| sum_n |v_jn| on |y| leaves
-    the linear regime.
+    the linear regime.  The samples are taken in blocks of at most
+    ``_SAMPLE_BLOCK``: per block, one product of the harmonic table exp(i n
+    nu t) (cos and sin for n = 1..H, their conjugates for n < 0) with the
+    (2H+1, d^2) table of the c_j v_jn, then a sum over j weighted by
+    exp(mu_j t).
     """
     try:
         modes = floquet_exponents(*_linearization(p, lam, eps), nu)
@@ -223,14 +262,22 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
     norms = np.linalg.norm(modes.vectors, axis=2).sum(axis=1)
     if not float(np.abs(c) @ norms) <= LINEAR_BOUND:
         return None
-    harmonics = (modes.vectors.shape[1] - 1) // 2
-    z = np.exp(1j * nu * t)[:, None]
-    y = np.zeros((len(c), t.size))
-    for c_j, mu_j, v_j in zip(c, modes.mu, modes.vectors):
-        periodic = np.zeros((t.size, len(c)), dtype=complex)
-        for v_n in v_j[::-1]:        # Horner: sum_n v_jn z^(n + H)
-            periodic = periodic * z + v_n
-        y += (c_j * np.exp((mu_j - 1j * harmonics * nu) * t) * periodic.T).real
+    d, size, _ = modes.vectors.shape
+    harmonics = (size - 1) // 2
+    table = (c[:, None, None] * modes.vectors).transpose(1, 0, 2).reshape(size, d * d)
+    n_nu = np.arange(1, harmonics + 1) * nu
+    y = np.empty((d, t.size))
+    for start in range(0, t.size, _SAMPLE_BLOCK):
+        tb = t[start:start + _SAMPLE_BLOCK]
+        z = np.empty((tb.size, size), dtype=complex)     # exp(i n nu t), n = -H..H
+        z[:, harmonics] = 1.0
+        phase = np.multiply.outer(tb, n_nu)
+        z.real[:, harmonics + 1:] = np.cos(phase)
+        z.imag[:, harmonics + 1:] = np.sin(phase)
+        z[:, harmonics - 1::-1] = z[:, harmonics + 1:].conj()
+        periodic = (z @ table).reshape(tb.size, d, d)   # c_j sum_n v_jn z^n
+        growth = np.exp(np.multiply.outer(tb, modes.mu))[:, None, :]
+        y[:, start:start + tb.size] = (growth @ periodic)[:, 0, :].real.T
     return y
 
 
@@ -283,6 +330,7 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     processes = min(workers, len(cells), os.cpu_count() or 1)
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
+        _solvers.load()          # once here, not in each worker's first cell
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_solve_cell, cells, chunksize=4))
     else:

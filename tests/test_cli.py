@@ -705,6 +705,32 @@ class TestColdStart:
             "--out", str(tmp_path / "modulate"))
         assert "scipy.integrate" in loaded
 
+    def test_map_workers_fork_after_the_integrators_load(self):
+        # each forked worker would otherwise import scipy.integrate itself at
+        # its first integrated cell; the executor records instead of forking
+        proc = python("-c", """
+import concurrent.futures, sys
+from opendicke import modulation as mod
+from opendicke.params import DickeParams
+seen = []
+class Recording:
+    def __init__(self, max_workers):
+        seen.append("scipy.integrate" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, cells, chunksize=1):
+        return map(fn, cells)
+concurrent.futures.ProcessPoolExecutor = Recording
+mod.os.cpu_count = lambda: 2
+p = DickeParams(300.0, 1.0, 8.0, 0.0, 200.0, 1e5)
+before = "scipy.integrate" in sys.modules
+mod.driven_response_map(p, [8.0], [1.6, 1.7], t_max=150.0, workers=2)
+print(before, *seen)""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
 
 #: canonical figure settings shrunk so that every bundle runs in seconds
 FIGURE_REDUCTIONS = {

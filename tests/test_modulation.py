@@ -35,6 +35,12 @@ def max_rate(frac, nu):
     return float(np.max(modes.mu.real))
 
 
+def modulo_gap(a, b, nu):
+    """|a_i - b_j| with the imaginary part taken modulo nu, shape (len a, len b)."""
+    gap = np.subtract.outer(a, b)
+    return np.hypot(gap.real, np.remainder(gap.imag + nu / 2, nu) - nu / 2)
+
+
 class TestAdiabaticEquation:
     """What adiabatic elimination (kappa >> omega0) predicts, on the full kernel."""
 
@@ -125,6 +131,61 @@ class TestFloquetExponents:
         for modes in (short, long):
             assert abs(np.sum(modes.mu.real) - trace) <= 1e-12 * abs(trace)
             assert abs(math.remainder(np.sum(modes.mu.imag), nu)) < 1e-9
+
+    @pytest.mark.parametrize("field, bad", [(0, 1e-3j), (1, 1e-3j), (0, math.nan),
+                                            (1, math.inf)])
+    def test_complex_or_non_finite_matrices_rejected(self, field, bad):
+        # the real Hill form would drop an imaginary part without a word
+        pair = [m.astype(complex) for m in mod._linearization(params(), 0.8 * LC, 0.02)]
+        mod.floquet_exponents(*pair, 1.6)            # zero imaginary parts pass
+        pair[field][1, 2] += bad
+        with pytest.raises(ValueError):
+            mod.floquet_exponents(*pair, 1.6)
+
+    @pytest.mark.parametrize("frac, nu", [(f, nu) for f in np.linspace(0.5, 0.95, 6)
+                                          for nu in np.linspace(0.6, 2.2, 6)]
+                             + [(0.8, 0.02)])
+    def test_real_form_matches_the_complex_hill_matrix(self, frac, nu):
+        a0, a1 = mod._linearization(params(), frac * LC, 0.02)
+        modes = mod.floquet_exponents(a0, a1, nu)
+        h = (modes.vectors.shape[1] - 1) // 2
+        # the complex Hill matrix, blocks c_-H .. c_H
+        size, d = 2 * h + 1, a0.shape[0]
+        hill = np.zeros((size, d, size, d), dtype=complex)
+        for k, n in enumerate(range(-h, h + 1)):
+            hill[k, :, k, :] = a0 - 1j * n * nu * np.eye(d)
+            if k > 0:
+                hill[k, :, k - 1, :] = hill[k - 1, :, k, :] = a1 / 2
+        mu_ref, vec_ref = np.linalg.eig(hill.reshape(size * d, size * d))
+        weight = np.sum(np.abs(vec_ref.reshape(size, d, -1)) ** 2, axis=1)
+        centre = np.arange(-h, h + 1) @ weight / np.sum(weight, axis=0)
+        kept = []                         # the best-centred copy of each exponent
+        for i in np.argsort(np.abs(centre)):
+            if not kept or np.min(modulo_gap(mu_ref[[i]], mu_ref[kept], nu)) > 1e-9:
+                kept.append(i)
+        # the same exponents modulo i nu; which copy is kept may differ where
+        # two copies are centred equally, as at (0.95 lam_c, nu = 0.6)
+        gap = modulo_gap(mu_ref[kept[:d]], modes.mu, nu)
+        tol = 1e-12 * np.max(np.abs(modes.mu))
+        assert np.max(np.min(gap, axis=0)) <= tol and np.max(np.min(gap, axis=1)) <= tol
+
+    @pytest.mark.parametrize("samples", [4096, 1000])     # 1000 = 3 * 256 + 232
+    @pytest.mark.parametrize("frac, nu", [(0.8, 1.6), (0.9, 1.3), (0.8, 0.02)])
+    def test_blocked_sampling_matches_horner(self, frac, nu, samples):
+        p, lam, seed = params(), frac * LC, 1e-4
+        t = np.linspace(1000.0, 2000.0, samples)
+        y = mod._linear_response(p, lam, nu, 0.02, seed, t)
+        modes = mod.floquet_exponents(*mod._linearization(p, lam, 0.02), nu)
+        c = np.linalg.solve(modes.vectors.sum(axis=1).T, [seed, 0.0, seed, 0.0])
+        h = (modes.vectors.shape[1] - 1) // 2
+        z = np.exp(1j * nu * t)[:, None]
+        ref = np.zeros((4, samples))
+        for c_j, mu_j, v_j in zip(c, modes.mu, modes.vectors):
+            periodic = np.zeros((samples, 4), dtype=complex)
+            for v_n in v_j[::-1]:        # Horner: sum_n v_jn z^(n + H)
+                periodic = periodic * z + v_n
+            ref += (c_j * np.exp((mu_j - 1j * h * nu) * t) * periodic.T).real
+        assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_slow_modulation_widens_the_truncation(self):
         # at nu = 0.02 the Floquet vectors spread over more than 8 harmonics;
