@@ -253,8 +253,12 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
             raise ConfigError(f"[{name}]: {exc}") from exc
 
     grid = cfg.grid
-    if len({"tau_span", "tau_points"} & grid.keys()) == 1:
-        raise ConfigError("[grid]: give tau_span and tau_points together")
+    for name, pair in (("grid", ("tau_span", "tau_points")),
+                       ("modulation", ("time_series_lam", "time_series_nu"))):
+        if len(set(pair) & getattr(cfg, name).keys()) == 1:
+            raise ConfigError(f"[{name}]: give {pair[0]} and {pair[1]} together")
+    if "lam_list" in grid and grid.keys() & {"lam_min", "lam_max", "lam_points"}:
+        raise ConfigError("[grid]: give lam_list or lam_min/lam_max/lam_points, not both")
     couplings = len(grid["lam_list"]) if "lam_list" in grid else grid.get("lam_points", 1)
     cells = couplings * grid.get("nu_points", 1)
     if cells > MAX_POINTS:

@@ -190,19 +190,18 @@ def figure5_tables(physical: PhysicalParams) -> list[Table]:
     # density panel: one fixed trap, the two signs of the bias field select
     # the two organized configurations (patterns shifted by half a pump
     # wavelength); the branch panels below use the displaced geometries
-    dk = map_to_dicke(physical)
-    ratio = abs(dk.lam_prime / dk.lam)
+    plus = map_to_dicke(physical)
+    ratio = abs(plus.lam_prime / plus.lam)
     grid_x = np.linspace(*physical.support, 2001)
     columns = [grid_x]
     for sign in (+1.0, -1.0):
-        ss = mfd.operating_point(dk.with_coupling(lam_density, sign * ratio * lam_density))
+        ss = mfd.operating_point(plus.with_coupling(lam_density, sign * ratio * lam_density))
         columns.append(density_profile(physical, ss, grid_x))
     tables.append(Table(
         "fig5b_density",
         ["x[pump_wavelength]", "density_plus[atoms_per_length]",
          "density_minus[atoms_per_length]"], np.column_stack(columns)))
-    for tag, panel, phys in (("plus", "c", physical), ("minus", "d", mirrored)):
-        dk = map_to_dicke(phys)
+    for tag, panel, dk in (("plus", "c", plus), ("minus", "d", map_to_dicke(mirrored))):
         branch = mfd.steady_states(dk, grid[grid > 0],
                                    lam_prime_over_lam=dk.lam_prime / dk.lam)
         tables.append(branch_table(f"fig5{panel}_branches_{tag}", branch, lc))

@@ -117,7 +117,7 @@ class TrackedSpectrum:
     """Branch-tracked eigenfrequencies along a coupling sweep.
 
     ``frequencies[i, b]`` is branch b at ``lam_grid[i]``; branch labels are
-    continuous in lam (matched by eigenvector overlap).  ``polariton_index``
+    continuous in lam (matched by frequency continuity).  ``polariton_index``
     labels the branch connected to +omega0 at lam = 0.
     """
 
@@ -134,8 +134,9 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
 
     The sweep is anchored at lam = 0, where the four modes are the bare
     cavity pair omega - i kappa, -omega - i kappa and the bare atomic pair
-    +/- omega0; branches across the grid are matched by maximal eigenvector
-    overlap against the previous grid point.
+    +/- omega0; at every later grid point the modes are ordered to follow
+    their frequencies at the previous point, with the smallest total
+    distance sum_b |omega_b - omega_b(previous)|.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(np.diff(lam_grid) < 0):
@@ -143,8 +144,9 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     work_grid = lam_grid
     n_approach = 0
     if lam_grid.size == 0 or lam_grid[0] > 0.0:
-        # ramp up from the anchor at lam = 0 so eigenvector-overlap matching
-        # stays unambiguous even when the requested grid starts near lam_c
+        # ramp up from the anchor at lam = 0 in small steps, so that matching
+        # by frequency stays unambiguous even when the requested grid starts
+        # near lam_c
         first = lam_grid[0] if lam_grid.size else 0.0
         approach = np.linspace(0.0, first, 33)[:-1]
         n_approach = approach.size
@@ -152,38 +154,23 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
 
     lams = work_grid.tolist()
     if p.lam_prime == 0.0:
-        states = (operating_point(p.with_coupling(lam)) for lam in lams)
+        sweep = ((q, operating_point(q)) for q in map(p.with_coupling, lams))
     else:
-        states = branch_walk(p, lams)
+        sweep = branch_walk(p, lams)
     freqs_out = np.empty((work_grid.size, 4), dtype=complex)
-    prev_vecs = None
-    prev_freqs = None
     pol_index = 0
-    for i, (lam, ss) in enumerate(zip(lams, states)):
-        q = p.with_coupling(lam)
-        m = dynamical_matrix(hp_coefficients(ss, q), q)
-        mu, vecs = np.linalg.eig(m)
-        freqs = 1j * mu
-        if prev_vecs is None:
+    for i, (q, ss) in enumerate(sweep):
+        freqs = 1j * np.linalg.eigvals(dynamical_matrix(hp_coefficients(ss, q), q))
+        if i == 0:
             # anchor: order deterministically; the polariton branch starts
             # as the mode closest to the bare atomic frequency +omega0
-            order = np.lexsort((freqs.imag, np.abs(freqs.real)))
-            freqs, vecs = freqs[order], vecs[:, order]
+            freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
             pol_index = int(np.argmin(np.abs(freqs - p.omega0)))
         else:
-            overlap = np.abs(prev_vecs.conj().T @ vecs)
-            perm = _best_permutation(-overlap)
-            freqs, vecs = freqs[perm], vecs[:, perm]
-            if np.min(overlap[_ROWS, perm]) < 0.99:
-                # eigenvectors coalesce where the soft pair collides; fall
-                # back to frequency continuity across the degeneracy
-                swap = _best_permutation(np.abs(freqs[None, :] - prev_freqs[:, None]))
-                freqs, vecs = freqs[swap], vecs[:, swap]
+            prev = freqs_out[i - 1]
+            freqs = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
         freqs_out[i] = freqs
-        prev_vecs, prev_freqs = vecs, freqs
-    if n_approach:
-        freqs_out = freqs_out[n_approach:]
-    return TrackedSpectrum(lam_grid, freqs_out, pol_index)
+    return TrackedSpectrum(lam_grid, freqs_out[n_approach:], pol_index)
 
 
 _ROWS = np.arange(4)

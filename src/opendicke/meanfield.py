@@ -253,26 +253,22 @@ def operating_point(p: DickeParams) -> MeanFieldState:
     return newton_steady_state(p, seed)
 
 
-def branch_walk(p: DickeParams, lam_grid, bias=None):
-    """Yield the physical branch along a sorted coupling grid, point by point.
+def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None):
+    """Yield ``(q, state)`` along the physical branch of a sorted coupling grid.
 
-    The first point is the operating point; every later one is continued
-    from its predecessor by ``_continue_branch``, which keeps the branch
-    rule of ``operating_point``: for lam' != 0, Re beta has the sign of
-    lam'.  ``bias(lam)`` gives lam' at each coupling; by default it is the
-    fixed ``p.lam_prime``.
+    ``q`` is ``p`` at each coupling, with lam' = ``lam_prime_over_lam`` * lam
+    if the ratio is given and ``p.lam_prime`` otherwise.  The first state is
+    the operating point; every later one is continued from its predecessor
+    by ``_continue_branch``, which keeps the branch rule of
+    ``operating_point``: for lam' != 0, Re beta has the sign of lam'.
     """
-    if bias is None:
-        def bias(_lam: float) -> float:
-            return p.lam_prime
     state = None
     for lam in lam_grid:
         lam = float(lam)
-        if state is None:
-            state = operating_point(p.with_coupling(lam, bias(lam)))
-        else:
-            state = _continue_branch(p, state, lam, bias)
-        yield state
+        q = p.with_coupling(lam, None if lam_prime_over_lam is None
+                            else lam_prime_over_lam * lam)
+        state = operating_point(q) if state is None else _continue_branch(q, state)
+        yield q, state
 
 
 def _stability_flag(state: MeanFieldState, q: DickeParams) -> str:
@@ -311,24 +307,18 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
             per_lam.append([(st, _stability_flag(st, q)) for st in states])
         return SteadyStateBranch(lam_grid, per_lam)
 
-    def bias(lam: float) -> float:
-        return p.lam_prime if lam_prime_over_lam is None else lam_prime_over_lam * lam
-
-    lams = lam_grid.tolist()
-    per_lam = [[(st, _stability_flag(st, p.with_coupling(lam, bias(lam))))]
-               for lam, st in zip(lams, branch_walk(p, lams, bias))]
+    per_lam = [[(st, _stability_flag(st, q))]
+               for q, st in branch_walk(p, lam_grid.tolist(), lam_prime_over_lam)]
     return SteadyStateBranch(lam_grid, per_lam)
 
 
-def _continue_branch(p: DickeParams, state: MeanFieldState, lam_to: float,
-                     bias) -> MeanFieldState:
-    """One continuation step: Newton at ``lam_to`` seeded by ``state``.
+def _continue_branch(q: DickeParams, state: MeanFieldState) -> MeanFieldState:
+    """One continuation step: Newton at the parameters ``q`` seeded by ``state``.
 
     The result is kept if its Re beta has the sign of lam' (or lam' = 0),
     the branch rule of ``operating_point``; otherwise, or if Newton fails,
-    the step returns ``operating_point`` at ``lam_to``.
+    the step returns ``operating_point(q)``.
     """
-    q = p.with_coupling(lam_to, bias(lam_to))
     try:
         new = newton_steady_state(q, state)
     except ConvergenceError:

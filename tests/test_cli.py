@@ -278,6 +278,12 @@ class TestSubcommands:
         ["evolve.t_max=5e-324"],
         ["grid.tau_span=5e-324", "grid.tau_points=64"],
         ["modulation.time_series_lam=-1"],
+        ["modulation.time_series_lam=8.3"],
+        ["modulation.time_series_nu=1.2"],
+        ["grid.lam_list=3", "grid.lam_min=1", "grid.lam_max=2", "grid.lam_points=3"],
+        ["grid.lam_list=3", "grid.lam_points=3"],
+        ["grid.lam_list=3", "grid.lam_min=1"],
+        ["grid.lam_list=3", "grid.lam_max=2"],
         ["modulation.eps=-3"],
         ["modulation.eps=0"],
         ["modulation.eps=0.2"],
@@ -500,9 +506,17 @@ class TestSubcommands:
         (["g2", *DICKE_SETS, "--set", "dicke.lam=0", "--set", "grid.tau_span=50",
           "--set", "grid.tau_points=3"], 3),
         (["photon-flux", *DICKE_SETS, "--set", "grid.lam_list=12"], 3),
+        # a lone time-series key used to be ignored: the map was written, exit 0
+        (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5", "--set", "grid.nu_min=0.6",
+          "--set", "grid.nu_max=1", "--set", "grid.nu_points=2",
+          "--set", "modulation.time_series_lam=5"], 2),
+        # lam_list used to win silently: one row, not three
+        (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=3", "--set", "grid.lam_min=1",
+          "--set", "grid.lam_max=2", "--set", "grid.lam_points=3"], 2),
     ], ids=["steady-state-no-grid", "spectrum-unsorted", "modulate-no-nu-grid",
             "modulate-nu-0", "evolve-beta0", "fig9", "fig5-no-physical", "g2-no-model", "g2-lam-0",
-            "photon-flux-above-threshold"])
+            "photon-flux-above-threshold", "modulate-lone-time-series-key",
+            "spectrum-list-and-range"])
     def test_refused_run_writes_nothing(self, tmp_path, argv, code):
         out = tmp_path / "o"
         rc, err = run_cli([*argv, "--out", str(out)])

@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from opendicke import correlations as corr
 from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
+from opendicke.figures import FIGURE_PARAMS
 from opendicke.params import DickeParams
 
 OMEGA, KAPPA = 300.0, 200.0
@@ -159,7 +160,56 @@ class TestDynamicalMatrix:
         assert np.max(np.min(dist, axis=1)) < 1e-9 * max(1.0, OMEGA, kappa)
 
 
+def overlap_matched(matrices):
+    """Frequencies of successive dynamical matrices, labelled by eigenvector overlap.
+
+    The matcher ``spectrum_sweep`` used before it matched by frequency alone:
+    maximal overlap with the previous point's eigenvectors, and frequency
+    continuity wherever an overlap falls below 0.99.
+    """
+    rows, vecs_prev = [], None
+    for m in matrices:
+        mu, vecs = np.linalg.eig(m)
+        freqs = 1j * mu
+        if vecs_prev is None:
+            order = np.lexsort((freqs.imag, np.abs(freqs.real)))
+        else:
+            overlap = np.abs(vecs_prev.conj().T @ vecs)
+            order = fl._best_permutation(-overlap)
+            if np.min(overlap[np.arange(4), order]) < 0.99:
+                order = order[fl._best_permutation(
+                    np.abs(freqs[order][None, :] - rows[-1][:, None]))]
+        rows.append(freqs[order])
+        vecs_prev = vecs[:, order]
+    return np.array(rows)
+
+
 class TestSpectrum:
+    @pytest.mark.parametrize("lam_prime, lo, hi, points", [
+        (0.0, *FIGURE_PARAMS["fig1"]["lam_over_lc"], FIGURE_PARAMS["fig1"]["points"]),
+        (0.0, *FIGURE_PARAMS["fig1"]["zoom"], FIGURE_PARAMS["fig1"]["zoom_points"]),
+        (1e-5, 0.05, 2.0, 400),
+        (1e-4, 0.0, 2.0, 400),
+        (1e-3, 0.05, 2.0, 400),
+        (-3e-3, 0.9, 1.1, 400),
+        (1e-2, 0.05, 2.0, 400),
+    ])
+    def test_frequency_matching_keeps_the_overlap_labels(self, monkeypatch, lam_prime,
+                                                         lo, hi, points):
+        # the overlap matcher labels the very matrices the sweep builds
+        build, matrices = fl.dynamical_matrix, []
+
+        def recorded(c, q):
+            matrices.append(build(c, q))
+            return matrices[-1]
+
+        monkeypatch.setattr(fl, "dynamical_matrix", recorded)
+        p = params(lam_prime=lam_prime)
+        grid = np.linspace(lo, hi, points) * mfd.critical_coupling(p)
+        sw = fl.spectrum_sweep(p, grid)
+        np.testing.assert_array_equal(sw.frequencies,
+                                      overlap_matched(matrices)[-points:])
+
     def test_polariton_continues_from_bare_atom(self):
         p = params()
         lc = mfd.critical_coupling(p)

@@ -228,7 +228,7 @@ class TestSteadyStateBranches:
         p = DickeParams(OMEGA, 1.0, 12.0, lam_prime, KAPPA, 1e5)
         (state, flag), = mfd.steady_states(p, [12.0]).states[0]
         assert flag == "stable"
-        *_, walked = mfd.branch_walk(p, np.linspace(0.5, 12.0, 60))
+        *_, (_, walked) = mfd.branch_walk(p, np.linspace(0.5, 12.0, 60))
         n = p.atom_number
         assert abs(state.beta - walked.beta) < 1e-9 * n
         assert abs(state.alpha - walked.alpha) < 1e-9 * math.sqrt(n)
@@ -249,10 +249,22 @@ class TestSteadyStateBranches:
             lam_prime = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, -2.0)
             p = DickeParams(OMEGA, 1.0, 0.0, lam_prime, KAPPA, n)
             grid = np.linspace(lo, hi, 200)
-            for lam, walked in zip(grid, mfd.branch_walk(p, grid)):
+            for lam, (_, walked) in zip(grid, mfd.branch_walk(p, grid)):
                 ref = mfd.operating_point(p.with_coupling(float(lam)))
                 assert abs(walked.alpha - ref.alpha) < 1e-6 * math.sqrt(n), (lam_prime, lam)
                 assert abs(walked.beta - ref.beta) < 1e-6 * n, (lam_prime, lam)
+
+    @pytest.mark.parametrize("ratio", [None, 1.0 / 120.0, -1.0 / 360.0])
+    def test_walk_yields_the_parameters_of_each_point(self, ratio):
+        p = DickeParams(OMEGA, 1.0, 0.0, 0.03, KAPPA, 1e5)
+        grid = np.linspace(0.5, 20.0, 40)
+        walk = list(mfd.branch_walk(p, grid, ratio))
+        assert [q.lam for q, _ in walk] == grid.tolist()
+        for q, state in walk:
+            assert q.lam_prime == (p.lam_prime if ratio is None else ratio * q.lam)
+            assert (q.omega, q.omega0, q.kappa, q.atom_number) == (
+                p.omega, p.omega0, p.kappa, p.atom_number)
+            assert state_norm(mfd.eom_rhs(state, q)) < 1e-10 * p.atom_number
 
     def test_grid_validation(self):
         p = params()
