@@ -139,9 +139,9 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
 
     ``m`` is the dynamical matrix at the operating point; omitted, the
     operating point is resolved from the parameters (trivial state for
-    lam' = 0, Newton-continued state otherwise).  A generator that
-    ``fluctuations.stability`` finds unstable is refused as threshold
-    proximity; a marginal one passes.
+    lam' = 0, the bracketed root of ``meanfield.operating_point``
+    otherwise).  A generator that ``fluctuations.stability`` finds
+    unstable is refused as threshold proximity; a marginal one passes.
     """
     if m is None:
         _, m = _resolve_operating_point(p)

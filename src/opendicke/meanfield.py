@@ -4,7 +4,8 @@ The mean fields are the cavity amplitude alpha = <a>, the atomic coherence
 beta = <J-> and the inversion w = <Jz>.  Their equations of motion conserve
 the pseudo angular momentum |beta|^2 + w^2 = N^2/4, which is used to
 eliminate w (negative root, the physically stable branch) in the steady
-state solvers.
+states.  For real lam those reduce to one scalar equation in Re beta,
+whose physical root ``newton_steady_state`` brackets and solves.
 """
 
 from __future__ import annotations
@@ -178,79 +179,80 @@ def _w_from_beta(beta: complex, n: float) -> float:
     return -math.sqrt(max(n * n / 4.0 - abs(beta) ** 2, 0.0))
 
 
-def _reduced_residual(z: np.ndarray, p: DickeParams) -> np.ndarray:
-    w = _w_from_beta(complex(z[2], z[3]), p.atom_number)
-    return np.array(_rhs_vector(0.0, (z[0], z[1], z[2], z[3], w), p, *_couplings(p))[:4])
+def _stationary(b: float, p: DickeParams, k_l: float, k_lp: float, half_n: float):
+    """State with real beta = b at which every equation but d Im beta/dt vanishes.
+
+    Im beta = 0 and w = ``_w_from_beta(b, N)``; d Re alpha/dt = 0 gives
+    Im alpha = kappa Re alpha / omega and d Im alpha/dt = 0 gives
+    Re alpha = -omega (2 k_l b + k_lp (half_n - w)) / (omega^2 + kappa^2).
+    """
+    w = _w_from_beta(b, 2.0 * half_n)
+    ar = -p.omega * (2.0 * k_l * b + k_lp * (half_n - w)) / (p.omega ** 2 + p.kappa ** 2)
+    return ar, p.kappa * ar / p.omega, b, 0.0, w
+
+
+def _slope(y, p: DickeParams, k_l: float, k_lp: float) -> float:
+    """dg/db at y = ``_stationary(b)``, where g = -omega0 b + 2 Re alpha (2 k_l w + k_lp b)."""
+    ar, _, b, _, w = y
+    dw = -b / w if w else math.inf
+    dar = -p.omega * (2.0 * k_l - k_lp * dw) / (p.omega ** 2 + p.kappa ** 2)
+    return -p.omega0 + 2.0 * dar * (2.0 * k_l * w + k_lp * b) + 2.0 * ar * (2.0 * k_l * dw + k_lp)
 
 
 def newton_steady_state(p: DickeParams, seed: MeanFieldState) -> MeanFieldState:
-    """Newton solve of the fixed-point equations with w eliminated.
+    """Steady state on the half-disc of the seed from one bracketed scalar equation.
 
-    The inversion is slaved to beta through the conserved pseudo angular
-    momentum (negative root).  The seed fixes which solution branch the
-    iteration converges to.
+    At ``_stationary(b)`` only g(b) = d Im beta/dt is left to vanish.  On
+    the half with Re beta of the sign of lam' (either half for lam' = 0),
+    g has that sign next to b = 0 and the opposite sign at b = +-N/2, so
+    the root is bracketed.  Newton on g with its analytic derivative starts
+    at the seed's Re beta and bisects the bracket whenever a step would
+    leave it or is not half the size of the step before; it stops at a
+    step below 1e-13 N.  The seed's Re beta picks the half (lam''s half
+    when it is zero); the other half, where g need not change sign, is
+    refused.
     """
     n = p.atom_number
-    tol = 1e-11 * n
-    z = np.array([seed.alpha.real, seed.alpha.imag, seed.beta.real, seed.beta.imag])
-    f = _reduced_residual(z, p)
-    for _ in range(60):
-        if np.linalg.norm(f, ord=np.inf) < tol:
+    if abs(seed.beta) >= 0.5 * n:
+        raise ConvergenceError(f"the seed must lie inside |beta| < N/2 = {0.5 * n}")
+    side = math.copysign(1.0, seed.beta.real or p.lam_prime)
+    if side * p.lam_prime < 0:
+        raise ConvergenceError(f"the seed's Re beta is against the sign of lam' = "
+                               f"{p.lam_prime}, on the half-disc with no bracket")
+    couplings = _couplings(p)
+    inner, outer = 0.0, side * 0.5 * n  # side * g > 0 at inner, < 0 at outer
+    b, step, tol = seed.beta.real, math.inf, 1e-13 * n
+    for _ in range(200):
+        y = _stationary(b, p, *couplings)
+        g = _rhs_vector(0.0, y, p, *couplings)[3]
+        if g == 0.0:
             break
-        jac = np.empty((4, 4))
-        for j in range(4):
-            h = 1e-7 * max(abs(z[j]), 1e-3 * n)
-            zp = z.copy()
-            zp[j] += h
-            jac[:, j] = (_reduced_residual(zp, p) - f) / h
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian at lam = {p.lam}") from exc
-        # keep beta inside the physical disc |beta| < N/2
-        trial = None
-        damping = 1.0
-        for _ in range(40):
-            z_new = z + damping * step
-            if abs(complex(z_new[2], z_new[3])) < 0.5 * n:
-                trial = z_new, _reduced_residual(z_new, p)
-                if np.linalg.norm(trial[1]) <= np.linalg.norm(f) or damping < 1e-3:
-                    break
-            damping *= 0.5
-        if trial is None:
-            raise ConvergenceError(
-                f"no Newton step stays inside |beta| < N/2 at lam = {p.lam}")
-        z, f = trial
+        inner, outer = (b, outer) if side * g > 0 else (inner, b)
+        dg = _slope(y, p, *couplings[:2])
+        last, step = step, (-g / dg if dg else math.inf)
+        if not (abs(step) <= tol or (min(inner, outer) < b + step < max(inner, outer)
+                                     and abs(step) <= 0.5 * abs(last))):
+            step = 0.5 * (inner + outer) - b
+        b += step
+        if abs(step) <= tol:
+            break
     else:
-        raise ConvergenceError(
-            f"Newton iteration did not converge at lam = {p.lam} "
-            f"(|residual| = {np.linalg.norm(f, ord=np.inf):.3e})")
-    beta = complex(z[2], z[3])
-    return MeanFieldState(complex(z[0], z[1]), beta, _w_from_beta(beta, n))
+        raise ConvergenceError(f"bracketed solve did not converge at lam = {p.lam}")
+    return MeanFieldState.from_vector(_stationary(b, p, *couplings))
 
 
 def operating_point(p: DickeParams) -> MeanFieldState:
     """Physical steady state at the coupling and bias of ``p``.
 
     For lam' = 0 it is the closed form: the trivial state up to lam_c and
-    the first of the symmetry-broken pair above.  Otherwise the physical
-    root is the one whose Re beta has the sign of lam' (the branch rule).
-    Newton starts up to lam_c from the linear-response seed, the cavity
-    field driven by the bias with the atoms unexcited: alpha = -i lam'
-    sqrt(N) / (kappa + i omega).  Above lam_c that seed leads to the
-    unstable near-trivial root, so Newton starts from the symmetry-broken
-    state that the bias favours.
+    the first of the symmetry-broken pair above.  Otherwise it is the root
+    whose Re beta has the sign of lam' (the branch rule), which
+    ``newton_steady_state`` brackets on that half-disc; its solve starts
+    at b = 0 for every coupling.
     """
-    above = p.lam > critical_coupling(p)
     if p.lam_prime == 0.0:
-        return superradiant_states(p)[0] if above else trivial_state(p)
-    if above:
-        seed = max(superradiant_states(p), key=lambda st: st.beta.real * p.lam_prime)
-    else:
-        n = p.atom_number
-        alpha0 = -1j * p.lam_prime * math.sqrt(n) / (p.kappa + 1j * p.omega)
-        seed = MeanFieldState(alpha0, 0j, -n / 2.0)
-    return newton_steady_state(p, seed)
+        return superradiant_states(p)[0] if p.lam > critical_coupling(p) else trivial_state(p)
+    return newton_steady_state(p, trivial_state(p))
 
 
 def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None):
@@ -313,14 +315,10 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
 
 
 def _continue_branch(q: DickeParams, state: MeanFieldState) -> MeanFieldState:
-    """One continuation step: Newton at the parameters ``q`` seeded by ``state``.
+    """One continuation step: the solve at the parameters ``q`` started from ``state``.
 
-    The result is kept if its Re beta has the sign of lam' (or lam' = 0),
-    the branch rule of ``operating_point``; otherwise, or if Newton fails,
-    the step returns ``operating_point(q)``.
+    ``newton_steady_state`` brackets the root on the half-disc of
+    ``state``, which for lam' != 0 is the half of the sign of lam', so the
+    step keeps the branch rule of ``operating_point``.
     """
-    try:
-        new = newton_steady_state(q, state)
-    except ConvergenceError:
-        return operating_point(q)
-    return new if new.beta.real * q.lam_prime >= 0 else operating_point(q)
+    return newton_steady_state(q, state)

@@ -444,6 +444,20 @@ class TestSubcommands:
         assert np.all(stable[lam > 0] == 1.0)
         assert np.all(re_beta[lam > 0] > 0)
 
+    def test_steady_state_through_weak_bias_threshold(self, tmp_path):
+        # 0.327198981782771 is 1.00075 lam_c: Newton used to stall there, exit 3
+        out = tmp_path / "o"
+        rc = main(["steady-state", "--out", str(out),
+                   "--set", "dicke.omega=0.8258750103613945",
+                   "--set", "dicke.omega0=0.4487237448381642", "--set", "dicke.lam=0",
+                   "--set", "dicke.lam_prime=1.09138248947855e-05",
+                   "--set", "dicke.kappa=0.3239196979980446",
+                   "--set", "dicke.atom_number=3761382",
+                   "--set", "grid.lam_list=0.3 0.327198981782771 0.35"])
+        assert rc == 0
+        header, rows = read_csv(out / "steady_states.csv")
+        assert [row[header.index("stable[bool]")] for row in rows] == [1.0, 1.0, 1.0]
+
     def test_missing_grid_is_config_failure(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["steady-state", "--out", str(out), *DICKE_SETS])

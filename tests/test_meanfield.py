@@ -179,11 +179,68 @@ class TestSteadyStateBranches:
         assert abs(found.w - target.w) < 1e-9 * n
 
     def test_newton_refuses_iterate_outside_disc(self):
-        # seeded outside |beta| < N/2: no trial step of the first iteration
-        # lands inside the physical disc, which must be a ConvergenceError
+        # a seed outside |beta| < N/2 picks no half-disc to bracket the root in
         p = DickeParams(300.0, 1.0, 12.0, 0.01, 200.0, 1e5)
         seed = mfd.MeanFieldState(1e6 + 0j, 0.51e5 + 0j, 0.0)
         with pytest.raises(mfd.ConvergenceError, match="inside"):
+            mfd.newton_steady_state(p, seed)
+
+    def test_weak_bias_just_above_threshold(self):
+        # lam = 1.00075 lam_c, weak bias, N = 3.76e6: a Newton step on the
+        # full fixed-point system stalled here at |residual| = 0.04
+        p = DickeParams(0.8258750103613945, 0.4487237448381642, 0.327198981782771,
+                        1.09138248947855e-05, 0.3239196979980446, 3761382)
+        (state, flag), = mfd.steady_states(p, [p.lam]).states[0]
+        assert flag == "stable"
+        assert state.beta.real > 0
+        assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * p.atom_number
+
+    def test_random_regimes_solve_on_the_bias_side(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            omega = 10.0 ** rng.uniform(math.log10(0.5), 3.0)
+            omega0 = 10.0 ** rng.uniform(-1.0, 1.0)
+            kappa = rng.choice((0.0, 10.0 ** rng.uniform(-2.0, 3.0)))
+            n = 10.0 ** rng.uniform(2.0, 7.0)
+            lc = mfd.critical_coupling(DickeParams(omega, omega0, 0.0, 0.0, kappa, n))
+            lam_prime = rng.choice((-1.0, 1.0)) * omega0 * 10.0 ** rng.uniform(-6.0, -1.0)
+            p = DickeParams(omega, omega0, rng.uniform(0.05, 2.5) * lc, lam_prime, kappa, n)
+            state = mfd.operating_point(p)
+            assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * n, p
+            assert state.beta.real * lam_prime > 0, p
+
+    def test_slope_is_the_derivative_of_the_residual(self):
+        for p in (DickeParams(OMEGA, 1.0, 12.0, 0.03, KAPPA, 1e5),
+                  DickeParams(OMEGA, 1.0, 8.0, -0.001, KAPPA, 1e3),
+                  DickeParams(2.0, 0.5, 1.3, 0.0, 0.0, 1e6)):
+            k = mfd._couplings(p)
+
+            def g(b):
+                return mfd._rhs_vector(0.0, mfd._stationary(b, p, *k), p, *k)[3]
+
+            h = 1e-6 * p.atom_number
+            for frac in (-0.45, -0.2, 0.05, 0.3, 0.48):
+                b = frac * p.atom_number
+                central = (g(b + h) - g(b - h)) / (2.0 * h)
+                slope = mfd._slope(mfd._stationary(b, p, *k), p, *k[:2])
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-9 * p.omega0)
+
+    def test_walk_spends_few_residual_evaluations(self, monkeypatch):
+        # a wrong slope still converges, by bisection, at several times this cost
+        calls = []
+        rhs = mfd._rhs_vector
+        monkeypatch.setattr(mfd, "_rhs_vector", lambda *args: calls.append(args) or rhs(*args))
+        p = DickeParams(OMEGA, 1.0, 0.0, 0.0, KAPPA, 1e5)
+        grid = np.linspace(0.0, 2.0 * mfd.critical_coupling(p), 1001)[1:]
+        walk = list(mfd.branch_walk(p, grid, 1.0 / 120.0))
+        assert len(walk) == 1000
+        assert len(calls) <= 8 * len(walk)
+
+    def test_solve_refuses_the_half_against_the_bias(self):
+        # g keeps one sign next to b = 0 and at b = -N/2 there: no bracket
+        p = DickeParams(OMEGA, 1.0, 12.0, 0.03, KAPPA, 1e5)
+        seed = mfd.MeanFieldState(0j, -0.3e5 + 0j, -0.4e5)
+        with pytest.raises(mfd.ConvergenceError, match="against"):
             mfd.newton_steady_state(p, seed)
 
     def test_branch_residuals_below_spec(self):
@@ -223,8 +280,8 @@ class TestSteadyStateBranches:
 
     @pytest.mark.parametrize("lam_prime", [0.03, -0.03])
     def test_biased_operating_point_above_threshold(self, lam_prime):
-        # above lam_c the linear-response seed leads Newton to the unstable
-        # near-trivial root; the walk from below threshold is the answer
+        # above lam_c the unstable near-trivial root lies on the other half;
+        # the cold solve and the walk from below threshold agree
         p = DickeParams(OMEGA, 1.0, 12.0, lam_prime, KAPPA, 1e5)
         (state, flag), = mfd.steady_states(p, [12.0]).states[0]
         assert flag == "stable"
