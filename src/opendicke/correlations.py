@@ -2,15 +2,15 @@
 
 Below threshold the photons leaking out of the cavity carry the statistics
 of the intracavity fluctuations.  Their dynamics is written only once, as
-the 4x4 matrix ``fluctuations.dynamical_matrix``; the 10-dimensional linear
-system that the equal-time second moments close under is derived from it
-here, through one table of normal-ordered operator pairs.  Two-time
-correlators follow either by contour integration of the frequency-domain
-Langevin solution driven by vacuum noise (a sum over the eigenvalues of M),
-or by quantum regression: the steady moments are propagated exactly along
-the uniform tau grid by exp(M dtau), built from one ODE run of
-d Phi/d tau = M Phi by scaling and squaring, without an eigendecomposition.
-Both routes are implemented and must agree.
+the 4x4 matrix ``fluctuations.dynamical_matrix`` M; the equal-time second
+moments S_ij = <x_i x_j> solve the Lyapunov equation M S + S M^T + Q = 0,
+with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q.
+Two-time correlators follow either by contour integration of the
+frequency-domain Langevin solution driven by vacuum noise (a sum over the
+eigenvalues of M), or by quantum regression: the steady moments are
+propagated exactly along the uniform tau grid by exp(M dtau), built from
+one ODE run of d Phi/d tau = M Phi by scaling and squaring, without an
+eigendecomposition.  Both routes are implemented and must agree.
 """
 
 from __future__ import annotations
@@ -31,22 +31,10 @@ NEAR_THRESHOLD_GUARD = 1e-6
 #: positions of the fluctuation operators in x = (c, c+, d, d+), the vector
 #: that ``fluctuations.dynamical_matrix`` M acts on
 C, CDAG, D, DDAG = range(4)
-#: the ten normal-ordered moments <x_i x_j>; a pair's place in this table is
-#: the moment's index in ``MomentVector.values`` and in the moment system
-MOMENT_PAIRS = ((C, C), (CDAG, CDAG), (CDAG, C), (D, D), (DDAG, DDAG),
-                (DDAG, D), (C, D), (CDAG, DDAG), (CDAG, D), (C, DDAG))
-_INDEX = {pair: n for n, pair in enumerate(MOMENT_PAIRS)}
-
-
-def _normal_order(i: int, j: int) -> tuple[int, float]:
-    """Table index of <x_i x_j> and the c-number it picks up on reordering.
-
-    A product missing from the table is flipped, <x_i x_j> = <x_j x_i> +
-    [x_i, x_j]; of all the flips, only [c, c+] = [d, d+] = 1 is nonzero.
-    """
-    if (i, j) in _INDEX:
-        return _INDEX[(i, j)], 0.0
-    return _INDEX[(j, i)], 1.0 if (i, j) in ((C, CDAG), (D, DDAG)) else 0.0
+#: the commutators [x_i, x_j] that reorder a product into normal order:
+#: <x_i x_j> = <:x_i x_j:> + _COMMUTATORS[i, j]
+_COMMUTATORS = np.zeros((4, 4))
+_COMMUTATORS[C, CDAG] = _COMMUTATORS[D, DDAG] = 1.0
 
 
 class ThresholdError(RuntimeError):
@@ -57,17 +45,16 @@ class ThresholdError(RuntimeError):
 class MomentVector:
     """Equal-time second moments of the fluctuation operators.
 
-    ``values[n]`` is <x_i x_j> for the n-th pair (i, j) of ``MOMENT_PAIRS``.
-    Conjugate pairs must close (<c+c+> = <cc>* etc.) and the two
-    occupation numbers are real and non-negative.
+    ``values[i, j]`` is the normal-ordered moment <:x_i x_j:>.  Conjugate
+    pairs must close (<c+c+> = <cc>* etc.) and the two occupation numbers
+    are real and non-negative.
     """
 
     values: np.ndarray
 
     def pair(self, i: int, j: int) -> complex:
         """<x_i x_j> for any two of x = (c, c+, d, d+)."""
-        n, commutator = _normal_order(i, j)
-        return complex(self.values[n]) + commutator
+        return complex(self.values[i, j]) + _COMMUTATORS[i, j]
 
     @property
     def cc(self) -> complex:
@@ -82,42 +69,11 @@ class MomentVector:
 
         (x_i x_j)+ = x_j+ x_i+, and x_i+ sits at index i ^ 1 of x.
         """
-        res = max(abs(self.pair(j ^ 1, i ^ 1) - self.pair(i, j).conjugate())
-                  for i, j in MOMENT_PAIRS)
+        dagger = [CDAG, C, DDAG, D]
+        res = float(np.max(np.abs(self.values[dagger][:, dagger].T
+                                  - self.values.conj())))
         scale = float(np.max(np.abs(self.values)))
         return res / scale if scale > 0 else res
-
-
-def _derivation_maps() -> tuple[np.ndarray, np.ndarray]:
-    """Constant linear maps from the entries of M to the moment system (A, b).
-
-    For every pair (i, j) of the table,
-    d<x_i x_j>/dt = sum_k M_ik <x_k x_j> + M_jk <x_i x_k>,
-    with each product normal ordered by ``_normal_order``.  Vacuum input
-    noise is anti-normally ordered, so it adds nothing to these moments.
-    """
-    a_map = np.zeros((10, 10, 4, 4), dtype=complex)
-    b_map = np.zeros((10, 4, 4), dtype=complex)
-    for row, (i, j) in enumerate(MOMENT_PAIRS):
-        for k in range(4):
-            for entry, product in (((i, k), (k, j)), ((j, k), (i, k))):
-                col, commutator = _normal_order(*product)
-                a_map[(row, col) + entry] += 1.0
-                b_map[(row,) + entry] += commutator
-    return a_map.reshape(100, 16), b_map.reshape(10, 16)
-
-
-_A_MAP, _B_MAP = _derivation_maps()
-
-
-def regression_generator(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generator (A, b) of the moment system dv/dt = A v + b, v = MomentVector.values.
-
-    Derived from the 4x4 dynamical matrix ``m`` (see ``_derivation_maps``);
-    b collects the commutators picked up by normal ordering.
-    """
-    flat = m.reshape(16)
-    return (_A_MAP @ flat).reshape(10, 10), _B_MAP @ flat
 
 
 def _resolve_operating_point(p: DickeParams) -> tuple[MeanFieldState, np.ndarray]:
@@ -135,7 +91,7 @@ def _resolve_operating_point(p: DickeParams) -> tuple[MeanFieldState, np.ndarray
 
 
 def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
-    """Steady solution of the moment system, A v = -b.
+    """Steady moments from the Lyapunov equation M S + S M^T + Q = 0.
 
     ``m`` is the dynamical matrix at the operating point; omitted, the
     operating point is resolved from the parameters (trivial state for
@@ -148,16 +104,19 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     if m[C, D] == 0.0 and m[D, DDAG] == 0.0:
         # decoupled modes (g1 = g2 = 0) with vacuum input: every moment
         # vanishes (the undriven atomic moments are conserved, so the
-        # matrix is singular)
-        return MomentVector(np.zeros(10, dtype=complex))
+        # equation is singular)
+        return MomentVector(np.zeros((4, 4), dtype=complex))
     if stability(m, p.omega0) == "unstable":
         raise ThresholdError("fluctuation dynamics is not stable at this point")
-    a, b = regression_generator(m)
+    noise = np.zeros((4, 4), dtype=complex)
+    noise[C, CDAG] = 2.0 * p.kappa
+    # row-major vec(M S + S M^T) = (M (x) I + I (x) M) vec(S)
+    eye = np.eye(4)
     try:
-        values = np.linalg.solve(a, -b)
+        s = np.linalg.solve(np.kron(m, eye) + np.kron(eye, m), -noise.ravel())
     except np.linalg.LinAlgError as exc:
-        raise ThresholdError("moment system is singular (criticality)") from exc
-    return MomentVector(values)
+        raise ThresholdError("moment equation is singular (criticality)") from exc
+    return MomentVector(s.reshape(4, 4) - _COMMUTATORS)
 
 
 def photon_number_closed_form(p: DickeParams, lam: float | None = None) -> float:

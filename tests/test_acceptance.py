@@ -68,7 +68,7 @@ def test_criterion_3_moment_closed_forms():
         worst_cc = max(worst_cc, abs(m.cc - cc_ref) / abs(cc_ref))
         worst_id = max(worst_id, abs(abs(m.cc) - m.photon_number) / n_ref)
     ok = worst_n < 1e-9 and worst_cc < 1e-9 and worst_id < 1e-9
-    assert report(3, "10x10 solve vs closed forms on 20-point grid "
+    assert report(3, "Lyapunov solve vs closed forms on 20-point grid "
                      f"(rel errs {worst_n:.1e}/{worst_cc:.1e}/{worst_id:.1e})", ok)
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: configs, outputs, manifests, determinism."""
 
 import contextlib
+import csv
 import importlib
+import itertools
 import io
 import json
 import math
@@ -718,10 +720,16 @@ class TestColdStart:
             "load_config(sys.argv[1])", str(FIG5_CONFIG))
         assert loaded == set()
 
-    def test_spectrum_integrates_nothing(self, tmp_path):
+    @pytest.mark.parametrize("mode, sets", [
+        ("spectrum", ["--set", "grid.lam_list=1 2"]),
+        ("steady-state", ["--set", "grid.lam_list=1 2"]),
+        ("photon-flux", ["--set", "grid.lam_list=1 2"]),
+        ("g2", []),
+    ], ids=["spectrum", "steady-state", "photon-flux", "g2"])
+    def test_run_integrates_nothing(self, tmp_path, mode, sets):
+        # the README's list of runs that start without the integrators
         loaded = costly_modules_after(
-            RUN_MAIN, "spectrum", *DICKE_SETS, "--set", "grid.lam_list=1 2",
-            "--out", str(tmp_path / "spectrum"))
+            RUN_MAIN, mode, *DICKE_SETS, *sets, "--out", str(tmp_path / mode))
         assert not loaded & {"scipy.integrate", "scipy.linalg"}
 
     def test_tongue_cell_reaches_the_integrator(self, tmp_path):
@@ -770,6 +778,32 @@ FIGURE_REDUCTIONS = {
 TAU_SETS = ["--set", "grid.tau_span=50", "--set", "grid.tau_points=64"]
 
 
+def check_plot_script(out: Path, name: str):
+    """The script compiles, and each column it reads heads the CSV it loaded.
+
+    Columns are read as ``var["..."]`` or ``var[f"..."]`` from ``var =
+    load("table")``; an f-string's fields take every value of the script's
+    ``for k in range(a, b)`` loops.
+    """
+    text = (out / name).read_text()
+    compile(text, name, "exec")
+    loops = {var: range(int(a), int(b)) for var, a, b in
+             re.findall(r"for (\w+) in range\((\d+), (\d+)\)", text)}
+    loads = re.findall(r'(\w+) = load\("([^"]+)"\)', text)
+    assert loads
+    for var, table in loads:
+        # every table the script loads was written next to it
+        assert (out / table).exists(), table
+        with open(out / table) as fh:
+            header = set(next(csv.reader(fh)))
+        for is_f, column in re.findall(rf'\b{var}\[(f?)"([^"]+)"\]', text):
+            fields = re.findall(r"{(\w+)}", column) if is_f else []
+            assert all(f in loops for f in fields), (name, column)
+            for values in itertools.product(*(loops[f] for f in fields)):
+                read = column.format(**dict(zip(fields, values))) if is_f else column
+                assert read in header, (name, table, read)
+
+
 class TestPlotScripts:
     @pytest.mark.parametrize("argv, scripts", [
         (["map-params", *DICKE_SETS], []),
@@ -806,9 +840,7 @@ class TestPlotScripts:
         manifest = json.loads((out / "manifest.json").read_text())
         for name in scripts:
             assert name in manifest["outputs"]
-            # every table the script loads was written next to it
-            for table in re.findall(r'load\("([^"]+)"\)', (out / name).read_text()):
-                assert (out / table).exists(), table
+            check_plot_script(out, name)
 
 
 #: pools for fuzzing ``--set`` items; counts stay small, so that no example

@@ -44,6 +44,21 @@ class TestSteadyMoments:
         m = corr.steady_moments(params(lam=0.7 * LC))
         assert m.conjugate_closure_residual() < 1e-12
 
+    @pytest.mark.parametrize("lam_prime_ratio, fractions", [
+        (0.0, (0.3, 0.7, 0.99)),
+        (1.0 / 360.0, (0.7, 0.99, 1.1, 1.6)),
+    ], ids=["symmetric", "biased"])
+    def test_commutators(self, lam_prime_ratio, fractions):
+        # the solved moments keep [c, c+] = [d, d+] = 1, to 1e-12 of the
+        # largest moment; the vacuum noise entry of Q is what fixes them
+        C, CDAG, D, DDAG = corr.C, corr.CDAG, corr.D, corr.DDAG
+        for f in fractions:
+            q = params(lam=f * LC, lam_prime=f * LC * lam_prime_ratio, n=1e6)
+            m = corr.steady_moments(q)
+            bound = 1e-12 * float(np.max(np.abs(m.values)))
+            assert abs(m.pair(C, CDAG) - m.pair(CDAG, C) - 1.0) < bound
+            assert abs(m.pair(D, DDAG) - m.pair(DDAG, D) - 1.0) < bound
+
     def test_threshold_guards(self):
         with pytest.raises(corr.ThresholdError):
             corr.steady_moments(params(lam=1.01 * LC))
@@ -106,7 +121,7 @@ class TestPhotonFlux:
 class TestTwoTimeCorrelations:
     def test_tau_zero_reproduces_moments(self):
         # the contour-integrated correlators at tau = 0 must agree with the
-        # independent 10x10 steady solve
+        # independent Lyapunov steady solve
         q = params(lam=0.7 * LC)
         m = corr.steady_moments(q)
         tau = np.linspace(0.0, 5.0, 16)
@@ -116,7 +131,7 @@ class TestTwoTimeCorrelations:
 
     @pytest.mark.parametrize("lam", [6.0, 9.0])
     def test_tau_zero_reproduces_biased_moments(self, lam):
-        # with a bias g1 != 0, so the g1 terms of the moment system count
+        # with a bias g1 != 0, so the g1 entries of M count
         q = params(lam=lam, lam_prime=lam / 360.0, n=1e6)
         m = corr.steady_moments(q)
         tau = np.linspace(0.0, 5.0, 16)
