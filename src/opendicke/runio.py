@@ -3,8 +3,11 @@
 Identical runs must produce byte-identical data files.  Every number is
 written one way, as Python's shortest round-trip ``repr`` of its float64
 value: a CSV cell carries the same text as the same value in a JSON table,
-and integral values carry ".0".  The manifest records a sha256 checksum
-per output so reproducibility is checkable after the fact.
+and integral values carry ".0".  That text comes from the vectorised
+Schubfach kernel ``_floattext.csv_body``, byte for byte what ``repr``
+writes, with no Python call per number; a table is formatted once and its
+JSON built from the CSV bytes.  The manifest records a sha256 checksum per
+output so reproducibility is checkable after the fact.
 """
 
 from __future__ import annotations
@@ -41,45 +44,46 @@ class RunWriter:
             "resolved_params": resolved_params, "wall_clock_s": 0.0, "outputs": {}}
         self._t0 = time.monotonic()
 
-    def _write(self, name: str, text: str) -> bytes:
+    def _write(self, name: str, data: bytes) -> None:
         """Write one file, creating the directory at the first write."""
-        data = text.encode()
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / name).write_bytes(data)
-        return data
 
-    def _emit(self, name: str, text: str) -> None:
+    def _emit(self, name: str, data: bytes) -> None:
         """Write one output and record the sha256 of the bytes written."""
-        data = self._write(name, text)
+        self._write(name, data)
         self.manifest["outputs"][name] = hashlib.sha256(data).hexdigest()
 
     def write_table(self, table: Table) -> None:
+        # imported at the first table write: a run's start-up does not pay for it
+        from . import _floattext
+
         values = np.asarray(table.rows, dtype=float)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]
             raise NonFiniteValue(f"table {table.name}, column {table.header[j]}: "
                                  f"non-finite value {float(values[i, j])!r}")
-        rows = values.tolist()
+        body = _floattext.csv_body(values)
         if self.out_format in ("csv", "both"):
-            lines = [",".join(table.header)]
-            lines += [",".join(map(repr, row)) for row in rows]
-            self._emit(f"{table.name}.csv", "\n".join(lines) + "\n")
+            self._emit(f"{table.name}.csv", ",".join(table.header).encode() + b"\n" + body)
         if self.out_format in ("json", "both"):
-            payload = {"columns": table.header, "rows": rows}
-            self._emit(f"{table.name}.json",
-                       json.dumps(payload, sort_keys=True, allow_nan=False))
+            # json.dumps(payload, sort_keys=True) writes each float as its repr
+            # and separates with ", ": the CSV cells become "[[a, b], [c, d]]"
+            rows = b"[" + body.replace(b",", b", ").replace(b"\n", b"], [")[:-4] + b"]"
+            self._emit(f"{table.name}.json", b'{"columns": ' + json.dumps(table.header).encode()
+                       + b', "rows": [' + (rows if body else b"") + b"]}")
 
     def write_json(self, name: str, payload: dict) -> None:
-        self._emit(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        self._emit(name, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
     def write_script(self, name: str, text: str) -> None:
-        self._emit(name, text)
+        self._emit(name, text.encode())
 
     def finalize(self) -> Path:
         self.manifest["wall_clock_s"] = time.monotonic() - self._t0
         self._write("manifest.json",
-                    json.dumps(self.manifest, sort_keys=True, indent=2) + "\n")
+                    (json.dumps(self.manifest, sort_keys=True, indent=2) + "\n").encode())
         return self.out_dir / "manifest.json"
 
 

@@ -22,13 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opendicke import figures, meanfield
+from opendicke import _floattext, figures, meanfield
 from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
 from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
-from opendicke.runio import RunWriter
+from opendicke.runio import NonFiniteValue, RunWriter
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
@@ -618,6 +618,83 @@ class TestNumberFormat:
         cells = [line.split(",") for line in lines[1:]]
         assert cells == [[json.dumps(value) for value in row] for row in payload["rows"]]
 
+    @staticmethod
+    def written(rows, header) -> tuple[bytes, bytes]:
+        """The CSV and JSON bytes ``write_table`` writes for one table."""
+        with tempfile.TemporaryDirectory() as tmp:
+            RunWriter(tmp, "test", {}, out_format="both").write_table(Table("t", header, rows))
+            return (Path(tmp) / "t.csv").read_bytes(), (Path(tmp) / "t.json").read_bytes()
+
+    def check_repr(self, values: np.ndarray):
+        """Every cell is the ``repr`` of its value, the JSON file that of ``json.dumps``."""
+        header = [f"c{j}" for j in range(values.shape[1])]
+        rows = values.tolist()
+        csv_bytes, json_bytes = self.written(values, header)
+        lines = csv_bytes.decode().split("\n")
+        assert lines[0] == ",".join(header) and lines[-1] == ""
+        assert [line.split(",") for line in lines[1:-1]] == [list(map(repr, row)) for row in rows]
+        assert json_bytes.decode() == json.dumps({"columns": header, "rows": rows},
+                                                 sort_keys=True)
+
+    def test_every_cell_is_repr_on_deterministic_samples(self):
+        # powers of two and of ten with both neighbours, every subnormal
+        # mantissa below 2^12 and the largest ones, signed zeros, and 1e5
+        # random finite bit patterns, each with both signs
+        def with_neighbours(x):
+            return np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
+
+        bits = np.random.default_rng(23).integers(0, 2 ** 64, 120_000, dtype=np.uint64)
+        noise = bits.view(np.float64)
+        values = np.concatenate([
+            with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+            with_neighbours(np.array([float(f"1e{e}") for e in range(-323, 309)])),
+            np.arange(2 ** 12, dtype=np.uint64).view(np.float64),
+            (2 ** 52 - np.arange(1, 2 ** 12, dtype=np.uint64)).view(np.float64),
+            noise[np.isfinite(noise)][:100_000]])
+        values = np.concatenate([values, -values])
+        self.check_repr(values.reshape(-1, 2))
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_every_cell_is_repr_across_block_boundaries(self, width):
+        # row counts 1, B - 1, B and B + 1 for the kernel's block of B values
+        block = _floattext.BLOCK
+        rng = np.random.default_rng(width)
+        for n_rows in (1, block - 1, block, block + 1):
+            mantissa = rng.standard_normal((n_rows, width))
+            self.check_repr(mantissa * 10.0 ** rng.integers(-30, 30, (n_rows, width)))
+
+    @pytest.mark.parametrize("header, rows, csv_bytes, json_bytes", [
+        (["a", "b[1]"], [], b"a,b[1]\n", b'{"columns": ["a", "b[1]"], "rows": []}'),
+        (["a", "b"], np.empty((0, 2)), b"a,b\n", b'{"columns": ["a", "b"], "rows": []}'),
+        (["x[1]"], [[1.0], [-0.0], [1e16], [2.5e-5]], b"x[1]\n1.0\n-0.0\n1e+16\n2.5e-05\n",
+         b'{"columns": ["x[1]"], "rows": [[1.0], [-0.0], [1e+16], [2.5e-05]]}'),
+    ], ids=["no-rows", "no-rows-array", "one-column"])
+    def test_edge_table_bytes(self, header, rows, csv_bytes, json_bytes):
+        assert self.written(rows, header) == (csv_bytes, json_bytes)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cell_refused(self, tmp_path, value):
+        # the first bad cell in row order is (1, b); (2, a) is bad too
+        rows = [[0.0, 1.0, 2.0], [3.0, value, 4.0], [value, 5.0, value]]
+        writer = RunWriter(str(tmp_path), "test", {}, out_format="both")
+        with pytest.raises(NonFiniteValue, match=re.escape(
+                f"table t, column b: non-finite value {value!r}")):
+            writer.write_table(Table("t", ["a", "b", "c"], rows))
+        assert not list(tmp_path.iterdir())
+        proc = python("-c", """
+import sys
+from opendicke import cli
+from opendicke.figures import Table
+value = float(sys.argv[1])
+rows = [[0.0, 1.0, 2.0], [3.0, value, 4.0], [value, 5.0, value]]
+cli.spectrum_table = lambda name, p, grid: Table(name, ["a", "b", "c"], rows)
+sys.exit(cli.main(sys.argv[2:]))""", repr(value), "spectrum", "--out", str(tmp_path / "o"),
+            *DICKE_SETS, "--set", "grid.lam_list=1 2")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: table spectrum, column b:")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "spectrum.csv").exists()
+
 
 class TestReproduceFigure:
     def test_fig1_bundle(self, tmp_path):
@@ -719,6 +796,21 @@ class TestColdStart:
             "import sys\nimport opendicke.cli\nfrom opendicke.config import load_config\n"
             "load_config(sys.argv[1])", str(FIG5_CONFIG))
         assert loaded == set()
+
+    def test_number_text_kernel_loads_at_the_first_table_write(self, tmp_path):
+        proc = python("-c", """
+import sys
+import opendicke.cli
+from opendicke.config import load_config
+from opendicke.figures import Table
+from opendicke.runio import RunWriter
+load_config(sys.argv[1])
+print("opendicke._floattext" in sys.modules)
+RunWriter(sys.argv[2], "test", {}).write_table(Table("t", ["a"], [[1.0]]))
+print(sys.modules["opendicke._floattext"]._tables.cache_info().currsize)""",
+                      str(FIG5_CONFIG), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
 
     @pytest.mark.parametrize("mode, sets", [
         ("spectrum", ["--set", "grid.lam_list=1 2"]),
