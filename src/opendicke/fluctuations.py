@@ -98,18 +98,45 @@ def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def stability(m: np.ndarray, omega0: float) -> str:
+def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
     """"stable", "unstable" or "marginal" by the largest growth rate Re mu of M.
 
     A growth rate within 1e-12 omega0 of zero is marginal: at lam = 1e-6
     omega0 on the canonical operating point the normal phase grows at
-    +1.1e-16 omega0 from rounding alone.
+    +1.1e-16 omega0 from rounding alone.  A ``(..., 4, 4)`` stack is
+    classified by one eigenvalue call into an array of labels of shape
+    ``(...)``; a single matrix gets a ``str``.
     """
-    growth = float(np.max(np.linalg.eigvals(m).real))
+    growth = np.linalg.eigvals(m).real.max(axis=-1)
     tol = 1e-12 * omega0
-    if growth < -tol:
-        return "stable"
-    return "unstable" if growth > tol else "marginal"
+    verdict = np.where(growth < -tol, "stable",
+                       np.where(growth > tol, "unstable", "marginal"))
+    return str(verdict) if verdict.ndim == 0 else verdict
+
+
+#: dynamical matrices per stacked eigenvalue call of a coupling sweep:
+#: numpy's overhead per call exceeds the cost of one 4x4 solve, and a
+#: 256 KiB block bounds the memory of any grid
+SWEEP_BLOCK = 1024
+
+
+def _matrix_blocks(walk):
+    """Yield ``(pairs, matrices)`` for up to ``SWEEP_BLOCK`` ``(q, state)`` pairs of a walk.
+
+    Each dynamical matrix is built as its pair arrives, so a point that
+    fails raises before any later point is walked.  ``matrices`` is one
+    buffer reused by every block: use it before asking for the next.
+    """
+    block = np.empty((SWEEP_BLOCK, 4, 4), dtype=complex)
+    pairs = []
+    for q, ss in walk:
+        block[len(pairs)] = dynamical_matrix(hp_coefficients(ss, q), q)
+        pairs.append((q, ss))
+        if len(pairs) == SWEEP_BLOCK:
+            yield pairs, block
+            pairs = []
+    if pairs:
+        yield pairs, block[:len(pairs)]
 
 
 @dataclass
@@ -136,7 +163,10 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     cavity pair omega - i kappa, -omega - i kappa and the bare atomic pair
     +/- omega0; at every later grid point the modes are ordered to follow
     their frequencies at the previous point, with the smallest total
-    distance sum_b |omega_b - omega_b(previous)|.
+    distance sum_b |omega_b - omega_b(previous)|.  The walk builds each
+    point's dynamical matrix as it goes, and the eigenvalues are solved
+    once per block of ``SWEEP_BLOCK`` matrices before the matching runs
+    over them.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(np.diff(lam_grid) < 0):
@@ -158,9 +188,13 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     else:
         sweep = branch_walk(p, lams)
     freqs_out = np.empty((work_grid.size, 4), dtype=complex)
+    start = 0
+    for pairs, block in _matrix_blocks(sweep):
+        freqs_out[start:start + len(pairs)] = 1j * np.linalg.eigvals(block)
+        start += len(pairs)
     pol_index = 0
-    for i, (q, ss) in enumerate(sweep):
-        freqs = 1j * np.linalg.eigvals(dynamical_matrix(hp_coefficients(ss, q), q))
+    for i in range(work_grid.size):
+        freqs = freqs_out[i]
         if i == 0:
             # anchor: order deterministically; the polariton branch starts
             # as the mode closest to the bare atomic frequency +omega0

@@ -273,13 +273,6 @@ def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = Non
         yield q, state
 
 
-def _stability_flag(state: MeanFieldState, q: DickeParams) -> str:
-    # local import: fluctuations builds on the steady states defined here
-    from .fluctuations import dynamical_matrix, hp_coefficients, stability
-
-    return stability(dynamical_matrix(hp_coefficients(state, q), q), q.omega0)
-
-
 def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None
                   ) -> SteadyStateBranch:
     """Steady states over a sorted coupling grid.
@@ -290,7 +283,9 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     ``branch_walk``: the root whose Re beta has the sign of lam', so no
     bifurcation appears.  If ``lam_prime_over_lam`` is given, the bias
     scales with the coupling (both are proportional to the pump strength
-    for a fixed geometry).
+    for a fixed geometry).  Each state's dynamical matrix is built as the
+    walk reaches it, and ``fluctuations.stability`` flags a block of
+    ``fluctuations.SWEEP_BLOCK`` matrices at a time.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.size == 0:
@@ -298,19 +293,23 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     if np.any(np.diff(lam_grid) < 0):
         raise ValueError("coupling grid must be sorted ascending")
 
+    # local import: fluctuations builds on the steady states defined here
+    from .fluctuations import _matrix_blocks, stability
+
+    lams = lam_grid.tolist()
     if p.lam_prime == 0.0 and lam_prime_over_lam is None:
         lc = critical_coupling(p)
-        per_lam = []
-        for lam in lam_grid.tolist():
-            q = p.with_coupling(lam)
-            states = [trivial_state(p)]
-            if lam > lc:
-                states += superradiant_states(q)
-            per_lam.append([(st, _stability_flag(st, q)) for st in states])
-        return SteadyStateBranch(lam_grid, per_lam)
-
-    per_lam = [[(st, _stability_flag(st, q))]
-               for q, st in branch_walk(p, lam_grid.tolist(), lam_prime_over_lam)]
+        walk = ((q, st) for q in map(p.with_coupling, lams)
+                for st in (trivial_state(p), *(superradiant_states(q) if q.lam > lc else ())))
+    else:
+        walk = branch_walk(p, lams, lam_prime_over_lam)
+    per_lam, last = [], None
+    for pairs, block in _matrix_blocks(walk):
+        for (q, st), flag in zip(pairs, stability(block, p.omega0).tolist()):
+            if q is not last:   # the states of one coupling share its q
+                per_lam.append([])
+                last = q
+            per_lam[-1].append((st, flag))
     return SteadyStateBranch(lam_grid, per_lam)
 
 

@@ -14,6 +14,7 @@ the pump wavelength 2*pi/G.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -175,8 +176,13 @@ def mode_functions(p: PhysicalParams) -> ModeFunctions:
     return _oriented_modes(p)[0]
 
 
+@functools.lru_cache(maxsize=16)
 def _oriented_modes(p: PhysicalParams) -> tuple[ModeFunctions, float]:
-    """The mode functions and the non-negative overlap of cavity and excited mode."""
+    """The mode functions and the non-negative overlap of cavity and excited mode.
+
+    Cached: both types are frozen, and a figure maps and profiles one
+    system several times, each time paying a ``quad`` for the overlap.
+    """
     x_left, x_right = p.support
     n = max(1, round(p.cavity_wavevector * p.condensate_length / math.pi))
     k_n = math.pi * n / p.condensate_length

@@ -277,12 +277,20 @@ class TestSpectrum:
 
 class TestStability:
     def test_verdicts_at_the_tolerance(self):
-        for growth, verdict in ((-2e-12, "stable"), (0.0, "marginal"),
-                                (5e-13, "marginal"), (-5e-13, "marginal"),
-                                (2e-12, "unstable")):
-            m = np.diag([growth - 1.0, growth, -3.0, -1.0]).astype(complex)
+        cases = ((-2e-12, "stable"), (0.0, "marginal"), (5e-13, "marginal"),
+                 (-5e-13, "marginal"), (2e-12, "unstable"))
+        stack = np.array([np.diag([growth - 1.0, growth, -3.0, -1.0])
+                          for growth, _ in cases], dtype=complex)
+        verdicts = [verdict for _, verdict in cases]
+        for m, verdict in zip(stack, verdicts):
+            assert type(fl.stability(m, 1.0)) is str
             assert fl.stability(m, 1.0) == verdict
             assert fl.stability(m * 10.0, 10.0) == verdict
+        # the same matrices stacked get exactly the per-matrix labels
+        assert fl.stability(stack, 1.0).tolist() == verdicts
+        assert fl.stability(stack * 10.0, 10.0).tolist() == verdicts
+        assert fl.stability(stack.reshape(5, 1, 4, 4), 1.0).tolist() == [
+            [verdict] for verdict in verdicts]
 
     @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
     def test_steady_moments_refuse_exactly_the_unstable_states(self, lam_prime):
@@ -302,6 +310,108 @@ class TestStability:
                 else:
                     assert np.all(np.isfinite(corr.steady_moments(q, m).values))
         assert "stable" in flags and (lam_prime or "unstable" in flags)
+
+
+def per_point_flags(walk, omega0):
+    """Reference flags per coupling: one ``eigvals`` call per state."""
+    per_lam, last = [], None
+    for q, state in walk:
+        m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+        growth = float(np.max(np.linalg.eigvals(m).real))
+        tol = 1e-12 * omega0
+        flag = ("stable" if growth < -tol
+                else "unstable" if growth > tol else "marginal")
+        if q is not last:
+            per_lam.append([])
+            last = q
+        per_lam[-1].append((state, flag))
+    return per_lam
+
+
+def unbiased_walk(p, lams):
+    lc = mfd.critical_coupling(p)
+    for lam in lams:
+        q = p.with_coupling(lam)
+        for state in [mfd.trivial_state(p)] + (
+                list(mfd.superradiant_states(q)) if lam > lc else []):
+            yield q, state
+
+
+def per_point_spectrum(p, lam_grid):
+    """Reference tracked spectrum: one ``eigvals`` call per coupling."""
+    work = lam_grid
+    if lam_grid[0] > 0.0:
+        work = np.concatenate([np.linspace(0.0, lam_grid[0], 33)[:-1], lam_grid])
+    if p.lam_prime == 0.0:
+        walk = ((q, mfd.operating_point(q)) for q in map(p.with_coupling, work.tolist()))
+    else:
+        walk = mfd.branch_walk(p, work.tolist())
+    rows, pol = [], 0
+    for q, state in walk:
+        m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+        freqs = 1j * np.linalg.eigvals(m)
+        if not rows:
+            freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
+            pol = int(np.argmin(np.abs(freqs - p.omega0)))
+        else:
+            freqs = freqs[fl._best_permutation(np.abs(freqs[None, :] - rows[-1][:, None]))]
+        rows.append(freqs)
+    return np.array(rows)[work.size - lam_grid.size:], pol
+
+
+class TestStackedSweeps:
+    """Sweeps solve blocks of matrices; every value equals the per-point solve."""
+
+    def grid(self, lo, hi):
+        # longer than one block, with lam_c on the grid
+        lc = mfd.critical_coupling(params())
+        return np.union1d(np.linspace(lo, hi, fl.SWEEP_BLOCK + 77) * lc, [lc])
+
+    def test_unbiased_steady_states_equal_the_per_point_flags(self):
+        p = params()
+        grid = self.grid(0.0, 2.0)
+        branch = mfd.steady_states(p, grid)
+        want = per_point_flags(unbiased_walk(p, grid.tolist()), p.omega0)
+        # three states above lam_c, so the states straddle the block ends
+        assert sum(map(len, branch.states)) > 2 * fl.SWEEP_BLOCK
+        assert branch.states == want
+        assert {"stable", "unstable", "marginal"} <= {
+            flag for found in want for _, flag in found}
+
+    @pytest.mark.parametrize("lam_prime, ratio", [(2e-3, None), (0.0, -1e-3)])
+    def test_biased_steady_states_equal_the_per_point_flags(self, lam_prime, ratio):
+        p = params(lam_prime=lam_prime)
+        grid = self.grid(0.1, 1.6)
+        branch = mfd.steady_states(p, grid, ratio)
+        want = per_point_flags(mfd.branch_walk(p, grid.tolist(), ratio), p.omega0)
+        assert branch.states == want
+
+    @pytest.mark.parametrize("lam_prime, lo", [(0.0, 0.0), (0.0, 0.4), (1e-3, 0.2)])
+    def test_spectra_equal_the_per_point_solve_bit_for_bit(self, lam_prime, lo):
+        p = params(lam_prime=lam_prime)
+        grid = self.grid(lo, 1.6)
+        sw = fl.spectrum_sweep(p, grid)
+        freqs, pol = per_point_spectrum(p, grid)
+        assert sw.frequencies.shape == freqs.shape
+        assert sw.frequencies.tobytes() == freqs.tobytes()
+        assert sw.polariton_index == pol
+
+    def test_a_failing_point_raises_what_the_per_point_walk_raises(self):
+        # at 1e9 lam_c the symmetry-broken |beta|/N rounds to 1/2, in the
+        # middle of the first block
+        p = params()
+        lc = mfd.critical_coupling(p)
+        grid = np.array([0.0, 0.5, 1.5, 3.0, 1e9, 2e9]) * lc
+        with pytest.raises(fl.ValidityError) as want:
+            per_point_flags(unbiased_walk(p, grid.tolist()), p.omega0)
+        with pytest.raises(fl.ValidityError) as got:
+            mfd.steady_states(p, grid)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(fl.ValidityError) as want:
+            per_point_spectrum(p, grid)
+        with pytest.raises(fl.ValidityError) as got:
+            fl.spectrum_sweep(p, grid)
+        assert str(got.value) == str(want.value)
 
 
 class TestPerturbativeSoftMode:
