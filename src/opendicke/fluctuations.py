@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import MeanFieldState, branch_walk, critical_coupling, operating_point
+from .meanfield import (MeanFieldState, _sorted_grid, branch_walk, critical_coupling,
+                        operating_point)
 from .params import DickeParams
 
 
@@ -168,9 +169,7 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     once per block of ``SWEEP_BLOCK`` matrices before the matching runs
     over them.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    if np.any(np.diff(lam_grid) < 0):
-        raise ValueError("coupling grid must be sorted ascending")
+    lam_grid = _sorted_grid(lam_grid)
     work_grid = lam_grid
     n_approach = 0
     if lam_grid.size == 0 or lam_grid[0] > 0.0:

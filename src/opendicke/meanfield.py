@@ -113,9 +113,10 @@ class Trajectory:
 
 
 #: most right-hand-side evaluations one integration may spend, read when it
-#: starts: about two minutes of RK45 on one core.  At the defaults an
-#: ``evolve`` run needs 8e4, an integrated response-map cell 5e4 to 1.3e5
-#: and a driven time series 1.8e5
+#: starts: about two minutes of RK45 on one core.  ``_solvers.solve_ivp``
+#: leaves LSODA's step count unlimited, so for LSODA this is the only work
+#: limit.  At the defaults an ``evolve`` run needs 8e4, an integrated
+#: response-map cell 5e4 to 1.3e5 and a driven time series 1.8e5
 MAX_RHS_EVALS = 10 ** 7
 
 
@@ -137,7 +138,8 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
     """Adaptive integration of the mean-field equations at fixed coupling.
 
     Raises IntegrationError on step-size underflow, reporting the last
-    accepted state, and once ``MAX_RHS_EVALS`` evaluations are spent: the
+    accepted state (the initial one for LSODA, whose failed runs return no
+    samples), and once ``MAX_RHS_EVALS`` evaluations are spent: the
     cost grows with the span and with the precession rate, which a large
     initial field makes arbitrarily fast.
     """
@@ -273,6 +275,20 @@ def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = Non
         yield q, state
 
 
+def _sorted_grid(lam_grid) -> np.ndarray:
+    """``lam_grid`` as a float array; ValueError unless finite and ascending.
+
+    NaN passes the ascending test, and the sweeps would otherwise fail
+    later, inside an eigensolve or a validity check.
+    """
+    lam_grid = np.asarray(lam_grid, dtype=float)
+    if not np.all(np.isfinite(lam_grid)):
+        raise ValueError("coupling grid must be finite")
+    if np.any(np.diff(lam_grid) < 0):
+        raise ValueError("coupling grid must be sorted ascending")
+    return lam_grid
+
+
 def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None
                   ) -> SteadyStateBranch:
     """Steady states over a sorted coupling grid.
@@ -287,11 +303,9 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     walk reaches it, and ``fluctuations.stability`` flags a block of
     ``fluctuations.SWEEP_BLOCK`` matrices at a time.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
+    lam_grid = _sorted_grid(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("empty coupling grid")
-    if np.any(np.diff(lam_grid) < 0):
-        raise ValueError("coupling grid must be sorted ascending")
 
     # local import: fluctuations builds on the steady states defined here
     from .fluctuations import _matrix_blocks, stability

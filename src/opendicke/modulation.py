@@ -17,7 +17,8 @@ regime is evaluated from its Floquet solution, however close it lies to
 the ridge; the solution is sampled in blocks of times, each one product
 of a harmonic table with the Floquet vectors.  Cells above threshold or inside a tongue, cells whose seed
 leaves the linear regime and every cell with lam' != 0 are integrated
-through the nonlinear equations.
+through the nonlinear equations, as is the single-cell time series; both
+run LSODA in ODEPACK's own step loop (``_solvers.solve_ivp``).
 """
 
 from __future__ import annotations
@@ -189,7 +190,12 @@ def _driven_run(p: DickeParams, lam: float, nu: float, eps: float, seed: float,
                 t_eval: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     """LSODA samples y(t_eval) of ``_scaled_rhs`` from y(0) = (seed, 0, seed, 0).
 
-    Bounded by ``meanfield.MAX_RHS_EVALS`` evaluations (IntegrationError).
+    ``_solvers.solve_ivp`` runs LSODA through ``odeint``, so the step loop
+    stays inside ODEPACK and only the right-hand side calls back into
+    Python.  ODEPACK's steps depend on the output times, so the samples
+    do too, within the requested tolerance.  Bounded by
+    ``meanfield.MAX_RHS_EVALS`` evaluations (IntegrationError); an ODEPACK
+    failure raises RuntimeError.
     """
     sol = solve_ivp(_bounded(_scaled_rhs, p, lam, eps, nu), (0.0, float(t_eval[-1])),
                     [seed, 0.0, seed, 0.0], method="LSODA", rtol=rtol, atol=atol,

@@ -19,6 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from opendicke.correlations import photon_number_closed_form, two_time_correlati
 from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
 from opendicke.runio import NonFiniteValue, RunWriter
+
+from util import ODEPACK_ERROR, failing_odeint
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
@@ -493,6 +496,18 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == ("numerical failure: integration stopped after 10000 "
                        "right-hand-side evaluations\n")
+        assert not list(out.glob("*.csv"))
+
+    def test_modulate_odepack_error_is_numeric_failure(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "odeint", failing_odeint)
+        out = tmp_path / "o"
+        rc = main(["modulate", "--out", str(out), *DICKE_SETS,
+                   "--set", "modulation.time_series_lam=8.3",
+                   "--set", "modulation.time_series_nu=1.2"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: driven run (lam=8.3, nu=1.2) failed: {ODEPACK_ERROR}\n")
         assert not list(out.glob("*.csv"))
 
     def test_photon_flux_of_the_marginal_normal_phase(self, tmp_path):

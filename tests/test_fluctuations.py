@@ -396,6 +396,12 @@ class TestStackedSweeps:
         assert sw.frequencies.tobytes() == freqs.tobytes()
         assert sw.polariton_index == pol
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # as for meanfield.steady_states
+        with pytest.raises(ValueError, match="coupling grid must be finite"):
+            fl.spectrum_sweep(params(), [0.1, bad])
+
     def test_a_failing_point_raises_what_the_per_point_walk_raises(self):
         # at 1e9 lam_c the symmetry-broken |beta|/N rounds to 1/2, in the
         # middle of the first block

@@ -329,3 +329,10 @@ class TestSteadyStateBranches:
             mfd.steady_states(p, [])
         with pytest.raises(ValueError):
             mfd.steady_states(p, [2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # NaN passes the ascending check; unchecked, NaN ends in an
+        # eigensolve's LinAlgError and +inf in ValidityError
+        with pytest.raises(ValueError, match="coupling grid must be finite"):
+            mfd.steady_states(params(), [0.1, bad])

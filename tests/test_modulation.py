@@ -7,17 +7,22 @@ tongue, slow modulation, resonance scan) are asserted on the exponents of
 
 import concurrent.futures
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from opendicke import _solvers
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
 from opendicke.fluctuations import soft_mode_perturbative
 from opendicke.params import DickeParams
+
+from util import ODEPACK_ERROR, failing_odeint
 
 OMEGA, KAPPA = 300.0, 200.0
 
@@ -381,3 +386,51 @@ class TestDrivenResponse:
                                      n_samples=256)
         for s in traj.states:
             assert abs(s.beta) ** 2 + s.w ** 2 == pytest.approx(0.25, abs=1e-9)
+
+    def test_time_series_matches_a_tight_reference(self):
+        # at rtol 1e-8 the samples are 1.08e-6 of each component's scale
+        # off, and 1.00e-6 through SciPy's solve_ivp stepper
+        p = params(lam=0.8 * LC)
+        lam, nu, t_max = 0.8 * LC, 1.2, 200.0
+        traj = mod.driven_trajectory(p, lam, nu, t_max=t_max)
+        y = np.array([[s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag]
+                      for s in traj.states]).T
+        ref = solve_ivp(mod._scaled_rhs, (0.0, t_max), [1e-4, 0.0, 1e-4, 0.0],
+                        method="LSODA", rtol=1e-12, atol=1e-18, t_eval=traj.t,
+                        args=(p, lam, 0.02, nu))
+        assert ref.success
+        scale = np.max(np.abs(ref.y), axis=1)
+        assert np.all(np.max(np.abs(y - ref.y), axis=1) <= 2e-6 * scale)
+
+
+def oscillator(t, y):
+    return [y[1], -y[0]]
+
+
+class TestLsodaShim:
+    """``_solvers.solve_ivp``'s LSODA route, through ``odeint``."""
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 1.0, 2.5], [1.0, 2.5]],
+                             ids=["from-start", "after-start"])
+    def test_samples_at_the_requested_times(self, t_eval):
+        sol = _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], method="LSODA",
+                                 t_eval=t_eval, rtol=1e-10, atol=1e-12)
+        assert sol.success
+        assert sol.t.tolist() == t_eval and sol.y.shape == (2, len(t_eval))
+        assert np.allclose(sol.y, [np.cos(t_eval), -np.sin(t_eval)], rtol=0, atol=1e-8)
+        assert sol.nfev > 0 and sol.njev >= 0
+
+    def test_needs_output_times(self):
+        with pytest.raises(ValueError, match="t_eval"):
+            _solvers.solve_ivp(oscillator, (0.0, 1.0), [1.0, 0.0], method="LSODA")
+
+    def test_odepack_failure_is_reported_not_warned(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "odeint", failing_odeint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _solvers.solve_ivp(oscillator, (0.0, 1.0), [1.0, 0.0],
+                                     method="LSODA", t_eval=[0.5, 1.0],
+                                     rtol=1e-6, atol=1e-9)
+        assert not sol.success and sol.message == ODEPACK_ERROR
+        assert sol.t.size == 0 and sol.y.shape == (2, 0)
+        assert (sol.nfev, sol.njev) == (0, 0)

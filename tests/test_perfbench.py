@@ -34,6 +34,29 @@ for name, nu, t_max in (("off_ridge", 1.6, None), ("resonant", 1.2, 200.0)):
 print(json.dumps(out))
 """
 
+#: the resonant cell traced as above, with the right-hand side's calls counted
+#: here as well
+TRACED_RHS_CALLS = """
+import json
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from opendicke import meanfield, modulation
+from opendicke.params import DickeParams
+calls = []
+rhs = modulation._scaled_rhs
+def counted(*args):
+    calls.append(None)
+    return rhs(*args)
+modulation._scaled_rhs = counted
+p = DickeParams(300.0, 1.0, 0.0, 0.0, 200.0, 1e5)
+lc = meanfield.critical_coupling(p)
+tracer.active = True
+modulation.driven_response_map(p, [0.8 * lc], [1.2], eps=0.02, t_max=200.0)
+tracer.active = False
+print(json.dumps(dict(nfev=tracer.counts["modulation.nfev"], calls=len(calls))))
+"""
+
 #: one regression-route call on its default grid, traced as the benchmark
 #: traces the photodetection workload
 TRACED_REGRESSION = """
@@ -97,6 +120,16 @@ def test_traced_cells_report_integrator_work_only_where_it_runs():
     assert kind == "DickeParams" and abs(lam_ratio - 0.8) < 1e-12 and nu == 1.6
     assert off["nfev"] == 0
     assert resonant["cells"] == 1 and resonant["nfev"] > 0
+
+
+def test_traced_rhs_evals_equal_the_calls_made():
+    # the benchmark reads modulation.rhs_evals from the integrator's own
+    # count; it must be the work done, not an estimate of it
+    proc = _child(TRACED_RHS_CALLS)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["calls"] > 0
+    assert out["nfev"] == out["calls"]
 
 
 def test_traced_regression_route_reports_bounded_integrator_work():
