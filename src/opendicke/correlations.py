@@ -8,7 +8,8 @@ with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q.
 Two-time correlators follow either by contour integration of the
 frequency-domain Langevin solution driven by vacuum noise (a sum over the
 eigenvalues of M), or by quantum regression: the steady moments are
-propagated exactly along the uniform tau grid by exp(M dtau), built from
+propagated exactly along the uniform tau grid by the powers of
+exp(M dtau), formed by repeated squaring; exp(M dtau) itself is built from
 one ODE run of d Phi/d tau = M Phi by scaling and squaring, without an
 eigendecomposition.  Both routes are implemented and must agree.
 """
@@ -219,8 +220,6 @@ def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
 #: largest ||M h||_1 integrated directly by ``_propagator``; longer steps
 #: are halved until they fit and the result is squared back
 _PROPAGATOR_REACH = 32.0
-#: propagation block: E^0 ... E^63 are tabulated, blocks are joined by E^64
-_BLOCK = 64
 
 
 def _propagator(m: np.ndarray, h: float) -> np.ndarray:
@@ -257,20 +256,18 @@ def _propagator(m: np.ndarray, h: float) -> np.ndarray:
 def _propagate(step: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The n vectors step^k v, k = 0 ... n-1, as an (n, 4) array.
 
-    Block starts step^(64 b) v are chained by step^64; every block is then
-    one batched product with the table step^0 ... step^63.
+    By repeated squaring: with the first m rows filled and E = step^m, the
+    next m rows are those rows times E^T, and E is squared.
     """
-    powers = np.empty((_BLOCK, 4, 4), dtype=complex)
-    powers[0] = np.eye(4)
-    for k in range(1, _BLOCK):
-        powers[k] = step @ powers[k - 1]
-    jump = step @ powers[-1]
-    starts = np.empty((4, -(-n // _BLOCK)), dtype=complex)
-    starts[:, 0] = v
-    for b in range(1, starts.shape[1]):
-        starts[:, b] = jump @ starts[:, b - 1]
-    blocks = powers @ starts                 # (64, 4, blocks)
-    return blocks.transpose(2, 0, 1).reshape(-1, 4)[:n]
+    out = np.empty((n, 4), dtype=complex)
+    out[0] = v
+    power, m = step, 1
+    while m < n:
+        k = min(m, n - m)
+        out[m:m + k] = out[:k] @ power.T
+        power = power @ power
+        m += k
+    return out
 
 
 def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarray
@@ -279,9 +276,10 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
 
     v_k = <x_k(t+tau) c(t)> for x = (c, c+, d, d+), seeded at tau = 0 by
     the steady moments <x_k c>, carried to the grid's first point by
-    exp(M tau_0) and along the uniform grid by E = exp(M dtau)
-    (``_propagator``).  No eigendecomposition is used, so the route stays
-    independent of the frequency route.
+    exp(M tau_0) and along the uniform grid by the powers of E = exp(M dtau)
+    (``_propagator``), which ``_propagate`` forms by repeated squaring.  No
+    eigendecomposition is used, so the route stays independent of the
+    frequency route.
     """
     v0 = np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
     # <c+c> is an occupation number; drop the rounding in its imaginary part

@@ -65,14 +65,9 @@ G2_FFT_HEADER = ["lam[omega0]", "nu[omega0]", "log10_abs_fft[1]"]
 def spectrum_table(name: str, p: DickeParams, lam_grid) -> Table:
     """Tracked eigenfrequencies over a coupling sweep, one row per coupling."""
     sw = spectrum_sweep(p, lam_grid)
-    lc = mfd.critical_coupling(p)
-    rows = []
-    for lam, freqs in zip(sw.lam_grid, sw.frequencies):
-        row = [lam, lam / lc]
-        for f in freqs:
-            row += [f.real, f.imag]
-        row.append(float(sw.polariton_index))
-        rows.append(row)
+    lam = sw.lam_grid
+    rows = np.column_stack([lam, lam / mfd.critical_coupling(p), sw.frequencies.view(float),
+                            np.full(lam.size, float(sw.polariton_index))])
     return Table(name, ["lam[omega0]", "lam_over_lam_c[1]",
                         "re_omega_1[omega0]", "im_omega_1[omega0]",
                         "re_omega_2[omega0]", "im_omega_2[omega0]",

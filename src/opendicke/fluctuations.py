@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import (MeanFieldState, _sorted_grid, branch_walk, critical_coupling,
-                        operating_point)
+from .meanfield import MeanFieldState, _sorted_grid, branch_walk, critical_coupling
 from .params import DickeParams
 
 
@@ -117,27 +116,25 @@ def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
 
 #: dynamical matrices per stacked eigenvalue call of a coupling sweep:
 #: numpy's overhead per call exceeds the cost of one 4x4 solve, and a
-#: 256 KiB block bounds the memory of any grid
+#: block of 1024 bounds the workspace of any one call
 SWEEP_BLOCK = 1024
 
 
-def _matrix_blocks(walk):
-    """Yield ``(pairs, matrices)`` for up to ``SWEEP_BLOCK`` ``(q, state)`` pairs of a walk.
+def _solve_walk(walk, solve) -> tuple[list, np.ndarray]:
+    """The ``(q, state)`` pairs of a walk and ``solve`` of their dynamical matrices.
 
-    Each dynamical matrix is built as its pair arrives, so a point that
-    fails raises before any later point is walked.  ``matrices`` is one
-    buffer reused by every block: use it before asking for the next.
+    Each matrix is built as its pair arrives, so a point that fails raises
+    before any later point is walked.  ``solve`` (``np.linalg.eigvals``, or
+    ``stability`` at omega0) gets stacks of at most ``SWEEP_BLOCK``
+    matrices, and its results are joined in walk order.
     """
-    block = np.empty((SWEEP_BLOCK, 4, 4), dtype=complex)
-    pairs = []
+    pairs, matrices = [], []
     for q, ss in walk:
-        block[len(pairs)] = dynamical_matrix(hp_coefficients(ss, q), q)
+        matrices.append(dynamical_matrix(hp_coefficients(ss, q), q))
         pairs.append((q, ss))
-        if len(pairs) == SWEEP_BLOCK:
-            yield pairs, block
-            pairs = []
-    if pairs:
-        yield pairs, block[:len(pairs)]
+    stack = np.array(matrices)
+    return pairs, np.concatenate([solve(stack[i:i + SWEEP_BLOCK])
+                                  for i in range(0, len(stack), SWEEP_BLOCK)])
 
 
 @dataclass
@@ -164,10 +161,9 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     cavity pair omega - i kappa, -omega - i kappa and the bare atomic pair
     +/- omega0; at every later grid point the modes are ordered to follow
     their frequencies at the previous point, with the smallest total
-    distance sum_b |omega_b - omega_b(previous)|.  The walk builds each
-    point's dynamical matrix as it goes, and the eigenvalues are solved
-    once per block of ``SWEEP_BLOCK`` matrices before the matching runs
-    over them.
+    distance sum_b |omega_b - omega_b(previous)|.  ``branch_walk`` gives
+    the states for every bias, and ``_solve_walk`` their eigenvalues before
+    the matching runs over them.
     """
     lam_grid = _sorted_grid(lam_grid)
     work_grid = lam_grid
@@ -181,16 +177,8 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         n_approach = approach.size
         work_grid = np.concatenate([approach, lam_grid])
 
-    lams = work_grid.tolist()
-    if p.lam_prime == 0.0:
-        sweep = ((q, operating_point(q)) for q in map(p.with_coupling, lams))
-    else:
-        sweep = branch_walk(p, lams)
-    freqs_out = np.empty((work_grid.size, 4), dtype=complex)
-    start = 0
-    for pairs, block in _matrix_blocks(sweep):
-        freqs_out[start:start + len(pairs)] = 1j * np.linalg.eigvals(block)
-        start += len(pairs)
+    _, mus = _solve_walk(branch_walk(p, work_grid.tolist()), np.linalg.eigvals)
+    freqs_out = 1j * mus
     pol_index = 0
     for i in range(work_grid.size):
         freqs = freqs_out[i]

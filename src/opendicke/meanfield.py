@@ -261,17 +261,18 @@ def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = Non
     """Yield ``(q, state)`` along the physical branch of a sorted coupling grid.
 
     ``q`` is ``p`` at each coupling, with lam' = ``lam_prime_over_lam`` * lam
-    if the ratio is given and ``p.lam_prime`` otherwise.  The first state is
-    the operating point; every later one is continued from its predecessor
-    by ``_continue_branch``, which keeps the branch rule of
-    ``operating_point``: for lam' != 0, Re beta has the sign of lam'.
+    if the ratio is given and ``p.lam_prime`` otherwise.  The first state,
+    and every state where lam' = 0, is the operating point; every other one
+    is continued from its predecessor by ``_continue_branch``.  Both keep
+    the branch rule of ``operating_point``.
     """
     state = None
     for lam in lam_grid:
         lam = float(lam)
         q = p.with_coupling(lam, None if lam_prime_over_lam is None
                             else lam_prime_over_lam * lam)
-        state = operating_point(q) if state is None else _continue_branch(q, state)
+        state = (operating_point(q) if state is None or q.lam_prime == 0.0
+                 else _continue_branch(q, state))
         yield q, state
 
 
@@ -293,22 +294,22 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
                   ) -> SteadyStateBranch:
     """Steady states over a sorted coupling grid.
 
-    With lam' = 0 the trivial branch is returned everywhere together with
-    the pair of closed-form symmetry-broken states above threshold.  With
-    lam' != 0 one state per coupling is returned, walked by
-    ``branch_walk``: the root whose Re beta has the sign of lam', so no
-    bifurcation appears.  If ``lam_prime_over_lam`` is given, the bias
-    scales with the coupling (both are proportional to the pump strength
-    for a fixed geometry).  Each state's dynamical matrix is built as the
-    walk reaches it, and ``fluctuations.stability`` flags a block of
-    ``fluctuations.SWEEP_BLOCK`` matrices at a time.
+    With lam' = 0 and no ``lam_prime_over_lam`` the trivial branch is
+    returned everywhere together with the pair of closed-form
+    symmetry-broken states above threshold.  Otherwise one state per
+    coupling is returned, walked by ``branch_walk``: the operating point,
+    whose Re beta has the sign of lam' where lam' != 0.  If
+    ``lam_prime_over_lam`` is given, the bias scales with the coupling (both
+    are proportional to the pump strength for a fixed geometry).
+    ``fluctuations._solve_walk`` builds each state's dynamical matrix as the
+    walk reaches it and flags them with ``fluctuations.stability``.
     """
     lam_grid = _sorted_grid(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("empty coupling grid")
 
     # local import: fluctuations builds on the steady states defined here
-    from .fluctuations import _matrix_blocks, stability
+    from .fluctuations import _solve_walk, stability
 
     lams = lam_grid.tolist()
     if p.lam_prime == 0.0 and lam_prime_over_lam is None:
@@ -317,13 +318,13 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
                 for st in (trivial_state(p), *(superradiant_states(q) if q.lam > lc else ())))
     else:
         walk = branch_walk(p, lams, lam_prime_over_lam)
+    pairs, flags = _solve_walk(walk, lambda m: stability(m, p.omega0))
     per_lam, last = [], None
-    for pairs, block in _matrix_blocks(walk):
-        for (q, st), flag in zip(pairs, stability(block, p.omega0).tolist()):
-            if q is not last:   # the states of one coupling share its q
-                per_lam.append([])
-                last = q
-            per_lam[-1].append((st, flag))
+    for (q, st), flag in zip(pairs, flags.tolist()):
+        if q is not last:   # the states of one coupling share its q
+            per_lam.append([])
+            last = q
+        per_lam[-1].append((st, flag))
     return SteadyStateBranch(lam_grid, per_lam)
 
 

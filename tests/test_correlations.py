@@ -169,16 +169,18 @@ class TestTwoTimeCorrelations:
         s = corr.two_time_correlations(q, corr.default_tau_grid(q), method="both")
         assert s.tau.size == 2 ** 14
 
-    def test_blocked_propagation_matches_stepping(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 200])
+    def test_squared_propagation_matches_stepping(self, n):
         _, m = corr._resolve_operating_point(params(lam=6.0))
         step = corr._propagator(m, 0.05)
         v = np.array([1.0, 0.5 - 0.2j, 0.3j, -0.1])
-        blocked = corr._propagate(step, v, 200)
+        squared = corr._propagate(step, v, n)
         stepped = [v]
-        for _ in range(199):
+        for _ in range(n - 1):
             stepped.append(step @ stepped[-1])
         scale = np.max(np.abs(stepped))
-        assert np.max(np.abs(blocked - np.array(stepped))) < 1e-13 * scale
+        assert squared.shape == (n, 4)
+        assert np.max(np.abs(squared - np.array(stepped))) < 1e-13 * scale
 
     @pytest.mark.parametrize("tau", [np.linspace(5000.0, 5050.0, 201),
                                      np.linspace(0.0, 6000.0, 3)],

@@ -323,6 +323,17 @@ class TestSteadyStateBranches:
                 p.omega, p.omega0, p.kappa, p.atom_number)
             assert state_norm(mfd.eom_rhs(state, q)) < 1e-10 * p.atom_number
 
+    @pytest.mark.parametrize("ratio", [None, 0.0])
+    def test_unbiased_walk_keeps_the_branch_rule_through_threshold(self, ratio):
+        # lam' = 0 takes the closed forms at every point: continued from the
+        # trivial state, the walk used to stay there above lam_c, unstable
+        p = DickeParams(OMEGA, 1.0, 0.0, 0.0, KAPPA, 1e5)
+        grid = np.array([0.1, 0.5, 0.9, 1.1, 1.25, 1.5, 2.0]) * mfd.critical_coupling(p)
+        want = [mfd.operating_point(p.with_coupling(float(lam))) for lam in grid]
+        assert [state for _, state in mfd.branch_walk(p, grid, ratio)] == want
+        branch = mfd.steady_states(p, grid, lam_prime_over_lam=0.0)
+        assert branch.states == [[(state, "stable")] for state in want]
+
     def test_grid_validation(self):
         p = params()
         with pytest.raises(ValueError):
