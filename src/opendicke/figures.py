@@ -8,7 +8,7 @@ kappa = 200 omega0 is shared by all figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import modulation as mod
 from .config import FIGURE_IDS, ConfigError
 from .fluctuations import spectrum_sweep
 from .params import DickeParams, PhysicalParams, density_profile, map_to_dicke
+from .runio import Table
 
 #: shared dispersive operating point (frequencies in units of omega0)
 BASE = dict(omega=300.0, omega0=1.0, kappa=200.0)
@@ -46,15 +47,6 @@ def base_params(atom_number: float = 1e5, lam: float = 0.0,
                 lam_prime: float = 0.0) -> DickeParams:
     return DickeParams(lam=lam, lam_prime=lam_prime,
                        atom_number=atom_number, **BASE)
-
-
-@dataclass
-class Table:
-    """One CSV artifact: a name, a header naming columns and units, rows."""
-
-    name: str
-    header: list[str]
-    rows: list[list[float]] | np.ndarray
 
 
 BRANCH_HEADER = ["lam[omega0]", "lam_over_lam_c[1]", "re_alpha[1]", "im_alpha[1]",

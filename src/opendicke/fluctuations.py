@@ -114,29 +114,6 @@ def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
     return str(verdict) if verdict.ndim == 0 else verdict
 
 
-#: dynamical matrices per stacked eigenvalue call of a coupling sweep:
-#: numpy's overhead per call exceeds the cost of one 4x4 solve, and a
-#: block of 1024 bounds the workspace of any one call
-SWEEP_BLOCK = 1024
-
-
-def _solve_walk(walk, solve) -> tuple[list, np.ndarray]:
-    """The ``(q, state)`` pairs of a walk and ``solve`` of their dynamical matrices.
-
-    Each matrix is built as its pair arrives, so a point that fails raises
-    before any later point is walked.  ``solve`` (``np.linalg.eigvals``, or
-    ``stability`` at omega0) gets stacks of at most ``SWEEP_BLOCK``
-    matrices, and its results are joined in walk order.
-    """
-    pairs, matrices = [], []
-    for q, ss in walk:
-        matrices.append(dynamical_matrix(hp_coefficients(ss, q), q))
-        pairs.append((q, ss))
-    stack = np.array(matrices)
-    return pairs, np.concatenate([solve(stack[i:i + SWEEP_BLOCK])
-                                  for i in range(0, len(stack), SWEEP_BLOCK)])
-
-
 @dataclass
 class TrackedSpectrum:
     """Branch-tracked eigenfrequencies along a coupling sweep.
@@ -162,8 +139,10 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     +/- omega0; at every later grid point the modes are ordered to follow
     their frequencies at the previous point, with the smallest total
     distance sum_b |omega_b - omega_b(previous)|.  ``branch_walk`` gives
-    the states for every bias, and ``_solve_walk`` their eigenvalues before
-    the matching runs over them.
+    the states for every bias; each state's dynamical matrix is built as the
+    walk reaches it, so a failing point raises before any later one is
+    walked, and one stacked ``eigvals`` call solves them all before the
+    matching runs over them.
     """
     lam_grid = _sorted_grid(lam_grid)
     work_grid = lam_grid
@@ -177,20 +156,17 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         n_approach = approach.size
         work_grid = np.concatenate([approach, lam_grid])
 
-    _, mus = _solve_walk(branch_walk(p, work_grid.tolist()), np.linalg.eigvals)
-    freqs_out = 1j * mus
-    pol_index = 0
-    for i in range(work_grid.size):
-        freqs = freqs_out[i]
-        if i == 0:
-            # anchor: order deterministically; the polariton branch starts
-            # as the mode closest to the bare atomic frequency +omega0
-            freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
-            pol_index = int(np.argmin(np.abs(freqs - p.omega0)))
-        else:
-            prev = freqs_out[i - 1]
-            freqs = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
-        freqs_out[i] = freqs
+    freqs_out = 1j * np.linalg.eigvals(np.array([
+        dynamical_matrix(hp_coefficients(ss, q), q)
+        for q, ss in branch_walk(p, work_grid.tolist())]))
+    # anchor: order deterministically; the polariton branch starts as the
+    # mode closest to the bare atomic frequency +omega0
+    anchor = freqs_out[0]
+    freqs_out[0] = anchor[np.lexsort((anchor.imag, np.abs(anchor.real)))]
+    pol_index = int(np.argmin(np.abs(freqs_out[0] - p.omega0)))
+    for i in range(1, work_grid.size):
+        freqs, prev = freqs_out[i], freqs_out[i - 1]
+        freqs_out[i] = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
     return TrackedSpectrum(lam_grid, freqs_out[n_approach:], pol_index)
 
 

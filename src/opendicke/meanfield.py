@@ -300,32 +300,31 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     coupling is returned, walked by ``branch_walk``: the operating point,
     whose Re beta has the sign of lam' where lam' != 0.  If
     ``lam_prime_over_lam`` is given, the bias scales with the coupling (both
-    are proportional to the pump strength for a fixed geometry).
-    ``fluctuations._solve_walk`` builds each state's dynamical matrix as the
-    walk reaches it and flags them with ``fluctuations.stability``.
+    are proportional to the pump strength for a fixed geometry).  Each
+    state's dynamical matrix is built as the walk reaches its coupling, and
+    one stacked ``fluctuations.stability`` call flags them all.
     """
     lam_grid = _sorted_grid(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("empty coupling grid")
 
     # local import: fluctuations builds on the steady states defined here
-    from .fluctuations import _solve_walk, stability
+    from .fluctuations import dynamical_matrix, hp_coefficients, stability
 
     lams = lam_grid.tolist()
     if p.lam_prime == 0.0 and lam_prime_over_lam is None:
         lc = critical_coupling(p)
-        walk = ((q, st) for q in map(p.with_coupling, lams)
-                for st in (trivial_state(p), *(superradiant_states(q) if q.lam > lc else ())))
+        walk = ((q, [trivial_state(p), *(superradiant_states(q) if q.lam > lc else ())])
+                for q in map(p.with_coupling, lams))
     else:
-        walk = branch_walk(p, lams, lam_prime_over_lam)
-    pairs, flags = _solve_walk(walk, lambda m: stability(m, p.omega0))
-    per_lam, last = [], None
-    for (q, st), flag in zip(pairs, flags.tolist()):
-        if q is not last:   # the states of one coupling share its q
-            per_lam.append([])
-            last = q
-        per_lam[-1].append((st, flag))
-    return SteadyStateBranch(lam_grid, per_lam)
+        walk = ((q, [st]) for q, st in branch_walk(p, lams, lam_prime_over_lam))
+    per_lam, matrices = [], []
+    for q, states in walk:
+        matrices += [dynamical_matrix(hp_coefficients(st, q), q) for st in states]
+        per_lam.append(states)
+    flags = iter(stability(np.array(matrices), p.omega0).tolist())
+    return SteadyStateBranch(lam_grid, [[(st, next(flags)) for st in states]
+                                        for states in per_lam])
 
 
 def _continue_branch(q: DickeParams, state: MeanFieldState) -> MeanFieldState:

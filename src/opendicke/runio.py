@@ -15,12 +15,21 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .figures import Table
+
+
+@dataclass
+class Table:
+    """One CSV artifact: a name, a header naming columns and units, rows."""
+
+    name: str
+    header: list[str]
+    rows: list[list[float]] | np.ndarray
 
 
 class NonFiniteValue(RuntimeError):

@@ -1062,6 +1062,50 @@ def _driven_cell(series: bool, lam: float, nu: float) -> list[str]:
             "grid.nu_points=1"]
 
 
+#: ``reproduce-figure`` pools: ``[run]`` items, with no worker count above 2,
+#: and the sections and keys that fig1-fig4 refuse
+FUZZ_RUN_SETS = [f"run.{key}={value}" for key, values in (
+    ("format", ("csv", "json", "both", "xml")), ("plots", ("true", "no", "1", "maybe")),
+    ("workers", ("1", "2", "0", "-3", "2.5")), ("mode", ("g2",))) for value in values]
+FUZZ_REFUSED_SETS = ["dicke.lam=1", "grid.lam_points=3", "modulation.eps=0.05",
+                     "evolve.samples=5", "physical.kappa=200", "nosection.key=1",
+                     "figure.bogus=1"]
+#: flag groups; argparse itself rejects a malformed flag value, so each one parses
+FUZZ_FIGURE_FLAGS = [["--workers", "2"], ["--workers", "1"], ["--workers", "0"],
+                     ["--workers", "-1"], ["--format", "json"], ["--format", "both"],
+                     ["--plots"], ["--config", str(FIG5_CONFIG)],
+                     ["--config", str(REPO / "configs" / "missing.ini")]]
+
+
+def _figure_argv(fig_ids):
+    """A ``reproduce-figure`` command line for one of ``fig_ids``, or for none.
+
+    The id comes as the positional argument, as a ``figure.id`` item, or
+    not at all; up to two flag groups, one to three ``[run]`` or
+    ``figure.id`` items and at most one refused or malformed item follow.
+    """
+    ids = st.sampled_from([*fig_ids, "fig5", "fig9", ""])
+    valid = st.sampled_from(FUZZ_RUN_SETS) | ids.map(lambda v: f"figure.id={v}")
+    keys = ["run.format", "run.plots", "run.workers", "figure.id"]
+    malformed = (st.builds(lambda k, v: f"{k}={v}", st.sampled_from(keys),
+                           st.sampled_from(FUZZ_MALFORMED))
+                 | st.builds(lambda k, v: f"{k}{v}", st.sampled_from(keys), ids)
+                 | ids.map(lambda v: f"figure={v}"))
+    return st.builds(
+        lambda fig, flags, items, odd: [
+            "reproduce-figure", *([fig] if fig else []), *(f for g in flags for f in g),
+            *[arg for item in items + odd for arg in ("--set", item)]],
+        st.sampled_from([*fig_ids, None]),
+        st.lists(st.sampled_from(FUZZ_FIGURE_FLAGS), max_size=2),
+        st.lists(valid, min_size=1, max_size=3),
+        st.lists(st.sampled_from(FUZZ_REFUSED_SETS) | malformed, max_size=1))
+
+
+#: every figure at its reduced size
+REDUCED_FIGURES = {fig_id: dict(figures.FIGURE_PARAMS[fig_id], **reduced)
+                   for fig_id, reduced in FIGURE_REDUCTIONS.items()}
+
+
 def _run_quietly(argv):
     """Exit code, stderr and the trajectory rows (None without a table) of a run."""
     err = io.StringIO()
@@ -1174,5 +1218,24 @@ class TestFailureContract:
                 *[arg for item in items for arg in ("--set", item)]]
         reduced = dict(figures.FIGURE_PARAMS["fig5"], **FIGURE_REDUCTIONS["fig5"])
         with mock.patch.dict(figures.FIGURE_PARAMS, fig5=reduced):
+            rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20), database=None)
+    @given(argv=_figure_argv(["fig1", "fig2", "fig3"]))
+    @example(argv=["reproduce-figure", "--format", "both", "--plots",
+                   "--set", "figure.id=fig2", "--set", "run.workers=2"])
+    def test_fuzzed_figures_keep_the_exit_contract(self, argv):
+        """As above for ``reproduce-figure`` fig1-fig3 at their reduced sizes."""
+        with mock.patch.dict(figures.FIGURE_PARAMS, REDUCED_FIGURES):
+            rc, text, _ = _run_quietly(argv)
+        _assert_exit_contract(argv, rc, text)
+
+    @settings(max_examples=6, deadline=timedelta(seconds=20), database=None)
+    @given(argv=_figure_argv(["fig4"]))
+    @example(argv=["reproduce-figure", "fig4", "--workers", "2", "--set", "run.plots=1"])
+    def test_fuzzed_fig4_keeps_the_exit_contract(self, argv):
+        """As above for fig4; its response map has two cells a side."""
+        with mock.patch.dict(figures.FIGURE_PARAMS, REDUCED_FIGURES):
             rc, text, _ = _run_quietly(argv)
         _assert_exit_contract(argv, rc, text)

@@ -360,20 +360,20 @@ def per_point_spectrum(p, lam_grid):
 
 
 class TestStackedSweeps:
-    """Sweeps solve blocks of matrices; every value equals the per-point solve."""
+    """Sweeps solve one stack of matrices; every value equals the per-point solve."""
 
     def grid(self, lo, hi):
-        # longer than one block, with lam_c on the grid
+        # 1101 couplings, with lam_c on the grid
         lc = mfd.critical_coupling(params())
-        return np.union1d(np.linspace(lo, hi, fl.SWEEP_BLOCK + 77) * lc, [lc])
+        return np.union1d(np.linspace(lo, hi, 1101) * lc, [lc])
 
     def test_unbiased_steady_states_equal_the_per_point_flags(self):
         p = params()
         grid = self.grid(0.0, 2.0)
         branch = mfd.steady_states(p, grid)
         want = per_point_flags(unbiased_walk(p, grid.tolist()), p.omega0)
-        # three states above lam_c, so the states straddle the block ends
-        assert sum(map(len, branch.states)) > 2 * fl.SWEEP_BLOCK
+        # three states above lam_c: more than 2048 states in one stack
+        assert sum(map(len, branch.states)) > 2048
         assert branch.states == want
         assert {"stable", "unstable", "marginal"} <= {
             flag for found in want for _, flag in found}
@@ -404,7 +404,7 @@ class TestStackedSweeps:
 
     def test_a_failing_point_raises_what_the_per_point_walk_raises(self):
         # at 1e9 lam_c the symmetry-broken |beta|/N rounds to 1/2, in the
-        # middle of the first block
+        # middle of the sweep
         p = params()
         lc = mfd.critical_coupling(p)
         grid = np.array([0.0, 0.5, 1.5, 3.0, 1e9, 2e9]) * lc

@@ -74,23 +74,22 @@ tracer.active = False
 print(json.dumps(dict(nfev=tracer.counts["correlations.nfev"])))
 """
 
-#: a traced unbiased steady-state sweep longer than one eigenvalue block
+#: a traced unbiased steady-state sweep of more than 2048 states
 TRACED_STEADY_STATES = """
 import json
 import numpy as np
 from tracing import Tracer
 tracer = Tracer()
 tracer.install()
-from opendicke import fluctuations, meanfield
+from opendicke import meanfield
 from opendicke.params import DickeParams
 p = DickeParams(300.0, 1.0, 0.0, 0.0, 200.0, 1e5)
 lc = meanfield.critical_coupling(p)
 tracer.active = True
-branch = meanfield.steady_states(p, np.linspace(0.0, 2.0, 700) * lc)
+branch = meanfield.steady_states(p, np.linspace(0.0, 2.0, 1100) * lc)
 tracer.active = False
 print(json.dumps(dict(
     flags=sum(len(found) for found in branch.states),
-    block=fluctuations.SWEEP_BLOCK,
     matrices=tracer.counts["fluctuations.dynamical_matrix.calls"],
     sweeps=tracer.counts["meanfield.steady_states.calls"])))
 """
@@ -147,6 +146,6 @@ def test_traced_steady_states_build_one_matrix_per_flag():
     proc = _child(TRACED_STEADY_STATES)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["flags"] > out["block"]
+    assert out["flags"] > 2048
     assert out["matrices"] == out["flags"]
     assert out["sweeps"] == 1
