@@ -159,10 +159,20 @@ def run(cfg: RunConfig) -> "RunWriter":
     return writer
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError where argparse would print usage and exit 2.
+
+    ``main`` reports it in one line; subparsers are built from this class.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opendicke",
         description="Steady states, excitation spectra and photodetection "
                     "observables of a driven condensate in a lossy cavity.")
@@ -183,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # command-line flags are overrides like any --set, applied after them
+def _overrides(args: argparse.Namespace) -> list[str]:
+    """The command-line flags as overrides, applied after any --set."""
     overrides = [*args.set, f"run.mode={args.mode}"]
     if args.out:
         overrides.append(f"run.out={args.out}")
@@ -197,10 +206,15 @@ def main(argv=None) -> int:
         overrides.append("run.plots=true")
     if getattr(args, "figure", None):
         overrides.append(f"figure.id={args.figure}")
+    return overrides
+
+
+def main(argv=None) -> int:
     # warnings are held back, so that a failure stays one line
     try:
         with warnings.catch_warnings(record=True) as caught:
-            run(load_config(args.config, overrides))
+            args = build_parser().parse_args(argv)
+            run(load_config(args.config, _overrides(args)))
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,11 +14,12 @@ real arithmetic, in the trigonometric basis of the harmonics.
 The response map sorts its (lam, nu) cells by those exponents.  A cell
 whose exponents all decay and whose seeded response stays in the linear
 regime is evaluated from its Floquet solution, however close it lies to
-the ridge; the solution is sampled in blocks of times, each one product
-of a harmonic table with the Floquet vectors.  Cells above threshold or inside a tongue, cells whose seed
-leaves the linear regime and every cell with lam' != 0 are integrated
-through the nonlinear equations, as is the single-cell time series; both
-run LSODA in ODEPACK's own step loop (``_solvers.solve_ivp``).
+the ridge; that solution is a sum of exponentials, sampled on a uniform
+window from two small tables of them.  Cells above threshold or inside a
+tongue, cells whose seed leaves the linear regime and every cell with
+lam' != 0 are integrated through the nonlinear equations, as is the
+single-cell time series; both run LSODA in ODEPACK's own step loop
+(``_solvers.solve_ivp``).
 """
 
 from __future__ import annotations
@@ -239,23 +240,20 @@ def _linearization(p: DickeParams, lam: float, eps: float
 LINEAR_BOUND = 1e-3
 
 
-#: samples per block of ``_linear_response``: its temporaries then stay
-#: smaller than one (samples, d) complex array of a 4096-sample cell
-_SAMPLE_BLOCK = 256
-
-
 def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
-                     seed: float, t: np.ndarray) -> np.ndarray | None:
+                     seed: float, start: float, stop: float, samples: int
+                     ) -> np.ndarray | None:
     """Samples y(t) of a linearly stable cell, or None if it must be integrated.
 
-    y(t) = Re sum_j c_j exp(mu_j t) sum_n v_jn exp(i n nu t), with c from
-    y(0).  None when some Re mu >= 0, when the Hill matrix does not resolve
-    the exponents, or when the bound sum_j |c_j| sum_n |v_jn| on |y| leaves
-    the linear regime.  The samples are taken in blocks of at most
-    ``_SAMPLE_BLOCK``: per block, one product of the harmonic table exp(i n
-    nu t) (cos and sin for n = 1..H, their conjugates for n < 0) with the
-    (2H+1, d^2) table of the c_j v_jn, then a sum over j weighted by
-    exp(mu_j t).
+    The times are np.linspace(start, stop, samples), built here so that the
+    grid is uniform by construction: t_k = start + k dt.  y(t) = Re sum_jn
+    w_jn exp(s_jn t) over the d(2H+1) rates s_jn = mu_j + i n nu, with
+    weights w_jn = c_j v_jn and c from y(0).  With k = a m + b and m =
+    ceil(sqrt(samples)), exp(s t_k) = exp(s (start + a m dt)) exp(s b dt),
+    so two (m, d(2H+1)) tables P and Q give every sample: component i is
+    Re(P diag(w_i) Q^T), read row by row.  None when some Re mu >= 0, when
+    the Hill matrix does not resolve the exponents, or when the bound sum_j
+    |c_j| sum_n |v_jn| on |y| leaves the linear regime.
     """
     try:
         modes = floquet_exponents(*_linearization(p, lam, eps), nu)
@@ -269,22 +267,21 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
     if not float(np.abs(c) @ norms) <= LINEAR_BOUND:
         return None
     d, size, _ = modes.vectors.shape
-    harmonics = (size - 1) // 2
-    table = (c[:, None, None] * modes.vectors).transpose(1, 0, 2).reshape(size, d * d)
-    n_nu = np.arange(1, harmonics + 1) * nu
-    y = np.empty((d, t.size))
-    for start in range(0, t.size, _SAMPLE_BLOCK):
-        tb = t[start:start + _SAMPLE_BLOCK]
-        z = np.empty((tb.size, size), dtype=complex)     # exp(i n nu t), n = -H..H
-        z[:, harmonics] = 1.0
-        phase = np.multiply.outer(tb, n_nu)
-        z.real[:, harmonics + 1:] = np.cos(phase)
-        z.imag[:, harmonics + 1:] = np.sin(phase)
-        z[:, harmonics - 1::-1] = z[:, harmonics + 1:].conj()
-        periodic = (z @ table).reshape(tb.size, d, d)   # c_j sum_n v_jn z^n
-        growth = np.exp(np.multiply.outer(tb, modes.mu))[:, None, :]
-        y[:, start:start + tb.size] = (growth @ periodic)[:, 0, :].real.T
-    return y
+    n_nu = nu * np.arange(-(size // 2), size // 2 + 1)
+    weights = (c[:, None, None] * modes.vectors).transpose(2, 0, 1).reshape(d, 1, -1)
+    m = math.isqrt(samples - 1) + 1                     # ceil(sqrt(samples))
+    dt = (stop - start) / max(samples - 1, 1)
+    k = np.arange(m)
+    outer = _exp_table(start + k * m * dt, modes.mu, n_nu)       # P
+    inner = _exp_table(k * dt, modes.mu, n_nu)                   # Q
+    y = ((weights * outer).reshape(d * m, -1) @ inner.T).real
+    return y.reshape(d, m * m)[:, :samples]
+
+
+def _exp_table(t: np.ndarray, mu: np.ndarray, n_nu: np.ndarray) -> np.ndarray:
+    """exp((mu_j + i n nu) t), a row per t in (j, n) order, from d + 2H + 1 exponentials."""
+    return (np.exp(np.multiply.outer(t, mu))[:, :, None]
+            * np.exp(1j * np.multiply.outer(t, n_nu))[:, None, :]).reshape(t.size, -1)
 
 
 def _solve_cell(args) -> CellResponse:
@@ -295,11 +292,12 @@ def _solve_cell(args) -> CellResponse:
     """
     p, lam, nu, eps, seed, t_max = args
     n_eval = 4096
-    t_eval = np.linspace(0.5 * t_max, t_max, n_eval)
-    y = (_linear_response(p, lam, nu, eps, seed, t_eval)
+    window = (0.5 * t_max, t_max, n_eval)
+    y = (_linear_response(p, lam, nu, eps, seed, *window)
          if p.lam_prime == 0.0 else None)
     if y is None:
-        y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-6, atol=1e-13)
+        y = _driven_run(p, lam, nu, eps, seed, np.linspace(*window), rtol=1e-6,
+                        atol=1e-13)
     alpha2 = y[0] ** 2 + y[1] ** 2
     re_beta = y[2]
     # stationarity: the last quarter of the run must not exceed the

@@ -23,7 +23,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opendicke import _floattext, figures, meanfield
+from opendicke import _floattext, figures, meanfield, modulation
 from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
@@ -480,6 +480,24 @@ class TestSubcommands:
         header, rows = read_csv(out / "modulate_timeseries.csv")
         assert header == ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"]
         assert len(rows) > 100
+
+    @pytest.mark.parametrize("t_max", ["1e-30", "1e30"])
+    def test_floquet_cell_at_extreme_spans(self, tmp_path, capsys, monkeypatch, t_max):
+        # a stable off-ridge cell is sampled from its Floquet solution at
+        # any span; at 1e30 / omega0 its exponential tables underflow to 0
+        def no_integration(*args, **kwargs):
+            raise AssertionError("the cell was integrated")
+
+        monkeypatch.setattr(modulation, "solve_ivp", no_integration)
+        out = tmp_path / "o"
+        rc = main(["modulate", "--out", str(out), *DICKE_SETS,
+                   "--set", "grid.lam_list=5", "--set", "grid.nu_min=1.6",
+                   "--set", "grid.nu_max=1.6", "--set", "grid.nu_points=1",
+                   "--set", f"modulation.t_max={t_max}"])
+        assert rc == 0
+        assert "warning:" not in capsys.readouterr().err
+        _, rows = read_csv(out / "response_map.csv")
+        assert len(rows) == 1 and np.all(np.isfinite(rows[0]))
 
     @pytest.mark.parametrize("sets", [
         ["modulation.time_series_lam=8.3", "modulation.time_series_nu=1.2"],
@@ -1070,11 +1088,12 @@ FUZZ_RUN_SETS = [f"run.{key}={value}" for key, values in (
 FUZZ_REFUSED_SETS = ["dicke.lam=1", "grid.lam_points=3", "modulation.eps=0.05",
                      "evolve.samples=5", "physical.kappa=200", "nosection.key=1",
                      "figure.bogus=1"]
-#: flag groups; argparse itself rejects a malformed flag value, so each one parses
+#: flag groups, the last two with values that argparse rejects
 FUZZ_FIGURE_FLAGS = [["--workers", "2"], ["--workers", "1"], ["--workers", "0"],
                      ["--workers", "-1"], ["--format", "json"], ["--format", "both"],
                      ["--plots"], ["--config", str(FIG5_CONFIG)],
-                     ["--config", str(REPO / "configs" / "missing.ini")]]
+                     ["--config", str(REPO / "configs" / "missing.ini")],
+                     ["--workers", "x"], ["--format", "xml"]]
 
 
 def _figure_argv(fig_ids):
@@ -1125,6 +1144,30 @@ def _assert_exit_contract(argv, rc, text):
 
 
 class TestFailureContract:
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-figure", "fig1", "--workers", "x"],
+        ["reproduce-figure", "fig1", "--workers", "1.5"],
+        ["spectrum", *DICKE_SETS, "--format", "xml"],
+        ["spectrum", *DICKE_SETS, "--bogus"],
+        [],
+    ], ids=["workers-x", "workers-1.5", "format-xml", "unknown-flag", "no-mode"])
+    def test_rejected_command_line_is_one_line(self, argv, capsys):
+        """A command line that argparse rejects: exit 2, one line, no usage block.
+
+        ``main`` returns the code; argparse on its own would raise SystemExit.
+        """
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "usage:" not in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
     @settings(max_examples=150, deadline=timedelta(seconds=20), database=None)
     @given(mode=st.sampled_from(["map-params", "spectrum", "steady-state", "photon-flux"]),
            items=_override_items())

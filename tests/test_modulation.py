@@ -174,12 +174,15 @@ class TestFloquetExponents:
         tol = 1e-12 * np.max(np.abs(modes.mu))
         assert np.max(np.min(gap, axis=0)) <= tol and np.max(np.min(gap, axis=1)) <= tol
 
-    @pytest.mark.parametrize("samples", [4096, 1000])     # 1000 = 3 * 256 + 232
+    # 4096 = 64^2 fills the m x m grid of the two tables, 1000, 65 and 4097
+    # end inside it, and 1 and 2 samples use one row of the coarse table
+    @pytest.mark.parametrize("samples", [4096, 1000, 1, 2, 65, 4097])
+    @pytest.mark.parametrize("start", [1000.0, 0.0])
     @pytest.mark.parametrize("frac, nu", [(0.8, 1.6), (0.9, 1.3), (0.8, 0.02)])
-    def test_blocked_sampling_matches_horner(self, frac, nu, samples):
+    def test_exponential_table_sampling_matches_horner(self, frac, nu, start, samples):
         p, lam, seed = params(), frac * LC, 1e-4
-        t = np.linspace(1000.0, 2000.0, samples)
-        y = mod._linear_response(p, lam, nu, 0.02, seed, t)
+        t = np.linspace(start, 2000.0, samples)
+        y = mod._linear_response(p, lam, nu, 0.02, seed, start, 2000.0, samples)
         modes = mod.floquet_exponents(*mod._linearization(p, lam, 0.02), nu)
         c = np.linalg.solve(modes.vectors.sum(axis=1).T, [seed, 0.0, seed, 0.0])
         h = (modes.vectors.shape[1] - 1) // 2
