@@ -67,14 +67,10 @@ def _run_evolve(cfg: RunConfig) -> list[Table]:
     if abs(state0.pseudo_momentum() - n * n / 4.0) > 1e-6 * n * n / 4.0:
         raise ConfigError(f"[evolve] |beta0|^2 + w0^2 = {state0.pseudo_momentum():g} "
                           f"differs from N^2/4 = {n * n / 4.0:g}")
-    traj = mfd.integrate(state0, p, (0.0, t_max),
-                         t_eval=np.linspace(0.0, t_max, samples))
-    rows = [[t, s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag, s.w,
-             s.pseudo_momentum()]
-            for t, s in zip(traj.t, traj.states)]
+    t, y = mfd.integrate(state0, p, (0.0, t_max), t_eval=np.linspace(0.0, t_max, samples))
     return [Table("trajectory", ["t[1/omega0]", "re_alpha[1]", "im_alpha[1]",
-                                 "re_beta[1]", "im_beta[1]", "w[1]",
-                                 "pseudo_momentum[1]"], rows)]
+                                 "re_beta[1]", "im_beta[1]", "w[1]", "pseudo_momentum[1]"],
+                  np.column_stack([t, y.T, y[2] ** 2 + y[3] ** 2 + y[4] ** 2]))]
 
 
 def _run_spectrum(cfg: RunConfig) -> list[Table]:
@@ -215,16 +211,16 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             args = build_parser().parse_args(argv)
             run(load_config(args.config, _overrides(args)))
+        lines, code = [f"warning: {warning.message}" for warning in caught], 0
     except (ConfigError, ParameterError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        lines, code = [f"configuration error: {exc}"], EXIT_CONFIG
     except (RuntimeError, ValidityError, np.linalg.LinAlgError,
             ZeroDivisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return 0
+        lines, code = [f"numerical failure: {exc}"], EXIT_NUMERIC
+    for line in lines:
+        # line breaks escaped, so that each message stays one line
+        print(line.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -93,8 +93,8 @@ def response_map_table(name: str, p: DickeParams, rmap: mod.ResponseMap) -> Tabl
 
 def timeseries_table(name: str, traj: mfd.Trajectory) -> Table:
     """Scaled single-cell time series of the driven system."""
-    rows = [[t, s.beta.real, abs(s.alpha) ** 2] for t, s in zip(traj.t, traj.states)]
-    return Table(name, ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"], rows)
+    return Table(name, ["t[1/omega0]", "re_beta_over_N[1]", "alpha2_over_N[1]"],
+                 np.column_stack([traj.t, traj.y[2], traj.y[0] ** 2 + traj.y[1] ** 2]))
 
 
 def g2_fft_rows(lam: float, series: corr.CorrelationSeries, omega0: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,10 +107,15 @@ def eom_rhs(state: MeanFieldState, p: DickeParams) -> MeanFieldState:
                                                   *_couplings(p)))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
+    """Sample times ``t`` and the solver's (5, len(t)) samples ``y`` of a run.
+
+    Rows (Re alpha, Im alpha, Re beta, Im beta, w): absolute from ``integrate``,
+    per atom (alpha/sqrt(N), beta/N, w/N) from ``modulation.driven_trajectory``.
+    """
+
     t: np.ndarray
-    states: list[MeanFieldState]
+    y: np.ndarray
 
 
 #: most right-hand-side evaluations one integration may spend, read when it
@@ -137,11 +143,12 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
               rtol: float = 1e-10, t_eval=None, method: str = "RK45") -> Trajectory:
     """Adaptive integration of the mean-field equations at fixed coupling.
 
-    Raises IntegrationError on step-size underflow, reporting the last
-    accepted state (the initial one for LSODA, whose failed runs return no
-    samples), and once ``MAX_RHS_EVALS`` evaluations are spent: the
-    cost grows with the span and with the precession rate, which a large
-    initial field makes arbitrarily fast.
+    Returns the solver's samples as they are (``Trajectory``).  Raises
+    IntegrationError on step-size underflow, reporting the last accepted
+    state (the initial one for LSODA, whose failed runs return no samples),
+    and once ``MAX_RHS_EVALS`` evaluations are spent: the cost grows with
+    the span and with the precession rate, which a large initial field
+    makes arbitrarily fast.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -154,8 +161,7 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
         raise IntegrationError(f"integration failed: {sol.message}",
                                t=float(sol.t[-1]) if sol.t.size else None,
                                state=last)
-    states = [MeanFieldState.from_vector(sol.y[:, i]) for i in range(sol.y.shape[1])]
-    return Trajectory(sol.t, states)
+    return Trajectory(sol.t, sol.y)
 
 
 def trivial_state(p: DickeParams) -> MeanFieldState:

@@ -32,8 +32,7 @@ import numpy as np
 
 from . import _solvers
 from ._solvers import solve_ivp
-from .meanfield import (MeanFieldState, Trajectory, _bounded, _rhs_vector,
-                        critical_coupling)
+from .meanfield import Trajectory, _bounded, _rhs_vector, critical_coupling
 from .params import DickeParams
 
 
@@ -351,10 +350,8 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
 def driven_trajectory(p: DickeParams, lam: float, nu: float, eps: float = 0.02,
                       seed: float = 1e-4, t_max: float | None = None,
                       n_samples: int = 4096) -> Trajectory:
-    """Scaled single-cell time series of the modulated mean-field system."""
+    """Per-atom ``Trajectory`` of one driven cell, w/N slaved on its negative root."""
     t_eval = np.linspace(0.0, _span(p, t_max), n_samples)
     y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-8, atol=1e-14)
-    states = [MeanFieldState(complex(y[0, i], y[1, i]), complex(y[2, i], y[3, i]),
-                             -math.sqrt(max(0.25 - y[2, i] ** 2 - y[3, i] ** 2, 0.0)))
-              for i in range(t_eval.size)]
-    return Trajectory(t_eval, states)
+    w = -np.sqrt(np.maximum(0.25 - y[2] ** 2 - y[3] ** 2, 0.0))
+    return Trajectory(t_eval, np.vstack([y, w]))

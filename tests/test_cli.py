@@ -23,7 +23,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opendicke import _floattext, figures, meanfield, modulation
+from opendicke import _floattext, cli, figures, meanfield, modulation
 from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
 from opendicke.correlations import photon_number_closed_form, two_time_correlations
@@ -203,6 +203,28 @@ class TestSubcommands:
         _, rows = read_csv(out / "trajectory.csv")
         j = [row[-1] for row in rows]
         assert max(j) - min(j) < 1e-8 * j[0]
+
+    def test_time_series_tables_write_the_solver_arrays(self):
+        """The driven and ``evolve`` tables are the integrators' samples, bit for bit."""
+        p = DickeParams(300.0, 1.0, 5.0, 0.0, 200.0, 1e5)     # as DICKE_SETS
+        t_eval = np.linspace(0.0, 50.0, 64)
+        traj = modulation.driven_trajectory(p, 8.3, 1.2, t_max=50.0, n_samples=64)
+        y = modulation._driven_run(p, 8.3, 1.2, 0.02, 1e-4, t_eval, rtol=1e-8, atol=1e-14)
+        assert traj.t.tobytes() == t_eval.tobytes()
+        assert traj.y[:4].tobytes() == y.tobytes()
+        w = [-math.sqrt(max(0.25 - br ** 2 - bi ** 2, 0.0)) for br, bi in zip(y[2], y[3])]
+        assert traj.y[4].tolist() == w and max(w) < 0.0
+        rows = figures.timeseries_table("ts", traj).rows
+        assert rows.tobytes() == np.column_stack([t_eval, y[2], y[0] ** 2 + y[1] ** 2]).tobytes()
+
+        (table,) = cli._run_evolve(load_config(None, [
+            *DICKE_SETS[1::2], "run.mode=evolve", "evolve.t_max=2", "evolve.samples=9",
+            "evolve.alpha0_re=0.5", "evolve.beta0_re=100"]))
+        state0 = meanfield.MeanFieldState(0.5 + 0j, 100 + 0j,
+                                          meanfield._w_from_beta(100 + 0j, 1e5))
+        t, y = meanfield.integrate(state0, p, (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 9))
+        assert table.rows[:, 0].tobytes() == t.tobytes()
+        assert table.rows[:, 1:6].tobytes() == y.T.tobytes()
 
     def test_g2_run(self, tmp_path):
         out = tmp_path / "out"
@@ -1150,7 +1172,10 @@ class TestFailureContract:
         ["spectrum", *DICKE_SETS, "--format", "xml"],
         ["spectrum", *DICKE_SETS, "--bogus"],
         [],
-    ], ids=["workers-x", "workers-1.5", "format-xml", "unknown-flag", "no-mode"])
+        ["spectrum", "--bo\ngus"],
+        ["spectrum", "--config", "a\nb.ini"],
+    ], ids=["workers-x", "workers-1.5", "format-xml", "unknown-flag", "no-mode",
+            "newline-flag", "newline-config"])
     def test_rejected_command_line_is_one_line(self, argv, capsys):
         """A command line that argparse rejects: exit 2, one line, no usage block.
 
