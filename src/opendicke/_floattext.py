@@ -8,6 +8,10 @@ blocks of ``BLOCK`` values, in three stages:
    doubles", 2020), in uint64 arithmetic with a 128-bit table of powers of
    ten: the shortest decimal f 10^k that reads back as the same double,
    the one nearest to it when several are shortest, as ``repr`` picks.
+   Each value takes one exact 128-bit product per table word, from 32-bit
+   halves; the two ends of its rounding interval differ from it by a
+   power of two, so their products follow by shifts, carries and borrows
+   (as in J. Jeon's Dragonbox, 2020, one product per value).
 2. ASCII digits: f is left-aligned to 17 digits, whose last 16 are looked
    up four at a time in a "0000"..."9999" table of uint32 words.
 3. Layout: one gather through byte templates keyed by sign, significant
@@ -24,14 +28,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: values per block: blocks of 65k values made the temporaries 3x slower, and
-#: blocks of 8192 raised the peak memory of a run writing small tables
+#: values per block.  On a 16384 x 4 table, blocks of 65536 values took 1.2x
+#: the CPU time and raised the peak RSS by 22.7 MB against 3.9 MB; blocks of
+#: 8192 were as fast there, and on a 4096 x 4 table they raised it by 3.1 MB
+#: against 1.5 MB (2 cores, numpy 2.4)
 BLOCK = 4096
 
 # uint64 arrays are combined with np.uint64 scalars only: under numpy 1.x a
 # uint64 array and a Python int promote to float64
-_U1, _U2, _U4, _U10, _U32, _U40, _U52, _U63 = (
-    np.uint64(n) for n in (1, 2, 4, 10, 32, 40, 52, 63))
+_U1, _U2, _U4, _U10, _U32, _U40, _U52, _U63, _U64 = (
+    np.uint64(n) for n in (1, 2, 4, 10, 32, 40, 52, 63, 64))
 _MASK11 = np.uint64(2 ** 11 - 1)
 _MASK32 = np.uint64(2 ** 32 - 1)
 _MASK52 = np.uint64(2 ** 52 - 1)
@@ -96,7 +102,7 @@ class _Tables(NamedTuple):
     quads: np.ndarray       # "0000"..."9999" as little-endian uint32 words
     classes: np.ndarray     # _point_class per point - POINT_MIN
     exp_words: np.ndarray   # "0ddd" of |point - 1| per point - POINT_MIN
-    templates: np.ndarray   # (keys, _WIDTH) source positions per template key
+    templates: np.ndarray   # (keys, _WIDTH) source positions per key, intp for take
     used: np.ndarray        # (keys, _WIDTH) the positions each template uses
 
 
@@ -116,15 +122,14 @@ def _tables() -> _Tables:
     q = np.maximum(bq, 1) - 1075
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = q + _flog2pow10(-k) + 2
-    scales = np.vstack([((bq > 0) << 52).astype(np.uint64), h.astype(np.uint64),
-                        g[:, k - K_MIN], k.astype(np.uint64)])
+    scales = np.array([(bq > 0) << 52, h, *g.take(k - K_MIN, axis=1), k], dtype=np.uint64)
     quad = np.arange(10000)
     quads = sum((quad // 10 ** (3 - j) % 10 + ord("0")) << 8 * j
                 for j in range(4)).astype("<u4")
     points = range(POINT_MIN, POINT_MAX + 1)
     keys = [(neg, n, cls) for neg in (0, 1) for n in range(1, 18)
             for cls in range(_CLASSES)]
-    templates = np.zeros((len(keys), _WIDTH), dtype=np.int32)
+    templates = np.zeros((len(keys), _WIDTH), dtype=np.intp)
     used = np.zeros((len(keys), _WIDTH), dtype=bool)
     for row, key in enumerate(keys):
         positions = _template(*key)
@@ -142,23 +147,49 @@ def _tables() -> _Tables:
     return tables
 
 
-def _mulhi(a_lo, a_hi, b_lo, b_hi):
-    """High 64 bits of a b, from the 32-bit halves of a and b."""
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _U32) + (lh & _MASK32) + (hl & _MASK32)
-    return a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+def _mul128(g, cp):
+    """High and low 64-bit words of g cp, for g < 2^63 and cp < 2^60.
 
-
-def _round_to_odd(g1, g0, cp):
-    """floor(g cp 2^-127), its last bit set when inexact, for g = g1 2^63 + g0.
-
-    ``cp`` may hold several rows of values; the inexact bit is the one of
-    Giulietti's figure 8.
+    From 32-bit halves: the cross products stay below 2^63 and 2^60, so
+    their sum with the carry of the low product needs no split.
     """
+    g_lo, g_hi = g & _MASK32, g >> _U32
     cp_lo, cp_hi = cp & _MASK32, cp >> _U32
-    z = ((g1 * cp) >> _U1) + _mulhi(g0 & _MASK32, g0 >> _U32, cp_lo, cp_hi)
-    return ((_mulhi(g1 & _MASK32, g1 >> _U32, cp_lo, cp_hi) + (z >> _U63))
-            | (((z & _MASK63) + _MASK63) >> _U63))
+    mid = ((g_lo * cp_lo) >> _U32) + g_lo * cp_hi + g_hi * cp_lo
+    return g_hi * cp_hi + (mid >> _U32), g * cp
+
+
+def _bounds(bits, scales):
+    """c, k and Schubfach's vb, vbl, vbr of each value v = c 2^q.
+
+    Each is Giulietti's rop(g, cp), floor(g cp 2^-127) with its last bit set
+    when inexact (his figure 8), for g = g1 2^63 + g0 and cp = cb 2^h: cb = 4c
+    for vb, 4c - 2 for vbl (4c - 1 when c = 2^52 above the subnormals) and
+    4c + 2 for vbr.  The three differ only by g 2^(h+1) or g 2^h, so g1 cp
+    and g0 cp are multiplied once, in 128 bits, and the neighbours' words
+    follow by shifts with explicit borrows and carries.
+    """
+    bq = (bits >> _U52) & _MASK11
+    t = bits & _MASK52
+    irregular = (t == 0) & (bq > _U1)
+    scale = scales.take((bq + irregular * _IRREGULAR).view(np.int64), axis=1)
+    hidden, h, k, g = scale[0], scale[1], scale[4], scale[2:4]
+    c = t | hidden
+    hi, lo = _mul128(g, c << (h + _U2))     # rows g1 cp and g0 cp
+    # vbr: + g 2^up, vbl: - g 2^down, with the carry and borrow of the low word
+    up = h + _U1
+    down = up - irregular
+    lo_r = lo + (g << up)
+    lo_l = lo - (g << down)
+    hi_r = hi + (g >> (_U64 - up)) + (lo_r < lo)
+    hi_l = hi - (g >> (_U64 - down)) - (lo_l > lo)
+    # the words x1 = high g0 cp, y0 = low g1 cp, y1 = high g1 cp of each lane
+    x1 = np.array([hi[1], hi_l[1], hi_r[1]])
+    y0 = np.array([lo[0], lo_l[0], lo_r[0]])
+    y1 = np.array([hi[0], hi_l[0], hi_r[0]])
+    z = (y0 >> _U1) + x1
+    vb, vbl, vbr = (y1 + (z >> _U63)) | (((z & _MASK63) + _MASK63) >> _U63)
+    return c, k.view(np.int64), vb, vbl, vbr
 
 
 def _shortest(bits, scales):
@@ -166,14 +197,7 @@ def _shortest(bits, scales):
 
     Zeros give (0, 1).
     """
-    bq = (bits >> _U52) & _MASK11
-    t = bits & _MASK52
-    irregular = (t == 0) & (bq > _U1)
-    hidden, h, g1, g0, k = scales[:, bq + irregular * _IRREGULAR]
-    k = k.view(np.int64)
-    c = t | hidden
-    cb = c << _U2
-    vb, vbl, vbr = _round_to_odd(g1, g0, np.stack([cb, cb - _U2 + irregular, cb + _U2]) << h)
+    c, k, vb, vbl, vbr = _bounds(bits, scales)
     odd = c & _U1       # the rounding interval is closed when c is even
     vbl += odd
     vbr -= odd
@@ -185,15 +209,15 @@ def _shortest(bits, scales):
     # else s or s + 1: the one in range, or when both are, the nearer, ties to even
     s4 = s << _U2
     take_s = (vbl <= s4) & ((vbr < s4 + _U4) | (vb + (s & _U1) <= s4 + _U2))
-    f = np.where(upin | wpin, np.where(upin, sp10, sp10 + _U10), np.where(take_s, s, s + _U1))
+    f = np.where(upin, sp10, np.where(wpin, sp10 + _U10, np.where(take_s, s, s + _U1)))
     zero = (bits << _U1) == 0
     f[zero] = 0
     k[zero] = 1
     return f, k
 
 
-def _text_block(flat, seps, tables: _Tables) -> bytes:
-    """``repr`` of each value of a 1-d float64 block, each followed by its separator."""
+def _source(flat, seps, tables: _Tables):
+    """The source bytes (values, _ROW) of a 1-d float64 block and each value's template key."""
     bits = flat.view(np.uint64)
     f, k = _shortest(bits, tables.scales)
     ndigits = np.searchsorted(tables.pow10, f, side="right")
@@ -202,23 +226,30 @@ def _text_block(flat, seps, tables: _Tables) -> bytes:
     rest = f17 - lead * _E16
     hi8 = rest // _E8
     # digits 1..16 in groups of four: the upper and lower halves of hi8, lo8
-    halves = np.stack([hi8, rest - hi8 * _E8]).astype(np.uint32)
+    halves = np.array([hi8, rest - hi8 * _E8], dtype=np.uint32)
     uppers = halves // 10000
     point = k + ndigits - POINT_MIN         # value = 0.ddd 10^(point + POINT_MIN)
     src = np.empty((flat.size, _ROW // 4), dtype="<u4")
     src[:, 0] = lead + _WORD0
-    src[:, 1:5:2] = tables.quads[uppers].T
-    src[:, 2:5:2] = tables.quads[halves - uppers * 10000].T
-    src[:, 5] = tables.exp_words[point]
+    for word, group in zip((1, 3, 2, 4), (*uppers, *(halves - uppers * 10000))):
+        src[:, word] = tables.quads.take(group)
+    src[:, 5] = tables.exp_words.take(point)
     src[:, 6] = seps
     text = src.view(np.uint8)
     # trailing zeros of digits 1..16: the "e" at byte 3 ends the scan
     zeros = np.argmax(text[:, 19:2:-1] != ord("0"), axis=1)
     key = (((bits >> _U63).astype(np.intp) * 17 + 16 - zeros) * _CLASSES
-           + tables.classes[point])
+           + tables.classes.take(point))
+    return text, key
+
+
+def _text_block(flat, seps, tables: _Tables) -> bytes:
+    """``repr`` of each value of a 1-d float64 block, each followed by its separator."""
+    # the digit stages' temporaries are freed before the gather's index exists
+    text, key = _source(flat, seps, tables)
     index = tables.templates.take(key, axis=0)
-    index += np.arange(0, flat.size * _ROW, _ROW, dtype=np.int32)[:, None]
-    return text.ravel()[index][tables.used.take(key, axis=0)].tobytes()
+    index += np.arange(0, flat.size * _ROW, _ROW)[:, None]
+    return text.ravel().take(index)[tables.used.take(key, axis=0)].tobytes()
 
 
 def csv_body(values: np.ndarray) -> bytes:
@@ -229,7 +260,7 @@ def csv_body(values: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     width = values.shape[1]
     # source word 6 with the separator after each cell: "\n" after a row's last
-    last = np.arange(flat.size) % width == width - 1
-    seps = np.where(last, _WORD6 | ord("\n") << 16, _WORD6 | ord(",") << 16).astype("<u4")
+    seps = np.full(flat.size, _WORD6 | ord(",") << 16, dtype="<u4")
+    seps[width - 1::width] = _WORD6 | ord("\n") << 16
     return b"".join(_text_block(flat[start:start + BLOCK], seps[start:start + BLOCK], tables)
                     for start in range(0, flat.size, BLOCK))

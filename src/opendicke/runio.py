@@ -68,9 +68,8 @@ class RunWriter:
         from . import _floattext
 
         values = np.asarray(table.rows, dtype=float)
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(values).all():
+            i, j = np.argwhere(~np.isfinite(values))[0]
             raise NonFiniteValue(f"table {table.name}, column {table.header[j]}: "
                                  f"non-finite value {float(values[i, j])!r}")
         body = _floattext.csv_body(values)

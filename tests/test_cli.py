@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import importlib
 import itertools
 import io
@@ -14,6 +15,7 @@ import sys
 import tempfile
 import warnings
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -717,6 +719,76 @@ class TestNumberFormat:
         for n_rows in (1, block - 1, block, block + 1):
             mantissa = rng.standard_normal((n_rows, width))
             self.check_repr(mantissa * 10.0 ** rng.integers(-30, 30, (n_rows, width)))
+
+    @pytest.mark.parametrize("digits", range(1, 18))
+    def test_every_cell_is_repr_for_each_significant_digit_count(self, digits):
+        # the last significant digit falls in the leading digit or in one of
+        # the four groups of four digits after it, also after inner zeros;
+        # decimal points from fixed 0.000ddd to ddd00.0 and exponent forms
+        rng = np.random.default_rng(digits)
+        mantissas = [10 ** (digits - 1) + (digits > 1), 10 ** digits - 1,
+                     *rng.integers(10 ** (digits - 1), 10 ** digits, 60)]
+        values = [float(f"{m}e{point - digits}") for m in mantissas
+                  for point in (-300, -100, -5, -3, 0, 1, 5, 16, 17, 100, 300)]
+
+        def significant(text):
+            return len(text.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+        values = np.array([v for v in values if significant(repr(v)) == digits])
+        assert values.size >= 100
+        self.check_repr(np.concatenate([values, -values]).reshape(-1, 2))
+
+    def test_rounding_interval_matches_python_int_reference(self):
+        # Schubfach's vb, vbl and vbr (Giulietti's rop of g cb 2^h for cb =
+        # 4c, 4c - 2 or 4c - 1, 4c + 2) against three exact Python-int
+        # products each: random bit patterns, every exponent field with
+        # c = 2^52 and with odd and even c, and subnormals
+        m63, m64 = 2 ** 63 - 1, 2 ** 64 - 1
+
+        def floor_log10(x: Fraction) -> int:
+            k = len(str(x.numerator)) - len(str(x.denominator))
+            while Fraction(10) ** k > x:
+                k -= 1
+            while Fraction(10) ** (k + 1) <= x:
+                k += 1
+            return k
+
+        def floor_log2_pow10(e: int) -> int:
+            return (10 ** e).bit_length() - 1 if e >= 0 else -(10 ** -e).bit_length()
+
+        @functools.cache
+        def scale(bq: int, irregular: bool) -> tuple[int, int, int, int]:
+            """k, h, g1 and g0 of Giulietti's figure 9 for exponent field bq."""
+            q = max(bq, 1) - 1075
+            k = floor_log10(Fraction(3 if irregular else 4, 4) * Fraction(2) ** q)
+            g = Fraction(10) ** -k / Fraction(2) ** (floor_log2_pow10(-k) - 125) // 1 + 1
+            return k, q + floor_log2_pow10(-k) + 2, g >> 63, g & m63
+
+        def rop(g1: int, g0: int, cp: int) -> int:
+            x1 = (g0 * cp) >> 64
+            y0, y1 = (g1 * cp) & m64, (g1 * cp) >> 64
+            z = ((y0 >> 1) + x1) & m64
+            return ((y1 + (z >> 63)) & m64) | ((((z & m63) + m63) & m64) >> 63)
+
+        rng = np.random.default_rng(30)
+        fields = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+        mantissas = np.array([0, 1, 2, 2 ** 52 - 2, 2 ** 52 - 1], dtype=np.uint64)
+        bits = np.concatenate([rng.integers(0, 2 ** 64, 210_000, dtype=np.uint64),
+                               (fields[:, None] | mantissas).ravel(),
+                               rng.integers(1, 2 ** 52, 2000, dtype=np.uint64)])
+        finite = (bits >> np.uint64(52)) & np.uint64(2047) != 2047
+        bits = bits[finite & (bits << np.uint64(1) != 0)]
+        assert bits.size >= 200_000
+        _, k, vb, vbl, vbr = _floattext._bounds(bits, _floattext._tables().scales)
+        expected = []
+        for b in bits.tolist():
+            bq, t = b >> 52 & 2047, b & (2 ** 52 - 1)
+            irregular = t == 0 and bq > 1
+            k_ref, h, g1, g0 = scale(bq, irregular)
+            cb = (t | (bq > 0) << 52) << 2
+            expected.append((k_ref, rop(g1, g0, cb << h), rop(g1, g0, (cb - 2 + irregular) << h),
+                             rop(g1, g0, (cb + 2) << h)))
+        assert list(zip(k.tolist(), vb.tolist(), vbl.tolist(), vbr.tolist())) == expected
 
     @pytest.mark.parametrize("header, rows, csv_bytes, json_bytes", [
         (["a", "b[1]"], [], b"a,b[1]\n", b'{"columns": ["a", "b[1]"], "rows": []}'),
