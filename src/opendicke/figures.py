@@ -70,13 +70,9 @@ def spectrum_table(name: str, p: DickeParams, lam_grid) -> Table:
 
 def branch_table(name: str, branch: mfd.SteadyStateBranch, lc: float) -> Table:
     """Steady states with stability flags, one row per state."""
-    rows = []
-    for lam, entries in zip(branch.lam_grid, branch.states):
-        for st, flag in entries:
-            rows.append([lam, lam / lc, st.alpha.real, st.alpha.imag,
-                         st.beta.real, st.beta.imag, st.w,
-                         1.0 if flag == "stable" else 0.0])
-    return Table(name, BRANCH_HEADER, rows)
+    lam = branch.lam
+    return Table(name, BRANCH_HEADER, np.column_stack(
+        [lam, lam / lc, branch.vectors, branch.flags == "stable"]))
 
 
 def response_map_table(name: str, p: DickeParams, rmap: mod.ResponseMap) -> Table:

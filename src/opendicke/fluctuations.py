@@ -46,39 +46,49 @@ class HPCoefficients:
     beta_tilde: float
 
 
-def hp_coefficients(ss: MeanFieldState, p: DickeParams) -> HPCoefficients:
-    """Expansion coefficients about the given steady state.
+def hp_coefficients(ss: MeanFieldState | np.ndarray, p: DickeParams,
+                    lam=None, lam_prime=None) -> HPCoefficients:
+    """Expansion coefficients about a steady state, or about each row of a stack.
 
-    The atomic mode is displaced by the scaled bosonic amplitude s with
-    s*sqrt(1 - s^2) = beta_ss/N, equivalently s^2 = 1/2 + w_ss/N, which
-    reduces to beta_ss/N for weak order.  Using the displacement rather
-    than beta_ss/N itself keeps the linearized spectrum consistent with
-    the mean-field linearization on the whole symmetry-broken branch.
-    Requires |beta_ss/N| < 1/2 strictly (validity of the bosonization).
+    ``ss`` is a state at ``p``, or a (rows, 5) array of state vectors
+    (``MeanFieldState.as_vector``) at the couplings ``lam`` and biases
+    ``lam_prime`` (arrays over the rows or one value; p's where not
+    given), which gives arrays over the rows.  The atomic mode is
+    displaced by the scaled bosonic amplitude s with s*sqrt(1 - s^2) =
+    beta_ss/N, equivalently s^2 = 1/2 + w_ss/N, which reduces to beta_ss/N
+    for weak order.  Using the displacement rather than beta_ss/N itself
+    keeps the linearized spectrum consistent with the mean-field
+    linearization on the whole symmetry-broken branch.  Requires |beta_ss/N|
+    < 1/2 strictly (validity of the bosonization); the first failing row
+    raises its first failing check.
     """
+    ar, ai, br, bi, w = ss.as_vector() if isinstance(ss, MeanFieldState) else ss.T
+    lam = p.lam if lam is None else lam
+    lam_prime = p.lam_prime if lam_prime is None else lam_prime
     n = p.atom_number
-    alpha_t = ss.alpha / math.sqrt(n)
-    beta_t_c = ss.beta / n
-    if abs(beta_t_c.imag) > 1e-9 * (1.0 + abs(beta_t_c)):
-        raise ValidityError(
-            f"beta_ss must be real at a steady state, got Im = {beta_t_c.imag:.3e}")
-    if abs(beta_t_c.real) >= 0.5:
-        raise ValidityError(
-            f"|beta_ss|/N = {abs(beta_t_c.real)} >= 1/2 is outside validity")
-    pop = 0.5 + ss.w / n
-    if pop >= 0.5:
-        raise ValidityError("excited-mode population >= N/2 is outside validity")
-    bt = math.copysign(math.sqrt(max(pop, 0.0)), beta_t_c.real)
-    residual = abs(bt * math.sqrt(1.0 - bt * bt) - beta_t_c.real)
-    if residual > 1e-6 * (1.0 + abs(bt)):
-        raise ValidityError(
-            f"state is off the conservation manifold (residual {residual:.3e})")
-    s = math.sqrt(1.0 - bt * bt)
-    re_a = alpha_t.real
-    omega0_prime = p.omega0 - 2.0 * p.lam * bt / s * re_a
-    g1 = -p.lam * bt * (2.0 - bt * bt) / (2.0 * s ** 3) * re_a
-    g2 = p.lam * (1.0 - 2.0 * bt * bt) / s - p.lam_prime * bt
-    return HPCoefficients(omega0_prime, g1, g2, alpha_t, bt)
+    re_a = ar / math.sqrt(n)
+    b, b_im = br / n, bi / n
+    pop = 0.5 + w / n
+    # a row with pop >= 1/2 fails; the clip keeps 1 - bt^2 positive there
+    bt = np.copysign(np.sqrt(pop.clip(0.0, 0.5)), b)
+    residual = abs(bt * np.sqrt(1.0 - bt * bt) - b)
+    checks = (abs(b_im) > 1e-9 * (1.0 + np.hypot(b, b_im)), abs(b) >= 0.5,
+              pop >= 0.5, residual > 1e-6 * (1.0 + abs(bt)))
+    if (checks[0] | checks[1] | checks[2] | checks[3]).any():
+        # the first True in (row, check) order: the four checks of each row in turn
+        row, check = divmod(int(np.column_stack(checks).argmax()), 4)
+        im, mod, res = (float(np.ravel(v)[row]) for v in (b_im, abs(b), residual))
+        raise ValidityError((
+            f"beta_ss must be real at a steady state, got Im = {im:.3e}",
+            f"|beta_ss|/N = {mod} >= 1/2 is outside validity",
+            "excited-mode population >= N/2 is outside validity",
+            f"state is off the conservation manifold (residual {res:.3e})")[check])
+    s = np.sqrt(1.0 - bt * bt)
+    omega0_prime = p.omega0 - 2.0 * lam * bt / s * re_a
+    # np.float_power rounds as float ** does; array ** need not
+    g1 = -lam * bt * (2.0 - bt * bt) / (2.0 * np.float_power(s, 3)) * re_a
+    g2 = lam * (1.0 - 2.0 * bt * bt) / s - lam_prime * bt
+    return HPCoefficients(omega0_prime, g1, g2, re_a + 1j * (ai / math.sqrt(n)), bt)
 
 
 def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
@@ -87,15 +97,17 @@ def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
     dc/dt = -(i omega + kappa) c - i g2 (d + d^dag)
     dd/dt = -i omega0' d - 2 i g1 (d + d^dag) - i g2 (c + c^dag)
     plus the conjugate rows; the trace is -2 kappa for any parameters.
+    A stack's coefficients give the (rows, 4, 4) stack of matrices.
     """
     w, k = p.omega, p.kappa
     w0p, g1, g2 = c.omega0_prime, c.g1, c.g2
-    return np.array([
-        [-(1j * w + k), 0.0, -1j * g2, -1j * g2],
-        [0.0, (1j * w - k), 1j * g2, 1j * g2],
-        [-1j * g2, -1j * g2, -1j * w0p - 2j * g1, -2j * g1],
-        [1j * g2, 1j * g2, 2j * g1, 1j * w0p + 2j * g1],
-    ], dtype=complex)
+    m = np.zeros(np.shape(g2) + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = -(1j * w + k), 1j * w - k
+    m[..., 0, 2] = m[..., 0, 3] = m[..., 2, 0] = m[..., 2, 1] = -1j * g2
+    m[..., 1, 2] = m[..., 1, 3] = m[..., 3, 0] = m[..., 3, 1] = 1j * g2
+    m[..., 2, 2], m[..., 2, 3] = -1j * w0p - 2j * g1, -2j * g1
+    m[..., 3, 2], m[..., 3, 3] = 2j * g1, 1j * w0p + 2j * g1
+    return m
 
 
 def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
@@ -139,10 +151,8 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     +/- omega0; at every later grid point the modes are ordered to follow
     their frequencies at the previous point, with the smallest total
     distance sum_b |omega_b - omega_b(previous)|.  ``branch_walk`` gives
-    the states for every bias; each state's dynamical matrix is built as the
-    walk reaches it, so a failing point raises before any later one is
-    walked, and one stacked ``eigvals`` call solves them all before the
-    matching runs over them.
+    the states for every bias, one ``dynamical_matrix`` call their stack and
+    one ``eigvals`` call its eigenvalues, before the matching runs over them.
     """
     lam_grid = _sorted_grid(lam_grid)
     work_grid = lam_grid
@@ -156,9 +166,7 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         n_approach = approach.size
         work_grid = np.concatenate([approach, lam_grid])
 
-    freqs_out = 1j * np.linalg.eigvals(np.array([
-        dynamical_matrix(hp_coefficients(ss, q), q)
-        for q, ss in branch_walk(p, work_grid.tolist())]))
+    freqs_out = 1j * np.linalg.eigvals(_walk_stack(p, work_grid.tolist())[2])
     # anchor: order deterministically; the polariton branch starts as the
     # mode closest to the bare atomic frequency +omega0
     anchor = freqs_out[0]
@@ -168,6 +176,19 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
         freqs, prev = freqs_out[i], freqs_out[i - 1]
         freqs_out[i] = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
     return TrackedSpectrum(lam_grid, freqs_out[n_approach:], pol_index)
+
+
+def _walk_stack(p: DickeParams, lams: list, lam_prime_over_lam: float | None = None):
+    """Row couplings, (rows, 5) state vectors and M stack along ``branch_walk``."""
+    rows = []
+    try:
+        for q, st in branch_walk(p, lams, lam_prime_over_lam):
+            rows.append((q.lam, q.lam_prime, st.alpha.real, st.alpha.imag,
+                         st.beta.real, st.beta.imag, st.w))
+    finally:  # where the walk fails, a failing state before that point raises first
+        rows = np.reshape(rows, (-1, 7))
+        m = dynamical_matrix(hp_coefficients(rows[:, 2:], p, rows[:, 0], rows[:, 1]), p)
+    return rows[:, 0], rows[:, 2:], m
 
 
 _ROWS = np.arange(4)

@@ -55,14 +55,16 @@ class MeanFieldState:
 
 @dataclass
 class SteadyStateBranch:
-    """Steady states along a coupling grid with stability flags.
+    """Steady states along a coupling grid with stability flags, one row per state.
 
-    ``states[i]`` is the list of (MeanFieldState, flag) pairs found at
-    ``lam_grid[i]``; flags are "stable", "unstable" or "marginal".
+    Row i is the state vector ``vectors[i]`` (``MeanFieldState.as_vector``)
+    at the coupling ``lam[i]``, flagged ``flags[i]`` "stable", "unstable"
+    or "marginal"; the rows follow the grid.
     """
 
-    lam_grid: np.ndarray
-    states: list[list[tuple[MeanFieldState, str]]]
+    lam: np.ndarray
+    vectors: np.ndarray
+    flags: np.ndarray
 
 
 def critical_coupling(p: DickeParams) -> float:
@@ -168,18 +170,33 @@ def trivial_state(p: DickeParams) -> MeanFieldState:
     return MeanFieldState(0j, 0j, -p.atom_number / 2.0)
 
 
-def superradiant_states(p: DickeParams) -> tuple[MeanFieldState, MeanFieldState]:
-    """Closed-form symmetry-broken steady states (lam' = 0, lam > lam_c)."""
-    lam, lc = p.lam, critical_coupling(p)
-    if lam <= lc:
+def superradiant_states(p: DickeParams, lam=None) -> tuple[MeanFieldState, MeanFieldState]:
+    """Closed-form symmetry-broken steady states (lam' = 0, lam > lam_c).
+
+    At p's coupling, or with array fields at each of an array of couplings
+    ``lam``.  Either is the Python-float arithmetic bit for bit: powers go
+    through ``math.pow`` or ``np.float_power`` (which round as float ``**``
+    does), and alpha's quotient takes CPython's complex-division steps.
+    """
+    lc = critical_coupling(p)
+    lams = p.lam if lam is None else np.asarray(lam, dtype=float)
+    if np.asarray(lams <= lc).any():
         raise ValueError(f"no symmetry-broken solutions below lam_c = {lc}")
-    n = p.atom_number
-    root = math.sqrt(1.0 - (lc / lam) ** 4)
-    alpha = math.sqrt(n) * lam / (p.omega - 1j * p.kappa) * root
+    # math for one point, which a walk takes at every coupling
+    sqrt, power = (math.sqrt, math.pow) if lam is None else (np.sqrt, np.float_power)
+    n, om, k = p.atom_number, p.omega, p.kappa
+    root = sqrt(1.0 - power(lc / lams, 4))
+    x = math.sqrt(n) * lams
+    if om >= k:  # alpha = x / (omega - i kappa) * root, divided in CPython's steps
+        ratio = -k / om
+        re, im, denom = x, -x * ratio, om + -k * ratio
+    else:
+        ratio = om / -k
+        re, im, denom = x * ratio, -x, om * ratio + -k
+    alpha = re / denom * root + 1j * (im / denom * root)
     beta = -n / 2.0 * root
-    w = -n / 2.0 * (lc / lam) ** 2
-    return (MeanFieldState(alpha, beta, w),
-            MeanFieldState(-alpha, -beta, w))
+    w = -n / 2.0 * power(lc / lams, 2)
+    return MeanFieldState(alpha, beta, w), MeanFieldState(-alpha, -beta, w)
 
 
 def _w_from_beta(beta: complex, n: float) -> float:
@@ -298,39 +315,37 @@ def _sorted_grid(lam_grid) -> np.ndarray:
 
 def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None
                   ) -> SteadyStateBranch:
-    """Steady states over a sorted coupling grid.
+    """Steady states over a sorted coupling grid, one row per state.
 
-    With lam' = 0 and no ``lam_prime_over_lam`` the trivial branch is
-    returned everywhere together with the pair of closed-form
-    symmetry-broken states above threshold.  Otherwise one state per
-    coupling is returned, walked by ``branch_walk``: the operating point,
-    whose Re beta has the sign of lam' where lam' != 0.  If
-    ``lam_prime_over_lam`` is given, the bias scales with the coupling (both
-    are proportional to the pump strength for a fixed geometry).  Each
-    state's dynamical matrix is built as the walk reaches its coupling, and
-    one stacked ``fluctuations.stability`` call flags them all.
+    With lam' = 0 and no ``lam_prime_over_lam`` every coupling has the
+    trivial state and above threshold the closed-form symmetry-broken pair
+    after it, built as arrays over the grid.  Otherwise every coupling has
+    the operating point walked by ``branch_walk``, whose Re beta has the
+    sign of lam' where lam' != 0.  If ``lam_prime_over_lam`` is given, the
+    bias scales with the coupling (both are proportional to the pump
+    strength for a fixed geometry).  One ``fluctuations.dynamical_matrix``
+    call builds the stack of matrices, and one ``stability`` call flags it.
     """
     lam_grid = _sorted_grid(lam_grid)
     if lam_grid.size == 0:
         raise ValueError("empty coupling grid")
 
     # local import: fluctuations builds on the steady states defined here
-    from .fluctuations import dynamical_matrix, hp_coefficients, stability
+    from .fluctuations import _walk_stack, dynamical_matrix, hp_coefficients, stability
 
-    lams = lam_grid.tolist()
     if p.lam_prime == 0.0 and lam_prime_over_lam is None:
-        lc = critical_coupling(p)
-        walk = ((q, [trivial_state(p), *(superradiant_states(q) if q.lam > lc else ())])
-                for q in map(p.with_coupling, lams))
+        p.with_coupling(float(lam_grid[0]))  # refuses a negative coupling
+        above = np.flatnonzero(lam_grid > critical_coupling(p))
+        at = np.concatenate([np.arange(lam_grid.size), above, above])
+        order = np.argsort(at, kind="stable")
+        lam = lam_grid[at[order]]
+        trivial = np.broadcast_to(trivial_state(p).as_vector(), (lam_grid.size, 5))
+        pair = [st.as_vector().T for st in superradiant_states(p, lam_grid[above])]
+        vectors = np.concatenate([trivial, *pair])[order]
+        m = dynamical_matrix(hp_coefficients(vectors, p, lam), p)
     else:
-        walk = ((q, [st]) for q, st in branch_walk(p, lams, lam_prime_over_lam))
-    per_lam, matrices = [], []
-    for q, states in walk:
-        matrices += [dynamical_matrix(hp_coefficients(st, q), q) for st in states]
-        per_lam.append(states)
-    flags = iter(stability(np.array(matrices), p.omega0).tolist())
-    return SteadyStateBranch(lam_grid, [[(st, next(flags)) for st in states]
-                                        for states in per_lam])
+        lam, vectors, m = _walk_stack(p, lam_grid.tolist(), lam_prime_over_lam)
+    return SteadyStateBranch(lam, vectors, stability(m, p.omega0))
 
 
 def _continue_branch(q: DickeParams, state: MeanFieldState) -> MeanFieldState:

@@ -220,10 +220,9 @@ def test_criterion_11_symmetry_breaking_steady_states():
     biased = params(lam_prime=0.05, n=1e4)
     grid = np.linspace(0.2, 1.8, 33) * LC
     branch = mfd.steady_states(biased, grid)
-    alphas = np.array([entries[0][0].alpha for entries in branch.states])
-    no_bifurcation = (np.all(np.abs(alphas) > 0)
-                      and all(flag == "stable"
-                              for e in branch.states for _, flag in e)
+    alphas = branch.vectors[:, 0] + 1j * branch.vectors[:, 1]
+    no_bifurcation = (alphas.size == grid.size and np.all(np.abs(alphas) > 0)
+                      and np.all(branch.flags == "stable")
                       and np.all(np.abs(np.diff(alphas)) < 0.15 * np.max(np.abs(alphas))))
     # unbiased Newton solutions coincide with the closed forms
     worst = 0.0

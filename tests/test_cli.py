@@ -487,6 +487,16 @@ class TestSubcommands:
         header, rows = read_csv(out / "steady_states.csv")
         assert [row[header.index("stable[bool]")] for row in rows] == [1.0, 1.0, 1.0]
 
+    def test_steady_state_outside_validity_is_one_numerical_failure(self, tmp_path, capsys):
+        # at lam = 1e9 the symmetry-broken |beta|/N rounds to 1/2
+        out = tmp_path / "o"
+        rc = main(["steady-state", "--out", str(out), *DICKE_SETS,
+                   "--set", "grid.lam_list=5 1e9"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: |beta_ss|/N = 0.5 >= 1/2 is outside validity\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_grid_is_config_failure(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["steady-state", "--out", str(out), *DICKE_SETS])

@@ -160,6 +160,18 @@ class TestDynamicalMatrix:
         assert np.max(np.min(dist, axis=1)) < 1e-9 * max(1.0, OMEGA, kappa)
 
 
+def recorded_stacks(monkeypatch) -> list:
+    """The list every later ``fl.dynamical_matrix`` call appends its result to."""
+    build, stacks = fl.dynamical_matrix, []
+
+    def recorded(c, q):
+        stacks.append(build(c, q))
+        return stacks[-1]
+
+    monkeypatch.setattr(fl, "dynamical_matrix", recorded)
+    return stacks
+
+
 def overlap_matched(matrices):
     """Frequencies of successive dynamical matrices, labelled by eigenvector overlap.
 
@@ -196,17 +208,14 @@ class TestSpectrum:
     ])
     def test_frequency_matching_keeps_the_overlap_labels(self, monkeypatch, lam_prime,
                                                          lo, hi, points):
-        # the overlap matcher labels the very matrices the sweep builds
-        build, matrices = fl.dynamical_matrix, []
-
-        def recorded(c, q):
-            matrices.append(build(c, q))
-            return matrices[-1]
-
-        monkeypatch.setattr(fl, "dynamical_matrix", recorded)
+        # the overlap matcher labels the very matrices the sweep builds, in
+        # one stack
+        stacks = recorded_stacks(monkeypatch)
         p = params(lam_prime=lam_prime)
         grid = np.linspace(lo, hi, points) * mfd.critical_coupling(p)
         sw = fl.spectrum_sweep(p, grid)
+        (matrices,) = stacks
+        assert matrices.shape[1:] == (4, 4) and len(matrices) >= points
         np.testing.assert_array_equal(sw.frequencies,
                                       overlap_matched(matrices)[-points:])
 
@@ -298,34 +307,84 @@ class TestStability:
         p = params(lam_prime=lam_prime)
         lc = mfd.critical_coupling(p)
         branch = mfd.steady_states(p, np.linspace(0.0, 1.6, 13) * lc)
-        flags = []
-        for lam, found in zip(branch.lam_grid.tolist(), branch.states):
+        flags = branch.flags.tolist()
+        for lam, vector, flag in zip(branch.lam.tolist(), branch.vectors, flags):
             q = p.with_coupling(lam)
-            for state, flag in found:
-                flags.append(flag)
-                m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
-                if flag == "unstable":
-                    with pytest.raises(corr.ThresholdError):
-                        corr.steady_moments(q, m)
-                else:
-                    assert np.all(np.isfinite(corr.steady_moments(q, m).values))
+            state = mfd.MeanFieldState.from_vector(vector)
+            m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+            if flag == "unstable":
+                with pytest.raises(corr.ThresholdError):
+                    corr.steady_moments(q, m)
+            else:
+                assert np.all(np.isfinite(corr.steady_moments(q, m).values))
         assert "stable" in flags and (lam_prime or "unstable" in flags)
 
 
-def per_point_flags(walk, omega0):
-    """Reference flags per coupling: one ``eigvals`` call per state."""
-    per_lam, last = [], None
+def oracle_matrix(ss, q):
+    """M of one state as built before sweeps were stacked: math and Python floats.
+
+    The reference for the stacked builder, bit for bit: numpy's array ``**``
+    and complex division round differently from Python's float ``**`` and
+    CPython's complex quotient.
+    """
+    n = q.atom_number
+    alpha_t = ss.alpha / math.sqrt(n)
+    beta_t_c = ss.beta / n
+    if abs(beta_t_c.imag) > 1e-9 * (1.0 + abs(beta_t_c)):
+        raise fl.ValidityError(
+            f"beta_ss must be real at a steady state, got Im = {beta_t_c.imag:.3e}")
+    if abs(beta_t_c.real) >= 0.5:
+        raise fl.ValidityError(
+            f"|beta_ss|/N = {abs(beta_t_c.real)} >= 1/2 is outside validity")
+    pop = 0.5 + ss.w / n
+    if pop >= 0.5:
+        raise fl.ValidityError("excited-mode population >= N/2 is outside validity")
+    bt = math.copysign(math.sqrt(max(pop, 0.0)), beta_t_c.real)
+    residual = abs(bt * math.sqrt(1.0 - bt * bt) - beta_t_c.real)
+    if residual > 1e-6 * (1.0 + abs(bt)):
+        raise fl.ValidityError(
+            f"state is off the conservation manifold (residual {residual:.3e})")
+    s = math.sqrt(1.0 - bt * bt)
+    re_a = alpha_t.real
+    w0p = q.omega0 - 2.0 * q.lam * bt / s * re_a
+    g1 = -q.lam * bt * (2.0 - bt * bt) / (2.0 * s ** 3) * re_a
+    g2 = q.lam * (1.0 - 2.0 * bt * bt) / s - q.lam_prime * bt
+    w, k = q.omega, q.kappa
+    return np.array([
+        [-(1j * w + k), 0.0, -1j * g2, -1j * g2],
+        [0.0, (1j * w - k), 1j * g2, 1j * g2],
+        [-1j * g2, -1j * g2, -1j * w0p - 2j * g1, -2j * g1],
+        [1j * g2, 1j * g2, 2j * g1, 1j * w0p + 2j * g1],
+    ], dtype=complex)
+
+
+def oracle_superradiant(q):
+    """The symmetry-broken pair at q as computed before sweeps were stacked."""
+    lam, lc = q.lam, mfd.critical_coupling(q)
+    n = q.atom_number
+    root = math.sqrt(1.0 - (lc / lam) ** 4)
+    alpha = math.sqrt(n) * lam / (q.omega - 1j * q.kappa) * root
+    beta = -n / 2.0 * root
+    w = -n / 2.0 * (lc / lam) ** 2
+    return mfd.MeanFieldState(alpha, beta, w), mfd.MeanFieldState(-alpha, -beta, w)
+
+
+def per_point(walk, omega0):
+    """Reference rows (couplings, state vectors, flags, M stack) of a walk.
+
+    One oracle M and one ``eigvals`` call per state, in walk order.
+    """
+    lam, vectors, flags, matrices = [], [], [], []
     for q, state in walk:
-        m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+        m = oracle_matrix(state, q)
         growth = float(np.max(np.linalg.eigvals(m).real))
         tol = 1e-12 * omega0
-        flag = ("stable" if growth < -tol
-                else "unstable" if growth > tol else "marginal")
-        if q is not last:
-            per_lam.append([])
-            last = q
-        per_lam[-1].append((state, flag))
-    return per_lam
+        flags.append("stable" if growth < -tol
+                     else "unstable" if growth > tol else "marginal")
+        lam.append(q.lam)
+        vectors.append(state.as_vector())
+        matrices.append(m)
+    return np.array(lam), np.array(vectors), flags, np.array(matrices)
 
 
 def unbiased_walk(p, lams):
@@ -333,68 +392,112 @@ def unbiased_walk(p, lams):
     for lam in lams:
         q = p.with_coupling(lam)
         for state in [mfd.trivial_state(p)] + (
-                list(mfd.superradiant_states(q)) if lam > lc else []):
+                list(oracle_superradiant(q)) if lam > lc else []):
             yield q, state
 
 
 def per_point_spectrum(p, lam_grid):
-    """Reference tracked spectrum: one ``eigvals`` call per coupling."""
+    """Reference tracked spectrum and M stack: one ``eigvals`` call per coupling."""
     work = lam_grid
     if lam_grid[0] > 0.0:
         work = np.concatenate([np.linspace(0.0, lam_grid[0], 33)[:-1], lam_grid])
     if p.lam_prime == 0.0:
-        walk = ((q, mfd.operating_point(q)) for q in map(p.with_coupling, work.tolist()))
+        lc = mfd.critical_coupling(p)
+        walk = ((q, oracle_superradiant(q)[0] if q.lam > lc else mfd.trivial_state(q))
+                for q in map(p.with_coupling, work.tolist()))
     else:
         walk = mfd.branch_walk(p, work.tolist())
-    rows, pol = [], 0
+    rows, matrices, pol = [], [], 0
     for q, state in walk:
-        m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
-        freqs = 1j * np.linalg.eigvals(m)
+        matrices.append(oracle_matrix(state, q))
+        freqs = 1j * np.linalg.eigvals(matrices[-1])
         if not rows:
             freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
             pol = int(np.argmin(np.abs(freqs - p.omega0)))
         else:
             freqs = freqs[fl._best_permutation(np.abs(freqs[None, :] - rows[-1][:, None]))]
         rows.append(freqs)
-    return np.array(rows)[work.size - lam_grid.size:], pol
+    return np.array(rows)[work.size - lam_grid.size:], pol, np.array(matrices)
 
 
 class TestStackedSweeps:
-    """Sweeps solve one stack of matrices; every value equals the per-point solve."""
+    """Sweeps build one stack of matrices; every value equals the per-point oracle."""
 
     def grid(self, lo, hi):
         # 1101 couplings, with lam_c on the grid
         lc = mfd.critical_coupling(params())
         return np.union1d(np.linspace(lo, hi, 1101) * lc, [lc])
 
-    def test_unbiased_steady_states_equal_the_per_point_flags(self):
+    def assert_branch_is(self, branch, want):
+        lam, vectors, flags, _ = want
+        assert branch.lam.tobytes() == lam.tobytes()
+        assert branch.vectors.shape == vectors.shape
+        assert branch.vectors.tobytes() == vectors.tobytes()
+        assert branch.flags.tolist() == flags
+
+    def test_unbiased_steady_states_equal_the_per_point_flags(self, monkeypatch):
         p = params()
         grid = self.grid(0.0, 2.0)
+        stacks = recorded_stacks(monkeypatch)
         branch = mfd.steady_states(p, grid)
-        want = per_point_flags(unbiased_walk(p, grid.tolist()), p.omega0)
+        want = per_point(unbiased_walk(p, grid.tolist()), p.omega0)
         # three states above lam_c: more than 2048 states in one stack
-        assert sum(map(len, branch.states)) > 2048
-        assert branch.states == want
-        assert {"stable", "unstable", "marginal"} <= {
-            flag for found in want for _, flag in found}
+        assert len(branch.flags) > 2048
+        self.assert_branch_is(branch, want)
+        (stack,) = stacks
+        assert stack.tobytes() == want[3].tobytes()
+        assert {"stable", "unstable", "marginal"} <= set(want[2])
 
     @pytest.mark.parametrize("lam_prime, ratio", [(2e-3, None), (0.0, -1e-3)])
-    def test_biased_steady_states_equal_the_per_point_flags(self, lam_prime, ratio):
+    def test_biased_steady_states_equal_the_per_point_flags(self, monkeypatch,
+                                                            lam_prime, ratio):
         p = params(lam_prime=lam_prime)
         grid = self.grid(0.1, 1.6)
+        stacks = recorded_stacks(monkeypatch)
         branch = mfd.steady_states(p, grid, ratio)
-        want = per_point_flags(mfd.branch_walk(p, grid.tolist(), ratio), p.omega0)
-        assert branch.states == want
+        want = per_point(mfd.branch_walk(p, grid.tolist(), ratio), p.omega0)
+        self.assert_branch_is(branch, want)
+        (stack,) = stacks
+        assert stack.tobytes() == want[3].tobytes()
 
     @pytest.mark.parametrize("lam_prime, lo", [(0.0, 0.0), (0.0, 0.4), (1e-3, 0.2)])
-    def test_spectra_equal_the_per_point_solve_bit_for_bit(self, lam_prime, lo):
+    def test_spectra_equal_the_per_point_solve_bit_for_bit(self, monkeypatch,
+                                                           lam_prime, lo):
         p = params(lam_prime=lam_prime)
         grid = self.grid(lo, 1.6)
+        stacks = recorded_stacks(monkeypatch)
         sw = fl.spectrum_sweep(p, grid)
-        freqs, pol = per_point_spectrum(p, grid)
+        freqs, pol, matrices = per_point_spectrum(p, grid)
+        (stack,) = stacks
+        assert stack.tobytes() == matrices.tobytes()
         assert sw.frequencies.shape == freqs.shape
         assert sw.frequencies.tobytes() == freqs.tobytes()
         assert sw.polariton_index == pol
+
+    def test_one_state_builds_the_oracle_matrix(self):
+        # the scalar call correlations makes, on both branches and biased
+        p = params()
+        lc = mfd.critical_coupling(p)
+        for lam, lam_prime in ((0.3 * lc, 0.0), (0.99 * lc, 0.0), (1.7 * lc, 0.0),
+                               (0.8 * lc, 1e-3), (1.3 * lc, -2e-2)):
+            q = p.with_coupling(lam, lam_prime)
+            state = mfd.operating_point(q)
+            m = fl.dynamical_matrix(fl.hp_coefficients(state, q), q)
+            assert m.shape == (4, 4)
+            assert m.tobytes() == oracle_matrix(state, q).tobytes()
+
+    @pytest.mark.parametrize("omega, kappa", [(OMEGA, KAPPA), (1.0, 3.0), (2.0, 0.0)])
+    def test_closed_forms_equal_the_python_float_pair(self, omega, kappa):
+        # alpha's quotient divides through by the larger of omega and kappa
+        p = DickeParams(omega, 1.0, 0.0, 0.0, kappa, 1e5)
+        lams = np.linspace(1.0 + 1e-9, 40.0, 997) * mfd.critical_coupling(p)
+        stacked = [st.as_vector().T for st in mfd.superradiant_states(p, lams)]
+        for i, lam in enumerate(lams.tolist()):
+            want = oracle_superradiant(p.with_coupling(lam))
+            got = mfd.superradiant_states(p.with_coupling(lam))
+            assert got == want
+            for rows, state in zip(stacked, want):
+                assert rows[i].tobytes() == state.as_vector().tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_rejected(self, bad):
@@ -409,7 +512,7 @@ class TestStackedSweeps:
         lc = mfd.critical_coupling(p)
         grid = np.array([0.0, 0.5, 1.5, 3.0, 1e9, 2e9]) * lc
         with pytest.raises(fl.ValidityError) as want:
-            per_point_flags(unbiased_walk(p, grid.tolist()), p.omega0)
+            per_point(unbiased_walk(p, grid.tolist()), p.omega0)
         with pytest.raises(fl.ValidityError) as got:
             mfd.steady_states(p, grid)
         assert str(got.value) == str(want.value)
@@ -418,6 +521,50 @@ class TestStackedSweeps:
         with pytest.raises(fl.ValidityError) as got:
             fl.spectrum_sweep(p, grid)
         assert str(got.value) == str(want.value)
+
+    def test_the_first_failing_row_raises_its_first_failing_check(self):
+        p = params(lam=5.0)
+        n = p.atom_number
+        trivial = mfd.trivial_state(p).as_vector()
+        wide = [0.0, 0.0, 0.5 * n, 0.0, 0.0]            # |beta|/N = 1/2
+        complex_beta = [0.0, 0.0, 0.1 * n, 0.3 * n, -0.4 * n]
+        off_sphere = [0.0, 0.0, 0.0, 0.0, -0.1 * n]     # |beta|^2 + w^2 != N^2/4
+        lam = np.full(3, 5.0)
+        for rows, message in (
+                ([trivial, wide, complex_beta], "|beta_ss|/N = 0.5 >= 1/2"),
+                ([trivial, complex_beta, wide], "beta_ss must be real"),
+                ([trivial, off_sphere, wide], "off the conservation manifold"),
+                ([off_sphere, wide, complex_beta], "off the conservation manifold")):
+            with pytest.raises(fl.ValidityError) as got:
+                fl.hp_coefficients(np.array(rows), p, lam, 0.0)
+            assert message in str(got.value)
+            # the per-point builder raises the same message at the same row
+            with pytest.raises(fl.ValidityError) as want:
+                for row in rows:
+                    oracle_matrix(mfd.MeanFieldState.from_vector(row), p)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad_row", [1, None])
+    def test_a_walk_failure_raises_after_the_states_before_it(self, monkeypatch, bad_row):
+        # the walk stops at its fourth point; a failing state before that
+        # point raises in its place, as when each state was built in turn
+        p = params(lam_prime=1e-3)
+        walk = mfd.branch_walk
+
+        def stopping(*args):
+            for i, (q, state) in enumerate(walk(*args)):
+                if i == 3:
+                    raise mfd.ConvergenceError("walk stopped")
+                yield q, (mfd.MeanFieldState(0j, 0.5 * p.atom_number, 0.0)
+                          if i == bad_row else state)
+
+        monkeypatch.setattr(fl, "branch_walk", stopping)
+        grid = np.linspace(1.0, 8.0, 6)
+        error, message = ((fl.ValidityError, r"\|beta_ss\|/N = 0.5 >= 1/2") if bad_row
+                          else (mfd.ConvergenceError, "walk stopped"))
+        for sweep in (mfd.steady_states, fl.spectrum_sweep):
+            with pytest.raises(error, match=message):
+                sweep(p, grid)
 
 
 class TestPerturbativeSoftMode:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opendicke import meanfield as mfd
-from opendicke.params import DickeParams
+from opendicke.params import DickeParams, ParameterError
 
 OMEGA, KAPPA = 300.0, 200.0
 
@@ -157,14 +157,17 @@ class TestSteadyStateBranches:
         lc = mfd.critical_coupling(p)
         grid = np.array([0.5, 0.9, 1.1, 1.5]) * lc
         branch = mfd.steady_states(p, grid)
-        assert [len(e) for e in branch.states] == [1, 1, 3, 3]
-        for lam, entries in zip(grid, branch.states):
-            trivial_flag = entries[0][1]
-            if lam < lc:
-                assert trivial_flag == "stable"
-            else:
-                assert trivial_flag == "unstable"
-                assert all(flag == "stable" for _, flag in entries[1:])
+        assert branch.lam.tolist() == np.repeat(grid, [1, 1, 3, 3]).tolist()
+        assert branch.vectors.shape == (8, 5)
+        assert branch.flags.tolist() == (["stable", "stable"]
+                                         + 2 * ["unstable", "stable", "stable"])
+        # each coupling lists the trivial state first, then the + and - states
+        trivial = mfd.trivial_state(p).as_vector()
+        assert all(np.array_equal(branch.vectors[i], trivial) for i in (0, 1, 2, 5))
+        for i in (3, 6):
+            plus, minus = mfd.superradiant_states(p.with_coupling(float(branch.lam[i])))
+            assert np.array_equal(branch.vectors[i], plus.as_vector())
+            assert np.array_equal(branch.vectors[i + 1], minus.as_vector())
 
     def test_newton_recovers_closed_form_above_threshold(self):
         p = params()
@@ -190,7 +193,9 @@ class TestSteadyStateBranches:
         # full fixed-point system stalled here at |residual| = 0.04
         p = DickeParams(0.8258750103613945, 0.4487237448381642, 0.327198981782771,
                         1.09138248947855e-05, 0.3239196979980446, 3761382)
-        (state, flag), = mfd.steady_states(p, [p.lam]).states[0]
+        branch = mfd.steady_states(p, [p.lam])
+        (flag,), (vector,) = branch.flags, branch.vectors
+        state = mfd.MeanFieldState.from_vector(vector)
         assert flag == "stable"
         assert state.beta.real > 0
         assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * p.atom_number
@@ -248,19 +253,21 @@ class TestSteadyStateBranches:
         lc = mfd.critical_coupling(p)
         biased = DickeParams(OMEGA, 1.0, 0.0, 0.03, KAPPA, p.atom_number)
         branch = mfd.steady_states(biased, np.linspace(0.2, 1.6, 15) * lc)
-        for lam, entries in zip(branch.lam_grid, branch.states):
+        assert len(branch.lam) == 15
+        for lam, vector in zip(branch.lam, branch.vectors):
             q = biased.with_coupling(float(lam))
-            for st_, _ in entries:
-                assert state_norm(mfd.eom_rhs(st_, q)) < 1e-10 * p.atom_number
+            st_ = mfd.MeanFieldState.from_vector(vector)
+            assert state_norm(mfd.eom_rhs(st_, q)) < 1e-10 * p.atom_number
 
     def test_bias_removes_bifurcation(self):
         p = DickeParams(OMEGA, 1.0, 0.0, 0.05, KAPPA, 1e4)
         lc = mfd.critical_coupling(p)
         grid = np.linspace(0.2, 1.8, 33) * lc
         branch = mfd.steady_states(p, grid)
-        alphas = np.array([e[0][0].alpha for e in branch.states])
+        assert branch.lam.tolist() == grid.tolist()
+        alphas = branch.vectors[:, 0] + 1j * branch.vectors[:, 1]
         assert np.all(np.abs(alphas) > 0.0)
-        assert all(flag == "stable" for e in branch.states for _, flag in e)
+        assert np.all(branch.flags == "stable")
         # smooth in lam: no jumps between neighbouring grid points
         steps = np.abs(np.diff(alphas))
         scale = np.max(np.abs(alphas))
@@ -271,19 +278,21 @@ class TestSteadyStateBranches:
         grid = np.linspace(0.5, 1.5, 9) * lc
         left = mfd.steady_states(DickeParams(OMEGA, 1.0, 0.0, 0.05, KAPPA, 1e4), grid)
         right = mfd.steady_states(DickeParams(OMEGA, 1.0, 0.0, -0.05, KAPPA, 1e4), grid)
-        for (sl, _), (sr, _) in zip((e[0] for e in left.states),
-                                    (e[0] for e in right.states)):
-            assert sl.alpha.real * sr.alpha.real < 0
-            assert sl.beta.real * sr.beta.real < 0
+        assert len(left.lam) == len(right.lam) == 9
+        for sl, sr in zip(left.vectors, right.vectors):
+            assert sl[0] * sr[0] < 0
+            assert sl[2] * sr[2] < 0
             # atomic coherence sign opposite to the field quadrature sign
-            assert sl.alpha.real * sl.beta.real < 0
+            assert sl[0] * sl[2] < 0
 
     @pytest.mark.parametrize("lam_prime", [0.03, -0.03])
     def test_biased_operating_point_above_threshold(self, lam_prime):
         # above lam_c the unstable near-trivial root lies on the other half;
         # the cold solve and the walk from below threshold agree
         p = DickeParams(OMEGA, 1.0, 12.0, lam_prime, KAPPA, 1e5)
-        (state, flag), = mfd.steady_states(p, [12.0]).states[0]
+        branch = mfd.steady_states(p, [12.0])
+        (flag,), (vector,) = branch.flags, branch.vectors
+        state = mfd.MeanFieldState.from_vector(vector)
         assert flag == "stable"
         *_, (_, walked) = mfd.branch_walk(p, np.linspace(0.5, 12.0, 60))
         n = p.atom_number
@@ -295,7 +304,7 @@ class TestSteadyStateBranches:
         p = DickeParams(OMEGA, 1.0, 0.0, 0.000444958725361214, KAPPA, 1e5)
         grid = np.linspace(4.416919132207562, 18.55423870268593, 1000)
         branch = mfd.steady_states(p, grid)
-        assert all(flag == "stable" for ((_, flag),) in branch.states)
+        assert branch.flags.tolist() == ["stable"] * 1000
 
     def test_weak_bias_walk_is_the_operating_point(self):
         # grids drawn as the branch-sweeps benchmark draws them, both signs
@@ -332,7 +341,9 @@ class TestSteadyStateBranches:
         want = [mfd.operating_point(p.with_coupling(float(lam))) for lam in grid]
         assert [state for _, state in mfd.branch_walk(p, grid, ratio)] == want
         branch = mfd.steady_states(p, grid, lam_prime_over_lam=0.0)
-        assert branch.states == [[(state, "stable")] for state in want]
+        assert branch.lam.tolist() == grid.tolist()
+        assert branch.vectors.tolist() == [state.as_vector().tolist() for state in want]
+        assert branch.flags.tolist() == ["stable"] * len(want)
 
     def test_grid_validation(self):
         p = params()
@@ -340,6 +351,10 @@ class TestSteadyStateBranches:
             mfd.steady_states(p, [])
         with pytest.raises(ValueError):
             mfd.steady_states(p, [2.0, 1.0])
+        # as when every point made its own parameters
+        for ratio in (None, 0.01):
+            with pytest.raises(ParameterError, match="lam must be >= 0, got -1.0"):
+                mfd.steady_states(p, [-1.0, 2.0], ratio)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_rejected(self, bad):

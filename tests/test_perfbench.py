@@ -85,11 +85,14 @@ from opendicke import meanfield
 from opendicke.params import DickeParams
 p = DickeParams(300.0, 1.0, 0.0, 0.0, 200.0, 1e5)
 lc = meanfield.critical_coupling(p)
+stacks = []
+tracer.hooks["fluctuations.dynamical_matrix"] = lambda args, dur: stacks.append(
+    np.shape(args[0].g2))
 tracer.active = True
 branch = meanfield.steady_states(p, np.linspace(0.0, 2.0, 1100) * lc)
 tracer.active = False
 print(json.dumps(dict(
-    flags=sum(len(found) for found in branch.states),
+    flags=len(branch.flags), stacks=stacks,
     matrices=tracer.counts["fluctuations.dynamical_matrix.calls"],
     sweeps=tracer.counts["meanfield.steady_states.calls"])))
 """
@@ -142,10 +145,12 @@ def test_traced_regression_route_reports_bounded_integrator_work():
 
 def test_traced_steady_states_build_one_matrix_per_flag():
     # the benchmark reads fluctuations.matrices from the traced
-    # dynamical_matrix; a sweep still builds each point's matrix through it
+    # dynamical_matrix; a sweep builds its stack of matrices in one call,
+    # whose coefficients (the hook reads them) hold one row per flag
     proc = _child(TRACED_STEADY_STATES)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["flags"] > 2048
-    assert out["matrices"] == out["flags"]
+    assert out["matrices"] == 1
+    assert out["stacks"] == [[out["flags"]]]
     assert out["sweeps"] == 1
