@@ -121,10 +121,14 @@ class Trajectory(NamedTuple):
 
 
 #: most right-hand-side evaluations one integration may spend, read when it
-#: starts: about two minutes of RK45 on one core.  ``_solvers.solve_ivp``
-#: leaves LSODA's step count unlimited, so for LSODA this is the only work
-#: limit.  At the defaults an ``evolve`` run needs 8e4, an integrated
-#: response-map cell 5e4 to 1.3e5 and a driven time series 1.8e5
+#: starts: about a minute of RK45 on one core (5.8 s per 1e6).
+#: ``_solvers.solve_ivp`` leaves the step counts of LSODA and RK45
+#: unlimited, so for them this is the only work limit.  RK45's ``dopri5``
+#: does not stop for the IntegrationError raised past it; it is given NaN
+#: from then on, steps down within a few thousand more calls, and the
+#: error is raised once it has returned.  At the defaults an ``evolve`` run
+#: needs 9e4 to 1.0e5, an integrated response-map cell 5e4 to 1.3e5 and a
+#: driven time series 1.8e5
 MAX_RHS_EVALS = 10 ** 7
 
 
@@ -145,12 +149,14 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
               rtol: float = 1e-10, t_eval=None, method: str = "RK45") -> Trajectory:
     """Adaptive integration of the mean-field equations at fixed coupling.
 
-    Returns the solver's samples as they are (``Trajectory``).  Raises
-    IntegrationError on step-size underflow, reporting the last accepted
-    state (the initial one for LSODA, whose failed runs return no samples),
-    and once ``MAX_RHS_EVALS`` evaluations are spent: the cost grows with
-    the span and with the precession rate, which a large initial field
-    makes arbitrarily fast.
+    Returns the solver's samples as they are (``Trajectory``).  RK45 runs
+    through ``dopri5`` (``_solvers.solve_ivp``).  Raises IntegrationError
+    when the solver gives up, as on step-size underflow, reporting the
+    last output sample reached (the last accepted step without ``t_eval``,
+    the initial state if none was reached, and always for LSODA, whose
+    failed runs return no samples); and once ``MAX_RHS_EVALS`` evaluations
+    are spent: the cost grows with the span and with the precession rate,
+    which a large initial field makes arbitrarily fast.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")

@@ -33,7 +33,8 @@ from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
 from opendicke.runio import NonFiniteValue, RunWriter
 
-from util import ODEPACK_ERROR, failing_odeint
+from conftest import blas_thread_vars
+from util import DOPRI5_ERROR, ODEPACK_ERROR, FailingOde, failing_odeint
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"
@@ -562,6 +563,17 @@ class TestSubcommands:
             f"numerical failure: driven run (lam=8.3, nu=1.2) failed: {ODEPACK_ERROR}\n")
         assert not list(out.glob("*.csv"))
 
+    def test_evolve_dopri5_error_is_numeric_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "ode", FailingOde)
+        out = tmp_path / "o"
+        rc = main(["evolve", "--out", str(out), *DICKE_SETS,
+                   "--set", "evolve.t_max=1", "--set", "evolve.samples=5"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: integration failed: {DOPRI5_ERROR}\n")
+        assert not (out / "trajectory.csv").exists()
+
     def test_photon_flux_of_the_marginal_normal_phase(self, tmp_path):
         # at lam = 1e-6 rounding alone makes the normal phase grow at
         # +1e-16 omega0; the moment guard passes it as marginal
@@ -995,6 +1007,36 @@ mod.driven_response_map(p, [8.0], [1.6, 1.7], t_max=150.0, workers=2)
 print(before, *seen)""")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
+
+
+#: runs the console command's entry in a child process, then prints the
+#: BLAS variables as the run left them
+ENTRY_RUN = """import os, sys
+from opendicke.__main__ import BLAS_THREAD_VARS, main
+assert "numpy" not in sys.modules
+assert main(sys.argv[1:]) == 0
+print(*(os.environ.get(var, "-") for var in BLAS_THREAD_VARS))"""
+
+
+class TestConsoleEntry:
+    """The ``opendicke`` command pins the BLAS pools unless the user set them."""
+
+    def test_entry_pins_the_benchmark_variables(self):
+        from opendicke.__main__ import BLAS_THREAD_VARS
+        assert BLAS_THREAD_VARS == blas_thread_vars()
+
+    @pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                             ids=["unset", "user-set"])
+    def test_entry_sets_only_unset_variables(self, tmp_path, user):
+        env = {key: value for key, value in os.environ.items()
+               if key not in blas_thread_vars()}
+        env.update(user, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY_RUN, "steady-state", *DICKE_SETS,
+             "--set", "grid.lam_list=1", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [user.get(var, "1") for var in blas_thread_vars()]
 
 
 #: canonical figure settings shrunk so that every bundle runs in seconds

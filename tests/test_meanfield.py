@@ -2,14 +2,21 @@
 
 import math
 import random
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opendicke import _solvers
 from opendicke import meanfield as mfd
 from opendicke.params import DickeParams, ParameterError
+
+from util import DOPRI5_ERROR, FailingOde
 
 OMEGA, KAPPA = 300.0, 200.0
 
@@ -149,6 +156,136 @@ class TestIntegration:
         p = params()
         with pytest.raises(ValueError):
             mfd.integrate(mfd.trivial_state(p), p, (0.0, 1.0), rtol=-1.0)
+
+
+def oscillator(t, y):
+    return [y[1], -y[0]]
+
+
+def evolve_start(p: DickeParams) -> mfd.MeanFieldState:
+    """The ``evolve`` command's default initial state."""
+    n = p.atom_number
+    return mfd.MeanFieldState(1e-3 * math.sqrt(n) + 0j, 1e-3 * n + 0j,
+                              mfd._w_from_beta(1e-3 * n + 0j, n))
+
+
+class TestDopri5Route:
+    """``_solvers.solve_ivp``'s RK45 route, through ``ode``'s ``dopri5``."""
+
+    def test_samples_at_the_requested_times(self):
+        t_eval = [0.5, 1.0, 2.5]
+        sol = _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], t_eval=t_eval,
+                                 rtol=1e-10, atol=1e-12)
+        assert sol.success and sol.message == "computation successful"
+        assert sol.t.tolist() == t_eval and sol.y.shape == (2, 3)
+        assert np.allclose(sol.y, [np.cos(t_eval), -np.sin(t_eval)], rtol=0, atol=1e-9)
+        assert sol.nfev > 0 and sol.njev == 0
+
+    def test_first_sample_at_the_start_is_the_initial_state(self):
+        y0 = [0.1, 1.0 / 3.0]
+        sol = _solvers.solve_ivp(oscillator, (0.0, 1.0), y0, t_eval=[0.0, 1.0],
+                                 rtol=1e-10, atol=1e-12)
+        assert sol.y[:, 0].tobytes() == np.array(y0).tobytes()
+
+    def test_without_output_times_samples_the_accepted_steps(self):
+        sol = _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0],
+                                 rtol=1e-10, atol=1e-12)
+        assert sol.success and sol.t[0] == 0.0 and sol.t[-1] == 2.5
+        assert np.all(np.diff(sol.t) > 0) and sol.y.shape == (2, sol.t.size)
+        assert np.allclose(sol.y, [np.cos(sol.t), -np.sin(sol.t)], rtol=0, atol=1e-9)
+
+    def test_dopri5_failure_is_reported_not_warned(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "ode", FailingOde)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _solvers.solve_ivp(oscillator, (0.0, 1.0), [1.0, 0.0],
+                                     t_eval=[0.0, 0.5, 1.0], rtol=1e-6, atol=1e-9)
+        assert not sol.success and sol.message == DOPRI5_ERROR
+        # the samples reached: the initial one
+        assert sol.t.tolist() == [0.0] and sol.y.tolist() == [[1.0], [0.0]]
+
+    def test_right_hand_side_error_reaches_the_caller_and_stops_the_run(
+            self, monkeypatch):
+        calls = []
+
+        class CountingOde(scipy.integrate.ode):
+            def __init__(self, f, jac=None):
+                super().__init__(lambda t, y: calls.append(t) or f(t, y), jac)
+
+        def fails_later(t, y):
+            if len(calls) == 50:
+                raise ValueError("right-hand side failed")
+            return oscillator(t, y)
+
+        monkeypatch.setattr(scipy.integrate, "ode", CountingOde)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="right-hand side failed"):
+                _solvers.solve_ivp(fails_later, (0.0, 1e6), [1.0, 0.0],
+                                   t_eval=np.linspace(0.0, 1e6, 5), rtol=1e-10,
+                                   atol=1e-12)
+        # DOPRI5 steps down on the NaN it is given from the raise on
+        assert 50 < len(calls) < 1000
+
+    @pytest.mark.parametrize("t_eval", [[0.0, 3.0], [3.0, 0.5], [0.0, 1.0, 1.0],
+                                        [[0.0, 1.0]]],
+                             ids=["outside", "unsorted", "repeated", "2d"])
+    def test_output_times_are_checked_as_solve_ivp_checks_them(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval"):
+            _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], t_eval=t_eval,
+                               rtol=1e-10, atol=1e-12)
+
+    def test_dense_output_times_cost_no_more_steps(self):
+        def run(samples):
+            return _solvers.solve_ivp(oscillator, (0.0, 10.0), [1.0, 0.0],
+                                      t_eval=np.linspace(0.0, 10.0, samples),
+                                      rtol=1e-10, atol=1e-12)
+
+        sparse, dense = run(11), run(100_000)
+        assert dense.success and dense.t.size == 100_000
+        assert np.allclose(dense.y, [np.cos(dense.t), -np.sin(dense.t)], rtol=0, atol=1e-9)
+        # 16 intervals on dopri5, then solve_ivp's dense output: no call per sample
+        assert dense.nfev < 2 * sparse.nfev
+
+    @pytest.mark.parametrize("t_eval", [None, [0.0, 1.0]], ids=["steps", "end"])
+    def test_damping_dominated_runs_step_past_the_stiffness_test(self, t_eval):
+        # kappa >> omega puts the fast eigenvalue near the negative real
+        # axis: about 3000 steps at RK45's stability limit, past which
+        # DOPRI5's own stiffness test would stop the run
+        p0 = DickeParams(100.0, 1.0, 0.0, 0.0, 1e4, 1e4)
+        p = DickeParams(100.0, 1.0, 1.2 * mfd.critical_coupling(p0), 0.0, 1e4, 1e4)
+        sol = mfd.integrate(evolve_start(p), p, (0.0, 1.0), t_eval=t_eval)
+        assert sol.t[-1] == 1.0 and np.all(np.diff(sol.t) > 0)
+        ref = mfd.integrate(evolve_start(p), p, (0.0, 1.0), t_eval=[1.0],
+                            method="LSODA").y[:, -1]
+        assert np.allclose(sol.y[:, -1], ref, rtol=0, atol=1e-6 * np.max(np.abs(ref)))
+
+    def test_integrate_agrees_with_a_tight_dop853_reference(self):
+        p = params(lam=1.2 * mfd.critical_coupling(params()))
+        s0, t_eval = evolve_start(p), np.linspace(0.0, 30.0, 500)
+        y = mfd.integrate(s0, p, (0.0, 30.0), t_eval=t_eval).y
+        ref = mfd.integrate(s0, p, (0.0, 30.0), t_eval=t_eval, rtol=1e-13,
+                            method="DOP853").y
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(y - ref), axis=1) <= 1e-8 * scale)
+
+    def test_threads_match_serial_runs_bit_for_bit(self):
+        lc = mfd.critical_coupling(params())
+        runs = [params(lam=ratio * lc) for ratio in (1.05, 1.2, 1.5, 1.9)]
+        t_eval = np.linspace(0.0, 10.0, 200)
+
+        def samples(p):
+            return mfd.integrate(evolve_start(p), p, (0.0, 10.0), t_eval=t_eval).y.tobytes()
+
+        serial = [samples(p) for p in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each run
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(samples, runs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestSteadyStateBranches:

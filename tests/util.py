@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.integrate
 from scipy.integrate import ODEintWarning
 
 
@@ -63,3 +64,20 @@ def failing_odeint(func, y0, t, **kwargs):
     warnings.warn(f"{ODEPACK_ERROR} Run with full_output = 1 to get quantitative "
                   "information.", ODEintWarning)
     return np.zeros((len(t), len(y0))), {"message": ODEPACK_ERROR}
+
+
+#: ``dopri5``'s message for a step size that fell below roundoff
+DOPRI5_ERROR = "step size becomes too small"
+
+
+class FailingOde(scipy.integrate.ode):
+    """A stand-in for ``scipy.integrate.ode`` whose ``dopri5`` gives up as DOPRI5 does.
+
+    Each ``integrate`` call warns and flags the run failed with DOPRI5's
+    code -3, leaving the state where it was.
+    """
+
+    def integrate(self, t, step=False, relax=False):
+        self._integrator.istate, self._integrator.success = -3, 0
+        warnings.warn(f"dopri5: {DOPRI5_ERROR}", UserWarning)
+        return self._y
