@@ -9,11 +9,8 @@ methods, pass their arguments to the SciPy function unchanged.
 ``solve_ivp`` runs LSODA through ``odeint`` and RK45 through ``ode``'s
 ``dopri5``, the same Dormand-Prince 5(4) pair, so that each step loop
 stays in compiled code and only the right-hand side calls back into
-Python.  ``dopri5`` does not stop for an exception raised in the
-right-hand side, so the RK45 route stores the first one, returns NaN from
-then on (DOPRI5 then shrinks its step until it gives up) and raises it
-once the run has returned.  ``load`` imports ``scipy.integrate`` ahead of
-time, for a parent about to fork workers.
+Python.  ``load`` imports ``scipy.integrate`` ahead of time, for a parent
+about to fork workers.
 """
 
 from __future__ import annotations
@@ -30,12 +27,6 @@ _ODEINT_SUCCESS = "Integration successful."
 #: their work by counting right-hand-side evaluations instead
 #: (``meanfield._bounded``)
 _MXSTEP = 2 ** 31 - 1
-
-#: ``dopri5``'s return code for its stiffness test, which stops a run whose
-#: step h|lambda| stayed above 3.25 for 15 checks.  ``solve_ivp``'s RK45
-#: has no such test and steps on at its stability limit, and so does this
-#: route: it restarts from where DOPRI5 stopped
-_STIFF = -4
 
 #: ``dopri5`` restarts at each output time (2 right-hand-side calls) and
 #: takes at least one step (6 calls) to reach it, so output times denser
@@ -59,45 +50,46 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, **options):
     costs about as much again as the right-hand side; ``odeint`` runs
     ODEPACK's LSODA, and ``scipy.integrate.ode``'s ``dopri5`` RK45's
     Dormand-Prince 5(4) pair, in their own loops.  For these two ``rtol``
-    and ``atol`` are the only options, and LSODA requires ``t_eval``.  RK45
-    steps to each ``t_eval`` time in turn, checked as ``solve_ivp`` checks
-    it, and hands the times left to ``solve_ivp``'s RK45 once they come
-    denser than its steps (``_DENSE_CALLS``); without ``t_eval`` it samples
-    every accepted step.  It steps past DOPRI5's stiffness test, which
-    ``solve_ivp``'s RK45 does not have.  The result has the fields ``t``,
-    ``y``, ``nfev``, ``njev``, ``success`` and ``message``; for LSODA
-    ``nfev`` and ``njev``
-    are ODEPACK's own counts, for RK45 the right-hand-side calls and 0.  A
-    failed LSODA run carries no samples and counts no work, as ``odeint``
-    leaves both undefined past the output time it failed to reach; a failed
-    RK45 run carries the samples it reached.  The step count is not
-    limited, and an exception raised by ``fun`` reaches the caller.  For
-    RK45 it is raised after the run: from the raise on the right-hand side
-    returns NaN, and DOPRI5 steps down and gives up within a few thousand
-    calls.
+    and ``atol`` are the only options, ``t_eval`` is checked here as
+    ``solve_ivp`` checks it, and LSODA requires it.  RK45 steps to each
+    ``t_eval`` time in turn and hands the times left to ``solve_ivp``'s
+    RK45 once they come denser than its steps (``_DENSE_CALLS``); without
+    ``t_eval`` it samples every accepted step.  DOPRI5 runs with its
+    stiffness test off, as ``solve_ivp``'s RK45 has none.  The result has
+    the fields ``t``, ``y``, ``nfev``, ``njev``, ``success`` and
+    ``message``; for LSODA ``nfev`` and ``njev`` are ODEPACK's own counts,
+    for RK45 the right-hand-side calls and 0.  A failed LSODA run carries
+    no samples and counts no work, as ``odeint`` leaves both undefined past
+    the output time it failed to reach; a failed RK45 run carries the
+    samples it reached.  The step count is not limited, and an exception
+    raised by ``fun`` reaches the caller.  ``dopri5`` does not stop for
+    one, so for RK45 it is raised after the run: from the raise on the
+    right-hand side returns NaN, and DOPRI5 steps down and gives up within
+    a few thousand calls.
     """
-    if method == "LSODA":
-        if t_eval is None:
-            raise ValueError("LSODA needs t_eval")
-        return _odeint(fun, float(t_span[0]), y0, np.asarray(t_eval, dtype=float),
-                       **options)
+    if method not in ("LSODA", "RK45"):
+        from scipy.integrate import solve_ivp
+        return solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, **options)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t_eval is not None:  # solve_ivp's checks
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1:
+            raise ValueError("`t_eval` must be 1-dimensional.")
+        if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
+            raise ValueError("Values in `t_eval` are not within `t_span`.")
+        d = np.diff(t_eval)
+        if t1 > t0 and np.any(d <= 0) or t1 < t0 and np.any(d >= 0):
+            raise ValueError("Values in `t_eval` are not properly sorted.")
     if method == "RK45":
-        return _dopri5(fun, float(t_span[0]), float(t_span[1]), y0,
-                       None if t_eval is None else np.asarray(t_eval, dtype=float),
-                       **options)
-    from scipy.integrate import solve_ivp
-    return solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, **options)
+        return _dopri5(fun, t0, t1, y0, t_eval, **options)
+    if t_eval is None:
+        raise ValueError("LSODA needs t_eval")
+    return _odeint(fun, t0, y0, t_eval, **options)
 
 
 def _dopri5(fun, t0: float, t1: float, y0, t_eval, rtol: float, atol: float):
     from scipy.integrate import ode
     y0 = np.array(y0, dtype=float)
-    if t_eval is not None:  # solve_ivp's checks
-        if t_eval.ndim != 1 or np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
-            raise ValueError("Values in `t_eval` are not within `t_span`.")
-        d = np.diff(t_eval)
-        if t1 > t0 and np.any(d <= 0) or t1 < t0 and np.any(d >= 0):
-            raise ValueError("Values in `t_eval` are not properly sorted.")
     nan = np.full(y0.shape, np.nan)
     calls, raised = 0, []
 
@@ -114,22 +106,19 @@ def _dopri5(fun, t0: float, t1: float, y0, t_eval, rtol: float, atol: float):
     times, states = [], []
 
     def accepted(t, y):
-        if not times or t != times[-1]:  # a restart reports its start again
-            times.append(t)
-            states.append(y.copy())
+        times.append(t)
+        states.append(y.copy())
 
     solver = ode(rhs).set_integrator("dopri5", rtol=rtol, atol=atol, nsteps=_MXSTEP)
     if t_eval is None:
         solver.set_solout(accepted)
     solver.set_initial_value(y0, t0)
+    solver._integrator.iwork[3] = -1  # NSTIFF < 0: no stiffness test
     marks, dense = [], None  # calls at each output time; solve_ivp's first
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "dopri5: ", UserWarning)
         for i, t in enumerate((t1,) if t_eval is None else t_eval):
             y = solver.y if t == solver.t else solver.integrate(t)
-            while solver.get_return_code() == _STIFF and not raised:  # step on
-                solver.set_initial_value(solver.y, solver.t)
-                y = solver.integrate(t)
             if not solver.successful():
                 break
             if t_eval is not None:

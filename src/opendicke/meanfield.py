@@ -158,7 +158,7 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
     are spent: the cost grows with the span and with the precession rate,
     which a large initial field makes arbitrarily fast.
     """
-    if rtol <= 0:
+    if not rtol > 0:  # NaN included
         raise ValueError("rtol must be positive")
     scale = max(1.0, math.sqrt(p.atom_number))
     sol = solve_ivp(_bounded(_rhs_vector, p, *_couplings(p)), t_span,

@@ -152,10 +152,13 @@ class TestIntegration:
         assert np.all(np.hypot(a[2] + b[2], a[3] + b[3]) < 1e-6 * n)
         assert np.all(np.abs(a[4] - b[4]) < 1e-6 * n)
 
-    def test_invalid_tolerance_rejected(self):
+    @pytest.mark.parametrize("method", ["RK45", "LSODA", "DOP853"])
+    @pytest.mark.parametrize("rtol", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_invalid_tolerance_rejected(self, rtol, method):
         p = params()
-        with pytest.raises(ValueError):
-            mfd.integrate(mfd.trivial_state(p), p, (0.0, 1.0), rtol=-1.0)
+        with pytest.raises(ValueError, match="rtol must be positive"):
+            mfd.integrate(mfd.trivial_state(p), p, (0.0, 1.0), rtol=rtol,
+                          t_eval=[1.0], method=method)
 
 
 def oscillator(t, y):
@@ -227,13 +230,18 @@ class TestDopri5Route:
         # DOPRI5 steps down on the NaN it is given from the raise on
         assert 50 < len(calls) < 1000
 
+    @pytest.mark.parametrize("method", ["RK45", "LSODA"])
     @pytest.mark.parametrize("t_eval", [[0.0, 3.0], [3.0, 0.5], [0.0, 1.0, 1.0],
                                         [[0.0, 1.0]]],
                              ids=["outside", "unsorted", "repeated", "2d"])
-    def test_output_times_are_checked_as_solve_ivp_checks_them(self, t_eval):
-        with pytest.raises(ValueError, match="t_eval"):
-            _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], t_eval=t_eval,
-                               rtol=1e-10, atol=1e-12)
+    def test_output_times_are_checked_as_solve_ivp_checks_them(self, t_eval, method):
+        # both compiled routes, with SciPy's own message
+        with pytest.raises(ValueError) as scipy_error:
+            scipy.integrate.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], t_eval=t_eval)
+        with pytest.raises(ValueError) as error:
+            _solvers.solve_ivp(oscillator, (0.0, 2.5), [1.0, 0.0], method=method,
+                               t_eval=t_eval, rtol=1e-10, atol=1e-12)
+        assert str(error.value) == str(scipy_error.value)
 
     def test_dense_output_times_cost_no_more_steps(self):
         def run(samples):
@@ -248,14 +256,24 @@ class TestDopri5Route:
         assert dense.nfev < 2 * sparse.nfev
 
     @pytest.mark.parametrize("t_eval", [None, [0.0, 1.0]], ids=["steps", "end"])
-    def test_damping_dominated_runs_step_past_the_stiffness_test(self, t_eval):
+    def test_damping_dominated_runs_step_past_the_stiffness_test(self, t_eval,
+                                                                 monkeypatch):
         # kappa >> omega puts the fast eigenvalue near the negative real
         # axis: about 3000 steps at RK45's stability limit, past which
-        # DOPRI5's own stiffness test would stop the run
+        # DOPRI5's own stiffness test, were it on, would stop the run
+        starts = []
+
+        class CountingOde(scipy.integrate.ode):
+            def set_initial_value(self, y, t=0.0):
+                starts.append(t)
+                return super().set_initial_value(y, t)
+
+        monkeypatch.setattr(scipy.integrate, "ode", CountingOde)
         p0 = DickeParams(100.0, 1.0, 0.0, 0.0, 1e4, 1e4)
         p = DickeParams(100.0, 1.0, 1.2 * mfd.critical_coupling(p0), 0.0, 1e4, 1e4)
         sol = mfd.integrate(evolve_start(p), p, (0.0, 1.0), t_eval=t_eval)
         assert sol.t[-1] == 1.0 and np.all(np.diff(sol.t) > 0)
+        assert starts == [0.0]  # one DOPRI5 pass, with no restart
         ref = mfd.integrate(evolve_start(p), p, (0.0, 1.0), t_eval=[1.0],
                             method="LSODA").y[:, -1]
         assert np.allclose(sol.y[:, -1], ref, rtol=0, atol=1e-6 * np.max(np.abs(ref)))
