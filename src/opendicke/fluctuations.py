@@ -153,19 +153,13 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     distance sum_b |omega_b - omega_b(previous)|.  ``branch_walk`` gives
     the states for every bias, one ``dynamical_matrix`` call their stack and
     one ``eigvals`` call its eigenvalues, before the matching runs over them.
+    The grid is checked by ``_sorted_grid``, as for ``steady_states``.
     """
     lam_grid = _sorted_grid(lam_grid)
-    work_grid = lam_grid
-    n_approach = 0
-    if lam_grid.size == 0 or lam_grid[0] > 0.0:
-        # ramp up from the anchor at lam = 0 in small steps, so that matching
-        # by frequency stays unambiguous even when the requested grid starts
-        # near lam_c
-        first = lam_grid[0] if lam_grid.size else 0.0
-        approach = np.linspace(0.0, first, 33)[:-1]
-        n_approach = approach.size
-        work_grid = np.concatenate([approach, lam_grid])
-
+    # ramp up from the anchor at lam = 0 in small steps, so that matching by
+    # frequency stays unambiguous even when the requested grid starts near lam_c
+    approach = np.linspace(0.0, lam_grid[0], 33)[:-1] if lam_grid[0] > 0.0 else []
+    work_grid = np.concatenate([approach, lam_grid])
     freqs_out = 1j * np.linalg.eigvals(_walk_stack(p, work_grid.tolist())[2])
     # anchor: order deterministically; the polariton branch starts as the
     # mode closest to the bare atomic frequency +omega0
@@ -175,7 +169,7 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     for i in range(1, work_grid.size):
         freqs, prev = freqs_out[i], freqs_out[i - 1]
         freqs_out[i] = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
-    return TrackedSpectrum(lam_grid, freqs_out[n_approach:], pol_index)
+    return TrackedSpectrum(lam_grid, freqs_out[len(approach):], pol_index)
 
 
 def _walk_stack(p: DickeParams, lams: list, lam_prime_over_lam: float | None = None):

@@ -177,10 +177,11 @@ class ResponseMap:
 
 
 def _scaled_rhs(t, y, p: DickeParams, lam0: float, eps: float, nu: float):
-    # meanfield._rhs_vector per atom (alpha/sqrt(N), beta/N) at the driven
-    # coupling, with w slaved to beta on its negative root; y is unpacked to
-    # floats once, as arithmetic on numpy scalars makes a call 1.7 times slower
-    ar, ai, br, bi = y.tolist()
+    """``_rhs_vector`` per atom (alpha/sqrt(N), beta/N) at the driven coupling.
+
+    w is slaved to beta on its negative root; y comes as floats from ``_bounded``.
+    """
+    ar, ai, br, bi = y
     lam = lam0 * (1.0 + eps * math.cos(nu * t))
     w = -math.sqrt(max(0.25 - (br * br + bi * bi), 0.0))
     return _rhs_vector(t, (ar, ai, br, bi, w), p, lam, p.lam_prime, 0.5)[:4]

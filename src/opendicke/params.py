@@ -68,15 +68,17 @@ class DickeParams:
     atom_number: float
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ParameterError(f"omega0 must be positive, got {self.omega0}")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
-        if self.atom_number < 1:
+        if math.isnan(self.lam_prime):
+            raise ParameterError(f"lam_prime must be a number, got {self.lam_prime}")
+        if not self.atom_number >= 1:
             raise ParameterError(f"atom_number must be >= 1, got {self.atom_number}")
 
     def with_coupling(self, lam: float, lam_prime: float | None = None) -> "DickeParams":
@@ -108,20 +110,20 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.atom_number < 1:
+        if not self.atom_number >= 1:
             raise ParameterError("atom_number must be >= 1")
-        if self.condensate_length <= 0:
+        if not self.condensate_length > 0:
             raise ParameterError("condensate_length must be positive")
-        if self.cavity_length < self.condensate_length:
+        if not self.cavity_length >= self.condensate_length:
             raise ParameterError("cavity_length must be >= condensate_length")
-        if self.cavity_wavevector <= 0:
+        if not self.cavity_wavevector > 0:
             raise ParameterError("cavity_wavevector must be positive")
-        if self.atom_mass <= 0:
+        if not self.atom_mass > 0:
             raise ParameterError("atom_mass must be positive")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ParameterError("kappa must be >= 0")
         limit = MAX_DISPLACEMENT_FRACTION * self.condensate_length
-        if abs(self.trap_displacement) >= limit:
+        if not abs(self.trap_displacement) < limit:
             raise ParameterError(
                 f"|trap_displacement| = {abs(self.trap_displacement)} exceeds "
                 f"{MAX_DISPLACEMENT_FRACTION} * condensate_length = {limit}")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opendicke import _solvers
+from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke.params import DickeParams, ParameterError
 
@@ -159,6 +160,23 @@ class TestIntegration:
         with pytest.raises(ValueError, match="rtol must be positive"):
             mfd.integrate(mfd.trivial_state(p), p, (0.0, 1.0), rtol=rtol,
                           t_eval=[1.0], method=method)
+
+    @pytest.mark.parametrize("method", ["RK45", "LSODA", "DOP853"])
+    def test_the_kernel_is_given_floats(self, method, monkeypatch):
+        # _bounded converts the solver's state once, for every route; 2000
+        # samples over t = 2 take RK45 on to solve_ivp's dense output too
+        states, kernel = [], mfd._rhs_vector
+
+        def recorded(t, y, *args):
+            states.append(y)
+            return kernel(t, y, *args)
+
+        monkeypatch.setattr(mfd, "_rhs_vector", recorded)
+        p = params(lam=1.2 * mfd.critical_coupling(params()))
+        mfd.integrate(evolve_start(p), p, (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 2000),
+                      method=method)
+        assert states
+        assert all(type(y) is list and list(map(type, y)) == [float] * 5 for y in states)
 
 
 def oscillator(t, y):
@@ -502,8 +520,9 @@ class TestSteadyStateBranches:
 
     def test_grid_validation(self):
         p = params()
-        with pytest.raises(ValueError):
-            mfd.steady_states(p, [])
+        for sweep in (mfd.steady_states, fl.spectrum_sweep):
+            with pytest.raises(ValueError, match="^empty coupling grid$"):
+                sweep(p, [])
         with pytest.raises(ValueError):
             mfd.steady_states(p, [2.0, 1.0])
         # as when every point made its own parameters

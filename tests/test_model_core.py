@@ -9,8 +9,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from opendicke import _solvers
 from opendicke.meanfield import MeanFieldState
-from opendicke.params import (ParameterError, PhysicalParams, density_profile,
-                              map_to_dicke, mode_functions)
+from opendicke.params import (DickeParams, ParameterError, PhysicalParams,
+                              density_profile, map_to_dicke, mode_functions)
 
 from util import correlation_shift
 
@@ -33,6 +33,17 @@ D_RATIO_120 = 0.11309116782829488   # displacement giving lam'/lam = 1/120
 def build(d=0.0, **kw):
     params = {**GEOMETRY, "trap_displacement": d, **kw}
     return PhysicalParams(**params)
+
+
+DICKE = dict(omega=300.0, omega0=1.0, lam=5.0, lam_prime=0.1, kappa=200.0, atom_number=1e4)
+
+
+def dicke(**kw):
+    return DickeParams(**{**DICKE, **kw})
+
+
+def mapped(**kw):
+    return map_to_dicke(build(**kw))
 
 
 class TestModeFunctions:
@@ -114,6 +125,20 @@ class TestMapToDicke:
     def test_rejects_large_displacement(self):
         with pytest.raises(ParameterError, match="displacement"):
             build(d=5.0)
+
+    # every field the model's checks read refuses NaN when constructed; the
+    # others reach a mapped DickeParams field
+    @pytest.mark.parametrize("make, field", [
+        *((dicke, name) for name in DICKE),
+        *((build, name) for name in ("atom_number", "condensate_length", "cavity_length",
+                                     "trap_displacement", "cavity_wavevector",
+                                     "atom_mass", "kappa")),
+        *((mapped, name) for name in ("pump_cavity_detuning", "dispersive_shift",
+                                      "pump_coupling", "hbar")),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_nan_in_any_field_is_refused(self, make, field):
+        with pytest.raises(ParameterError):
+            make(**{field: math.nan})
 
 
 class TestQuadShim:

@@ -253,6 +253,20 @@ class TestFloquetExponents:
         mod._solve_cell(near)
         assert calls == ["LSODA"] * 3          # stable near the ridge: evaluated
 
+    def test_integrated_cell_kernel_is_given_floats(self, monkeypatch):
+        # LSODA's state reaches the cell's kernel through meanfield._bounded
+        states, kernel = [], mod._scaled_rhs
+
+        def recorded(t, y, *args):
+            states.append(y)
+            return kernel(t, y, *args)
+
+        monkeypatch.setattr(mod, "_scaled_rhs", recorded)
+        lam = 0.8 * LC
+        mod._solve_cell((params(lam=lam, lam_prime=1e-3), lam, 1.6, 0.02, 1e-4, 200.0))
+        assert states
+        assert all(type(y) is list and list(map(type, y)) == [float] * 4 for y in states)
+
     @pytest.mark.parametrize("workers, cpus, cells, started", [
         (100000, 64, 1, None),      # one cell runs in this process
         (100000, 64, 3, 3),         # capped by the cells
