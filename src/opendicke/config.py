@@ -74,19 +74,13 @@ class RunConfig:
             raise ConfigError("empty coupling grid")
         if np.any(np.diff(values) < 0):
             raise ConfigError("coupling grid must be sorted ascending")
-        if values[0] < 0:
-            raise ConfigError(f"couplings must be >= 0, got {values[0]:g}")
         return values
 
     def nu_grid(self) -> np.ndarray:
         g = self.grid
         if not {"nu_min", "nu_max", "nu_points"} <= g.keys():
             raise ConfigError("missing modulation grid: nu_min/nu_max/nu_points")
-        values = np.linspace(float(g["nu_min"]), float(g["nu_max"]),
-                             int(g["nu_points"]))
-        if np.any(values <= 0):
-            raise ConfigError("modulation frequencies must be positive")
-        return values
+        return np.linspace(float(g["nu_min"]), float(g["nu_max"]), int(g["nu_points"]))
 
 
 def _parse_float(where: str, raw: str) -> float:
@@ -120,6 +114,8 @@ def _count(least: int) -> tuple:
 
 _SPAN = (lambda v: v >= MIN_SPAN, f">= {MIN_SPAN:g}")
 _INTEGER = (float.is_integer, "an integer")
+_COUPLING = (lambda v: v >= 0.0, ">= 0")
+_FREQUENCY = (lambda v: v > 0.0, "> 0")
 
 
 def _model_keys(cls) -> dict:
@@ -129,22 +125,23 @@ def _model_keys(cls) -> dict:
 
 
 #: every section and its keys; a numeric key maps to its rule, None (any
-#: finite number) or a (check, wanted) pair.  The model keys are the fields
-#: of the parameter dataclasses, whose own checks apply.
+#: finite number) or a (check, wanted) pair, which a ``_list`` key's every
+#: value must pass.  The model keys are the fields of the parameter
+#: dataclasses, whose own checks apply.
 SECTIONS = {
     "run": dict.fromkeys(("mode", "out", "format", "plots", "workers"), TEXT),
     "dicke": _model_keys(DickeParams),
     "physical": _model_keys(PhysicalParams),
-    "grid": {"lam_list": None, "lam_min": None, "lam_max": None,
-             "lam_points": _count(1), "nu_min": None, "nu_max": None,
+    "grid": {"lam_list": _COUPLING, "lam_min": _COUPLING, "lam_max": _COUPLING,
+             "lam_points": _count(1), "nu_min": _FREQUENCY, "nu_max": _FREQUENCY,
              "nu_points": _count(1), "tau_span": _SPAN, "tau_points": _count(2)},
     "modulation": {
         # a deeper drive or a larger seed starts the cell off the Bloch sphere
         "eps": (lambda v: 0.0 < v < 0.2, "in (0, 0.2)"),
         "t_max": _SPAN,
         "seed": (lambda v: abs(v) < 0.5, "below 1/2 in magnitude"),
-        "time_series_lam": (lambda v: v >= 0.0, ">= 0"),
-        "time_series_nu": None},
+        "time_series_lam": _COUPLING,
+        "time_series_nu": _FREQUENCY},
     "evolve": {"t_max": _SPAN, "samples": _count(1), "alpha0_re": None,
                "alpha0_im": None, "beta0_re": None, "beta0_im": None, "w0": None},
     "figure": {"id": TEXT},
@@ -164,13 +161,13 @@ def _section_values(cp: configparser.ConfigParser, name: str) -> dict:
         rule, where = rules[key], f"[{name}] {key}"
         if rule is TEXT:
             continue
-        if key.endswith("_list"):
-            out[key] = [_parse_float(where, tok)
-                        for tok in raw.replace(",", " ").split()]
-            continue
-        out[key] = value = _parse_float(where, raw)
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"{where} must be {rule[1]}, got {value:.15g}")
+        listed = key.endswith("_list")
+        values = [_parse_float(where, tok)
+                  for tok in (raw.replace(",", " ").split() if listed else [raw])]
+        for value in values:
+            if rule is not None and not rule[0](value):
+                raise ConfigError(f"{where} must be {rule[1]}, got {value:.15g}")
+        out[key] = values if listed else values[0]
     return out
 
 

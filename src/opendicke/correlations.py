@@ -305,6 +305,8 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 2:
         raise ValueError("tau grid must be a 1-d array with at least 2 points")
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("tau grid must be finite")
     if tau.min() < 0.0:
         raise ValueError(f"tau grid reaches tau = {tau.min():g} < 0")
     steps = np.diff(tau)

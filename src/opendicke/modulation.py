@@ -33,7 +33,7 @@ import numpy as np
 from . import _solvers
 from ._solvers import solve_ivp
 from .meanfield import Trajectory, _bounded, _rhs_vector, critical_coupling
-from .params import DickeParams
+from .params import DickeParams, ParameterError
 
 
 class FloquetError(RuntimeError):
@@ -206,6 +206,13 @@ def _driven_run(p: DickeParams, lam: float, nu: float, eps: float, seed: float,
     return sol.y
 
 
+def _check_drive(p: DickeParams, lam, nu) -> None:
+    """ParameterError for a coupling ``p.with_coupling`` refuses or a nu not positive and finite."""
+    p.with_coupling(float(np.min(lam, initial=0.0)))    # NaN propagates through min
+    if not np.all(np.isfinite(nu) & (np.asarray(nu) > 0.0)):
+        raise ParameterError("modulation frequencies must be positive and finite")
+
+
 def _span(p: DickeParams, t_max: float | None) -> float:
     """Length of a driven run, by default 2000 / omega0."""
     return 2000.0 / p.omega0 if t_max is None else t_max
@@ -216,16 +223,17 @@ def _linearization(p: DickeParams, lam: float, eps: float
     """Jacobian of ``_scaled_rhs`` at the trivial state for lam' = 0.
 
     y' = (A0 + A1 cos(nu t)) y with y = (Re alpha, Im alpha, Re beta,
-    Im beta); w = -1/2 + O(|beta|^2) there, so the modulation enters only
-    through the two coupling entries.
+    Im beta); w = -1/2 + O(|beta|^2) there.  The Jacobian J(lam) is affine
+    in the coupling, so A0 = J(lam) and A1 = J(lam eps) - J(0).  Its
+    columns are ``_rhs_vector`` at the unit vectors with w = -1/2, exactly:
+    the one product of two fields, (alpha + alpha*) w, has alpha = 0 or
+    w = -1/2 at each of them.
     """
-    a0 = np.array([[-p.kappa, p.omega, 0.0, 0.0],
-                   [-p.omega, -p.kappa, -2.0 * lam, 0.0],
-                   [0.0, 0.0, 0.0, p.omega0],
-                   [-2.0 * lam, 0.0, -p.omega0, 0.0]])
-    a1 = np.zeros((4, 4))
-    a1[1, 2] = a1[3, 0] = -2.0 * lam * eps
-    return a0, a1
+    def jacobian(coupling: float) -> np.ndarray:
+        return np.array([_rhs_vector(0.0, (*e, -0.5), p, coupling, 0.0, 0.5)[:4]
+                         for e in np.eye(4).tolist()]).T
+
+    return jacobian(lam), jacobian(lam * eps) - jacobian(0.0)
 
 
 #: largest a-priori bound B on the per-atom amplitude |y| for which a stable
@@ -323,10 +331,12 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     other cell integrates the full mean-field equations (inversion
     eliminated on its negative root).  The cells run in min(workers,
     cells, CPU count) processes, in this one when that is 1; the result
-    does not depend on the count.
+    does not depend on the count.  A bad coupling or frequency raises
+    ParameterError before any cell runs (``_check_drive``).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
+    _check_drive(p, lam_grid, nu_grid)
     t_max = _span(p, t_max)
     cells = [(p, float(lam), float(nu), eps, seed, t_max)
              for lam in lam_grid for nu in nu_grid]
@@ -351,7 +361,11 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
 def driven_trajectory(p: DickeParams, lam: float, nu: float, eps: float = 0.02,
                       seed: float = 1e-4, t_max: float | None = None,
                       n_samples: int = 4096) -> Trajectory:
-    """Per-atom ``Trajectory`` of one driven cell, w/N slaved on its negative root."""
+    """Per-atom ``Trajectory`` of one driven cell, w/N slaved on its negative root.
+
+    Raises ParameterError for a bad coupling or frequency (``_check_drive``).
+    """
+    _check_drive(p, lam, nu)
     t_eval = np.linspace(0.0, _span(p, t_max), n_samples)
     y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-8, atol=1e-14)
     w = -np.sqrt(np.maximum(0.25 - y[2] ** 2 - y[3] ** 2, 0.0))

@@ -110,6 +110,14 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("pump_cavity_detuning", "dispersive_shift"):
+            if math.isnan(getattr(self, name)):
+                raise ParameterError(f"{name} must be a number, got nan")
+        # lam = sqrt(N/D) eta times a non-negative overlap, so lam >= 0 needs eta >= 0
+        if not self.pump_coupling >= 0:
+            raise ParameterError(f"pump_coupling must be >= 0, got {self.pump_coupling}")
+        if not self.hbar > 0:
+            raise ParameterError(f"hbar must be positive, got {self.hbar}")
         if not self.atom_number >= 1:
             raise ParameterError("atom_number must be >= 1")
         if not self.condensate_length > 0:

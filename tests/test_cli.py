@@ -310,6 +310,13 @@ class TestSubcommands:
         ["modulation.time_series_lam=-1"],
         ["modulation.time_series_lam=8.3"],
         ["modulation.time_series_nu=1.2"],
+        # the sign rules of SECTIONS: every listed coupling >= 0, every frequency > 0
+        ["grid.lam_list=2 -1"],
+        ["grid.lam_min=-1"],
+        ["grid.nu_min=0"],
+        ["grid.nu_max=-1"],
+        ["modulation.time_series_lam=8.3", "modulation.time_series_nu=-1.2"],
+        ["modulation.time_series_lam=8.3", "modulation.time_series_nu=0"],
         ["grid.lam_list=3", "grid.lam_min=1", "grid.lam_max=2", "grid.lam_points=3"],
         ["grid.lam_list=3", "grid.lam_points=3"],
         ["grid.lam_list=3", "grid.lam_min=1"],
@@ -608,10 +615,15 @@ class TestSubcommands:
         # lam_list used to win silently: one row, not three
         (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=3", "--set", "grid.lam_min=1",
           "--set", "grid.lam_max=2", "--set", "grid.lam_points=3"], 2),
+        # a time series at nu = -1.2 used to run and exit 0
+        (["modulate", *DICKE_SETS, "--set", "grid.lam_list=5", "--set", "grid.nu_min=0.6",
+          "--set", "grid.nu_max=1", "--set", "grid.nu_points=2",
+          "--set", "modulation.time_series_lam=5",
+          "--set", "modulation.time_series_nu=-1.2"], 2),
     ], ids=["steady-state-no-grid", "spectrum-unsorted", "modulate-no-nu-grid",
             "modulate-nu-0", "evolve-beta0", "fig9", "fig5-no-physical", "g2-no-model", "g2-lam-0",
             "photon-flux-above-threshold", "modulate-lone-time-series-key",
-            "spectrum-list-and-range"])
+            "spectrum-list-and-range", "modulate-time-series-nu-negative"])
     def test_refused_run_writes_nothing(self, tmp_path, argv, code):
         out = tmp_path / "o"
         rc, err = run_cli([*argv, "--out", str(out)])

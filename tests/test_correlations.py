@@ -236,6 +236,9 @@ class TestTwoTimeCorrelations:
         for tau in ([0.0, 0.0], [2.0, 1.0, 0.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 corr.two_time_correlations(q, np.array(tau))
+        for tau in ([0.0, np.inf], [np.nan] * 4):
+            with pytest.raises(ValueError, match="^tau grid must be finite$"):
+                corr.two_time_correlations(q, np.array(tau))
         with pytest.raises(ValueError, match="method"):
             corr.two_time_correlations(q, np.linspace(0, 1, 8), method="magic")
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,10 +41,6 @@ DICKE = dict(omega=300.0, omega0=1.0, lam=5.0, lam_prime=0.1, kappa=200.0, atom_
 
 def dicke(**kw):
     return DickeParams(**{**DICKE, **kw})
-
-
-def mapped(**kw):
-    return map_to_dicke(build(**kw))
 
 
 class TestModeFunctions:
@@ -126,19 +123,18 @@ class TestMapToDicke:
         with pytest.raises(ParameterError, match="displacement"):
             build(d=5.0)
 
-    # every field the model's checks read refuses NaN when constructed; the
-    # others reach a mapped DickeParams field
-    @pytest.mark.parametrize("make, field", [
-        *((dicke, name) for name in DICKE),
-        *((build, name) for name in ("atom_number", "condensate_length", "cavity_length",
-                                     "trap_displacement", "cavity_wavevector",
-                                     "atom_mass", "kappa")),
-        *((mapped, name) for name in ("pump_cavity_detuning", "dispersive_shift",
-                                      "pump_coupling", "hbar")),
-    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
-    def test_nan_in_any_field_is_refused(self, make, field):
-        with pytest.raises(ParameterError):
-            make(**{field: math.nan})
+    # every field refuses NaN when constructed, with a message that names it;
+    # so do a negative pump coupling (lam >= 0 needs eta >= 0) and hbar = 0
+    @pytest.mark.parametrize("make, field, value", [
+        *(pytest.param(dicke, name, math.nan, id=f"dicke-{name}") for name in DICKE),
+        *(pytest.param(build, f.name, math.nan, id=f"build-{f.name}")
+          for f in fields(PhysicalParams)),
+        pytest.param(build, "pump_coupling", -1.0, id="build-pump_coupling-negative"),
+        pytest.param(build, "hbar", 0.0, id="build-hbar-zero"),
+    ])
+    def test_nan_in_any_field_is_refused(self, make, field, value):
+        with pytest.raises(ParameterError, match=field):
+            make(**{field: value})
 
 
 class TestQuadShim:

@@ -20,7 +20,7 @@ from opendicke import _solvers
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
 from opendicke.fluctuations import soft_mode_perturbative
-from opendicke.params import DickeParams
+from opendicke.params import DickeParams, ParameterError
 
 from util import ODEPACK_ERROR, failing_odeint
 
@@ -113,6 +113,17 @@ class TestFloquetExponents:
             jac[:, j] = (np.array(mod._scaled_rhs(t, dy, p, lam, eps, nu))
                          - np.array(mod._scaled_rhs(t, -dy, p, lam, eps, nu))) / (2 * h)
         assert np.allclose(jac, a0 + a1 * math.cos(nu * t), rtol=1e-7, atol=1e-7)
+        # and it is the closed form exactly, at lam = 0 and with lam' held at 0
+        for q, lam, eps in [(p, lam, eps), (p, 0.0, 0.02), (params(lam_prime=0.08), 0.95 * LC, 0.1),
+                            (DickeParams(37.5, 2.25, 0.0, -0.3, 0.7, 1e4), 1.3, 0.15)]:
+            a0, a1 = mod._linearization(q, lam, eps)
+            assert np.array_equal(a0, [[-q.kappa, q.omega, 0.0, 0.0],
+                                       [-q.omega, -q.kappa, -2.0 * lam, 0.0],
+                                       [0.0, 0.0, 0.0, q.omega0],
+                                       [-2.0 * lam, 0.0, -q.omega0, 0.0]])
+            closed = np.zeros((4, 4))
+            closed[1, 2] = closed[3, 0] = -2.0 * lam * eps
+            assert np.array_equal(a1, closed)
 
     def test_off_resonant_rate_is_the_polariton_damping(self):
         p = params()
@@ -368,6 +379,25 @@ class TestDrivenResponse:
         a = mod._solve_cell(cell)
         b = mod._solve_cell(flipped)
         assert a.max_alpha2 == pytest.approx(b.max_alpha2, rel=1e-6)
+
+    @pytest.mark.parametrize("lam, nu, message", [
+        (0.8 * LC, math.nan, "modulation frequencies"), (0.8 * LC, 0.0, "modulation frequencies"),
+        (0.8 * LC, -1.2, "modulation frequencies"), (0.8 * LC, math.inf, "modulation frequencies"),
+        (-0.8 * LC, 1.2, "lam must be >= 0"), (math.nan, 1.2, "lam must be >= 0"),
+    ], ids=["nu-nan", "nu-0", "nu-negative", "nu-inf", "lam-negative", "lam-nan"])
+    @pytest.mark.parametrize("driven", ["map", "trajectory"])
+    def test_bad_drive_is_refused_before_any_cell_runs(self, monkeypatch, lam, nu, message,
+                                                       driven):
+        # refused up front: a NaN nu would give a NaN map, and nu <= 0 numbers
+        def no_run(*args, **kwargs):
+            raise AssertionError("a driven cell ran")
+        monkeypatch.setattr(mod, "_solve_cell", no_run)
+        monkeypatch.setattr(mod, "_driven_run", no_run)
+        with pytest.raises(ParameterError, match=message):
+            if driven == "map":
+                mod.driven_response_map(params(), [0.5 * LC, lam], [1.6, nu], t_max=50.0)
+            else:
+                mod.driven_trajectory(params(), lam, nu, t_max=50.0)
 
     def test_growth_flagged_when_not_stabilized(self):
         p = params(lam=0.9 * LC)
