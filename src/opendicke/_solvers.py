@@ -15,6 +15,7 @@ about to fork workers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -65,12 +66,16 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, **options):
     raised by ``fun`` reaches the caller.  ``dopri5`` does not stop for
     one, so for RK45 it is raised after the run: from the raise on the
     right-hand side returns NaN, and DOPRI5 steps down and gives up within
-    a few thousand calls.
+    a few thousand calls.  A span with an infinite or NaN end raises
+    ValueError before any SciPy call, on every route: DOPRI5 given one
+    spins without calling ``fun``, so no work limit could stop it.
     """
+    t0, t1 = map(float, t_span)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if method not in ("LSODA", "RK45"):
         from scipy.integrate import solve_ivp
         return solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, **options)
-    t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is not None:  # solve_ivp's checks
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1:

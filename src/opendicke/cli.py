@@ -78,9 +78,8 @@ def _run_spectrum(cfg: RunConfig) -> list[Table]:
 
 
 def _run_photon_flux(cfg: RunConfig) -> list[Table]:
-    p = cfg.require_dicke()
-    rows = [[lam, corr.photon_flux(p.with_coupling(float(lam)))]
-            for lam in cfg.lam_grid()]
+    p, lam = cfg.require_dicke(), cfg.lam_grid()
+    rows = np.column_stack([lam, corr.photon_flux(p, lam)])
     return [Table("photon_flux", ["lam[omega0]", "flux[omega0]"], rows)]
 
 

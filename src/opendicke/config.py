@@ -80,7 +80,10 @@ class RunConfig:
         g = self.grid
         if not {"nu_min", "nu_max", "nu_points"} <= g.keys():
             raise ConfigError("missing modulation grid: nu_min/nu_max/nu_points")
-        return np.linspace(float(g["nu_min"]), float(g["nu_max"]), int(g["nu_points"]))
+        values = np.linspace(float(g["nu_min"]), float(g["nu_max"]), int(g["nu_points"]))
+        if np.any(np.diff(values) < 0):
+            raise ConfigError("modulation grid must be sorted ascending")
+        return values
 
 
 def _parse_float(where: str, raw: str) -> float:

@@ -7,11 +7,14 @@ moments S_ij = <x_i x_j> solve the Lyapunov equation M S + S M^T + Q = 0,
 with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q.
 Two-time correlators follow either by contour integration of the
 frequency-domain Langevin solution driven by vacuum noise (a sum over the
-eigenvalues of M), or by quantum regression: the steady moments are
+eigenvalues of M, sampled at tau_0 + k dtau from two small tables of
+exponentials), or by quantum regression: the steady moments are
 propagated exactly along the uniform tau grid by the powers of
 exp(M dtau), formed by repeated squaring; exp(M dtau) itself is built from
 one ODE run of d Phi/d tau = M Phi by scaling and squaring, without an
-eigendecomposition.  Both routes are implemented and must agree.
+eigendecomposition.  Both routes are implemented and must agree.  The
+steady moments and the photon flux also come for a whole coupling grid
+from one stack of M.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._expsum import uniform_samples
 from ._solvers import solve_ivp
-from .fluctuations import dynamical_matrix, hp_coefficients, stability
-from .meanfield import MeanFieldState, critical_coupling, operating_point
+from .fluctuations import _walk_stack, dynamical_matrix, hp_coefficients, stability
+from .meanfield import (MeanFieldState, _sorted_grid, critical_coupling, operating_point,
+                        trivial_state)
 from .params import DickeParams
 
 NEAR_THRESHOLD_GUARD = 1e-6
@@ -46,78 +51,103 @@ class ThresholdError(RuntimeError):
 class MomentVector:
     """Equal-time second moments of the fluctuation operators.
 
-    ``values[i, j]`` is the normal-ordered moment <:x_i x_j:>.  Conjugate
-    pairs must close (<c+c+> = <cc>* etc.) and the two occupation numbers
-    are real and non-negative.
+    ``values[i, j]`` is the normal-ordered moment <:x_i x_j:>, or
+    ``values[r, i, j]`` that of row r of a stack.  Conjugate pairs must
+    close (<c+c+> = <cc>* etc.) and the two occupation numbers are real and
+    non-negative.
     """
 
     values: np.ndarray
 
-    def pair(self, i: int, j: int) -> complex:
-        """<x_i x_j> for any two of x = (c, c+, d, d+)."""
-        return complex(self.values[i, j]) + _COMMUTATORS[i, j]
+    def pair(self, i: int, j: int) -> complex | np.ndarray:
+        """<x_i x_j> for any two of x = (c, c+, d, d+), an array over a stack's rows."""
+        if self.values.ndim == 2:
+            return complex(self.values[i, j]) + _COMMUTATORS[i, j]
+        return self.values[:, i, j] + _COMMUTATORS[i, j]
 
     @property
     def cc(self) -> complex:
         return self.pair(C, C)
 
     @property
-    def photon_number(self) -> float:
+    def photon_number(self) -> float | np.ndarray:
         return self.pair(CDAG, C).real
 
     def conjugate_closure_residual(self) -> float:
         """Worst mismatch |<(x_i x_j)+> - <x_i x_j>*|, relative to the largest moment.
 
-        (x_i x_j)+ = x_j+ x_i+, and x_i+ sits at index i ^ 1 of x.
+        (x_i x_j)+ = x_j+ x_i+, and x_i+ sits at index i ^ 1 of x; over all
+        rows of a stack.
         """
         dagger = [CDAG, C, DDAG, D]
-        res = float(np.max(np.abs(self.values[dagger][:, dagger].T
+        res = float(np.max(np.abs(self.values[..., dagger, :][..., dagger].swapaxes(-1, -2)
                                   - self.values.conj())))
         scale = float(np.max(np.abs(self.values)))
         return res / scale if scale > 0 else res
 
 
-def _resolve_operating_point(p: DickeParams) -> tuple[MeanFieldState, np.ndarray]:
-    """Operating point and its dynamical matrix, refused near threshold."""
+def _resolve_operating_point(p: DickeParams, lam: np.ndarray | None = None
+                             ) -> tuple[MeanFieldState | np.ndarray, np.ndarray]:
+    """Operating point and its dynamical matrix, refused near threshold.
+
+    With ``lam``, a sorted coupling grid at p's bias, the (rows, 5) state
+    vectors (``MeanFieldState.as_vector``) and the (rows, 4, 4) stack of M:
+    the trivial states at lam' = 0, where the first coupling refused raises
+    as it does alone, and the states of ``fluctuations._walk_stack`` under a
+    bias.
+    """
     if p.lam_prime == 0.0:
         lc = critical_coupling(p)
-        if p.lam >= lc:
-            raise ThresholdError(
-                f"lam = {p.lam} >= lam_c = {lc}: no below-threshold steady moments")
-        if 1.0 - p.lam / lc < NEAR_THRESHOLD_GUARD:
-            raise ThresholdError(
-                f"within {NEAR_THRESHOLD_GUARD} of threshold: moments diverge")
-    ss = operating_point(p)
-    return ss, dynamical_matrix(hp_coefficients(ss, p), p)
+        for x in ((p.lam,) if lam is None else lam.tolist()):
+            if x >= lc:
+                raise ThresholdError(
+                    f"lam = {x} >= lam_c = {lc}: no below-threshold steady moments")
+            if 1.0 - x / lc < NEAR_THRESHOLD_GUARD:
+                raise ThresholdError(
+                    f"within {NEAR_THRESHOLD_GUARD} of threshold: moments diverge")
+    if lam is None:
+        ss = operating_point(p)
+        return ss, dynamical_matrix(hp_coefficients(ss, p), p)
+    if p.lam_prime != 0.0:
+        return _walk_stack(p, lam.tolist())[1:]
+    vectors = np.broadcast_to(trivial_state(p).as_vector(), (lam.size, 5))
+    return vectors, dynamical_matrix(hp_coefficients(vectors, p, lam), p)
 
 
 def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     """Steady moments from the Lyapunov equation M S + S M^T + Q = 0.
 
-    ``m`` is the dynamical matrix at the operating point; omitted, the
-    operating point is resolved from the parameters (trivial state for
-    lam' = 0, the bracketed root of ``meanfield.operating_point``
-    otherwise).  A generator that ``fluctuations.stability`` finds
-    unstable is refused as threshold proximity; a marginal one passes.
+    ``m`` is the dynamical matrix at the operating point, or a (rows, 4, 4)
+    stack of them, whose moments come from one ``stability`` call and one
+    batched solve; omitted, the operating point is resolved from the
+    parameters (trivial state for lam' = 0, the bracketed root of
+    ``meanfield.operating_point`` otherwise).  A generator that
+    ``fluctuations.stability`` finds unstable is refused as threshold
+    proximity, a marginal one passes; in a stack the first refused row
+    raises as it does alone.
     """
     if m is None:
         _, m = _resolve_operating_point(p)
-    if m[C, D] == 0.0 and m[D, DDAG] == 0.0:
-        # decoupled modes (g1 = g2 = 0) with vacuum input: every moment
-        # vanishes (the undriven atomic moments are conserved, so the
-        # equation is singular)
-        return MomentVector(np.zeros((4, 4), dtype=complex))
-    if stability(m, p.omega0) == "unstable":
-        raise ThresholdError("fluctuation dynamics is not stable at this point")
+    values = np.zeros(m.shape, dtype=complex)
+    # decoupled modes (g1 = g2 = 0) with vacuum input: every moment vanishes
+    # (the undriven atomic moments are conserved, so the equation is singular)
+    live = (m[..., C, D] != 0.0) | (m[..., D, DDAG] != 0.0)
+    coupled = m[live]                                   # (rows, 4, 4), also for one M
+    unstable = np.flatnonzero(stability(coupled, p.omega0) == "unstable")
     noise = np.zeros((4, 4), dtype=complex)
     noise[C, CDAG] = 2.0 * p.kappa
-    # row-major vec(M S + S M^T) = (M (x) I + I (x) M) vec(S)
+    # row-major vec(M S + S M^T) = (M (x) I + I (x) M) vec(S); np.kron takes
+    # the stack's leading axis along
     eye = np.eye(4)
+    head = coupled[:unstable[0]] if unstable.size else coupled
     try:
-        s = np.linalg.solve(np.kron(m, eye) + np.kron(eye, m), -noise.ravel())
+        s = np.linalg.solve(np.kron(head, eye) + np.kron(eye, head), -noise.ravel())
     except np.linalg.LinAlgError as exc:
         raise ThresholdError("moment equation is singular (criticality)") from exc
-    return MomentVector(s.reshape(4, 4) - _COMMUTATORS)
+    if unstable.size:
+        raise ThresholdError("fluctuation dynamics is not stable at this point")
+    values[live] = s.reshape(-1, 4, 4) - _COMMUTATORS
+    return MomentVector(values)
 
 
 def photon_number_closed_form(p: DickeParams, lam: float | None = None) -> float:
@@ -145,11 +175,30 @@ def cc_closed_form(p: DickeParams, lam: float | None = None) -> complex:
     return lam ** 2 * num / (2.0 * p.omega * p.omega0 * s2 * (1.0 - r))
 
 
-def photon_flux(p: DickeParams) -> float:
-    """Detected photon flux 2 kappa (<c+c>_ss + |alpha_ss|^2)."""
-    ss, m = _resolve_operating_point(p)
-    moments = steady_moments(p, m)
-    return 2.0 * p.kappa * (moments.photon_number + abs(ss.alpha) ** 2)
+def photon_flux(p: DickeParams, lam=None) -> float | np.ndarray:
+    """Detected photon flux 2 kappa (<c+c>_ss + |alpha_ss|^2).
+
+    At p's coupling, or as an array at each coupling of the sorted grid
+    ``lam`` at p's bias, from one stack of operating points
+    (``_resolve_operating_point``) and one ``steady_moments`` call.  The
+    first coupling that fails raises what ``photon_flux`` raises at it alone.
+    """
+    if lam is None:
+        ss, m = _resolve_operating_point(p)
+        moments = steady_moments(p, m)
+        return 2.0 * p.kappa * (moments.photon_number + abs(ss.alpha) ** 2)
+    lam = _sorted_grid(lam)
+    p.with_coupling(float(lam[0]))  # refuses a negative coupling
+    try:
+        vectors, m = _resolve_operating_point(p, lam)
+        photons = steady_moments(p, m).photon_number
+    except (ValueError, RuntimeError):
+        # a walk may fail at another coupling than the points alone, and a
+        # refusal at the threshold guard may follow a moment failure
+        for x in lam.tolist():
+            photon_flux(p.with_coupling(x))
+        raise
+    return 2.0 * p.kappa * (photons + np.hypot(vectors[:, 0], vectors[:, 1]) ** 2)
 
 
 def ground_state_photon_number(p: DickeParams, lam: float) -> float:
@@ -196,8 +245,24 @@ def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
     <c (t+tau) c(t)> = -2k sum_kl P_k R_l e^{mu_k tau} / (mu_k + mu_l)
     <c+(t+tau) c(t)> = -2k sum_kl Q_k R_l e^{mu_k tau} / (mu_k + mu_l)
 
-    with P_k = V_1k (V^-1)_k1, Q_k = V_2k (V^-1)_k1, R_l = V_1l (V^-1)_l2.
-    M has passed ``steady_moments``' stability check.
+    with P_k = V_1k (V^-1)_k1, Q_k = V_2k (V^-1)_k1, R_l = V_1l (V^-1)_l2
+    (``_residues``), sampled at tau_0 + k dtau, dtau = (tau[-1] - tau_0) /
+    (n - 1), by ``_expsum.uniform_samples``: 2 ceil(sqrt(n)) rows of four
+    exponentials, not n.  M has passed ``steady_moments``' stability check.
+    """
+    mu, amp = _residues(m, kappa)
+    n = tau.size
+    dtau = float(tau[-1] - tau[0]) / (n - 1)
+    y = uniform_samples(amp, lambda t: np.exp(np.multiply.outer(t, mu)),
+                        float(tau[0]), dtau, n)
+    return y[0], y[1]
+
+
+def _residues(m: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu of M and the amplitudes of their exponentials, a row per correlator.
+
+    Row 0 is -2k Q_k sum_l R_l / (mu_k + mu_l), of <c+(t+tau) c(t)>; row 1
+    is -2k P_k sum_l R_l / (mu_k + mu_l), of <c(t+tau) c(t)>.
     """
     mu, v = np.linalg.eig(m)
     v_inv = np.linalg.inv(v)
@@ -211,10 +276,7 @@ def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
     live = np.abs(r_l) > 1e-300
     terms[:, live] = r_l[live][None, :] / denom[:, live]
     weight = terms.sum(axis=1)
-    amp_cc = -2.0 * kappa * p_k * weight
-    amp_cdagc = -2.0 * kappa * q_k * weight
-    phases = np.exp(np.outer(tau, mu))
-    return phases @ amp_cdagc, phases @ amp_cc
+    return mu, -2.0 * kappa * np.stack([q_k, p_k]) * weight
 
 
 #: largest ||M h||_1 integrated directly by ``_propagator``; longer steps

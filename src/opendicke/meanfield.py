@@ -159,7 +159,9 @@ def integrate(state0: MeanFieldState, p: DickeParams, t_span,
     the initial state if none was reached, and always for LSODA, whose
     failed runs return no samples); and once ``MAX_RHS_EVALS`` evaluations
     are spent: the cost grows with the span and with the precession rate,
-    which a large initial field makes arbitrarily fast.
+    which a large initial field makes arbitrarily fast.  A bad rtol, and a
+    non-finite span (refused by ``_solvers.solve_ivp``), raise ValueError
+    before the solver starts.
     """
     if not rtol > 0:  # NaN included
         raise ValueError("rtol must be positive")

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solvers
+from ._expsum import uniform_samples
 from ._solvers import solve_ivp
 from .meanfield import Trajectory, _bounded, _rhs_vector, critical_coupling
 from .params import DickeParams, ParameterError
@@ -206,11 +207,26 @@ def _driven_run(p: DickeParams, lam: float, nu: float, eps: float, seed: float,
     return sol.y
 
 
-def _check_drive(p: DickeParams, lam, nu) -> None:
-    """ParameterError for a coupling ``p.with_coupling`` refuses or a nu not positive and finite."""
-    p.with_coupling(float(np.min(lam, initial=0.0)))    # NaN propagates through min
+def _check_drive(p: DickeParams, lam, nu, eps: float, seed: float,
+                 t_max: float | None) -> None:
+    """ParameterError, naming the argument, for a drive no cell may run with.
+
+    Neither grid may be empty, every coupling must be one that
+    ``p.with_coupling`` accepts and every nu positive and finite; eps and
+    seed must be finite, and t_max (None for the default) positive and finite.
+    """
+    for name, grid in (("coupling", lam), ("modulation", nu)):
+        if np.size(grid) == 0:
+            raise ParameterError(f"empty {name} grid")
+    for bound in (np.min(lam), np.max(lam)):            # NaN propagates through both
+        p.with_coupling(float(bound))
     if not np.all(np.isfinite(nu) & (np.asarray(nu) > 0.0)):
         raise ParameterError("modulation frequencies must be positive and finite")
+    for name, value in (("eps", eps), ("seed", seed)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+    if t_max is not None and not (t_max > 0 and math.isfinite(t_max)):
+        raise ParameterError(f"t_max must be positive and finite, got {t_max}")
 
 
 def _span(p: DickeParams, t_max: float | None) -> float:
@@ -256,10 +272,9 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
     The times are np.linspace(start, stop, samples), built here so that the
     grid is uniform by construction: t_k = start + k dt.  y(t) = Re sum_jn
     w_jn exp(s_jn t) over the d(2H+1) rates s_jn = mu_j + i n nu, with
-    weights w_jn = c_j v_jn and c from y(0).  With k = a m + b and m =
-    ceil(sqrt(samples)), exp(s t_k) = exp(s (start + a m dt)) exp(s b dt),
-    so two (m, d(2H+1)) tables P and Q give every sample: component i is
-    Re(P diag(w_i) Q^T), read row by row.  None when some Re mu >= 0, when
+    weights w_jn = c_j v_jn and c from y(0), sampled by
+    ``_expsum.uniform_samples`` from two (ceil(sqrt(samples)), d(2H+1))
+    tables of ``_exp_table``.  None when some Re mu >= 0, when
     the Hill matrix does not resolve the exponents, or when the bound sum_j
     |c_j| sum_n |v_jn| on |y| leaves the linear regime.
     """
@@ -276,14 +291,10 @@ def _linear_response(p: DickeParams, lam: float, nu: float, eps: float,
         return None
     d, size, _ = modes.vectors.shape
     n_nu = nu * np.arange(-(size // 2), size // 2 + 1)
-    weights = (c[:, None, None] * modes.vectors).transpose(2, 0, 1).reshape(d, 1, -1)
-    m = math.isqrt(samples - 1) + 1                     # ceil(sqrt(samples))
+    weights = (c[:, None, None] * modes.vectors).transpose(2, 0, 1).reshape(d, -1)
     dt = (stop - start) / max(samples - 1, 1)
-    k = np.arange(m)
-    outer = _exp_table(start + k * m * dt, modes.mu, n_nu)       # P
-    inner = _exp_table(k * dt, modes.mu, n_nu)                   # Q
-    y = ((weights * outer).reshape(d * m, -1) @ inner.T).real
-    return y.reshape(d, m * m)[:, :samples]
+    return uniform_samples(weights, lambda t: _exp_table(t, modes.mu, n_nu),
+                           start, dt, samples).real
 
 
 def _exp_table(t: np.ndarray, mu: np.ndarray, n_nu: np.ndarray) -> np.ndarray:
@@ -331,12 +342,13 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
     other cell integrates the full mean-field equations (inversion
     eliminated on its negative root).  The cells run in min(workers,
     cells, CPU count) processes, in this one when that is 1; the result
-    does not depend on the count.  A bad coupling or frequency raises
-    ParameterError before any cell runs (``_check_drive``).
+    does not depend on the count.  An empty grid or a bad coupling,
+    frequency, eps, seed or t_max raises ParameterError before any cell
+    runs (``_check_drive``).
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    _check_drive(p, lam_grid, nu_grid)
+    _check_drive(p, lam_grid, nu_grid, eps, seed, t_max)
     t_max = _span(p, t_max)
     cells = [(p, float(lam), float(nu), eps, seed, t_max)
              for lam in lam_grid for nu in nu_grid]
@@ -363,9 +375,10 @@ def driven_trajectory(p: DickeParams, lam: float, nu: float, eps: float = 0.02,
                       n_samples: int = 4096) -> Trajectory:
     """Per-atom ``Trajectory`` of one driven cell, w/N slaved on its negative root.
 
-    Raises ParameterError for a bad coupling or frequency (``_check_drive``).
+    Raises ParameterError for a bad coupling, frequency, eps, seed or
+    t_max (``_check_drive``).
     """
-    _check_drive(p, lam, nu)
+    _check_drive(p, lam, nu, eps, seed, t_max)
     t_eval = np.linspace(0.0, _span(p, t_max), n_samples)
     y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-8, atol=1e-14)
     w = -np.sqrt(np.maximum(0.25 - y[2] ** 2 - y[3] ** 2, 0.0))

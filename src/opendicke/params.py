@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class DickeParams:
         Cavity field decay rate.
     atom_number : float
         Number of atoms N.
+
+    Every field must be finite.
     """
 
     omega: float
@@ -76,10 +78,16 @@ class DickeParams:
             raise ParameterError(f"kappa must be >= 0, got {self.kappa}")
         if not self.lam >= 0:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
-        if math.isnan(self.lam_prime):
-            raise ParameterError(f"lam_prime must be a number, got {self.lam_prime}")
         if not self.atom_number >= 1:
             raise ParameterError(f"atom_number must be >= 1, got {self.atom_number}")
+        # one sum on the common path (a walk builds one DickeParams a point):
+        # after the checks above it is finite unless a field is infinite,
+        # lam_prime is NaN or the sum overflows, and only the loop names a field
+        if not math.isfinite(self.omega + self.omega0 + self.lam + abs(self.lam_prime)
+                             + self.kappa + self.atom_number):
+            for f in fields(self):
+                if not math.isfinite(getattr(self, f.name)):
+                    raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def with_coupling(self, lam: float, lam_prime: float | None = None) -> "DickeParams":
         return DickeParams(self.omega, self.omega0, lam,

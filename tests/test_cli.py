@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 
 from opendicke import _floattext, cli, figures, meanfield, modulation
 from opendicke.cli import build_parser, main
-from opendicke.config import MAX_POINTS, SECTIONS, ConfigError, load_config
-from opendicke.correlations import photon_number_closed_form, two_time_correlations
+from opendicke.config import MAX_POINTS, MODES, SECTIONS, ConfigError, load_config
+from opendicke.correlations import (ThresholdError, photon_flux,
+                                    photon_number_closed_form, two_time_correlations)
 from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
 from opendicke.runio import NonFiniteValue, RunWriter
@@ -343,12 +344,17 @@ class TestSubcommands:
         # the displacement bound is a constant, not a key
         [*PHYSICAL_SETS, "physical.atom_number=100000",
          "physical.max_displacement_fraction=0.2"],
+        # a leading mode name runs that mode in place of g2: the grids are
+        # checked when the mode reads them
+        ["modulate", "grid.lam_list=5", "grid.nu_min=2", "grid.nu_max=1",
+         "grid.nu_points=3"],
     ], ids=" ".join)
     def test_invalid_input_is_one_line_config_failure(self, tmp_path, capsys, sets):
         # refused while the configuration is built, before any solver runs
         out = tmp_path / "o"
+        mode, sets = (sets[0], sets[1:]) if sets[0] in MODES else ("g2", sets)
         overrides = [arg for s in sets for arg in ("--set", s)]
-        assert main(["g2", "--out", str(out), *DICKE_SETS, *overrides]) == 2
+        assert main([mode, "--out", str(out), *DICKE_SETS, *overrides]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
@@ -1322,6 +1328,25 @@ class TestFailureContract:
         assert rc == 2
         assert err.startswith("configuration error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err and "usage:" not in err
+
+    @pytest.mark.parametrize("lam_list", [
+        [2.0, 9.0, meanfield.critical_coupling(DickeParams(300.0, 1.0, 0.0, 0.0, 200.0, 1e5)),
+         12.0],
+        [2.0, 10.5, 12.0]], ids=["at-threshold", "above-threshold"])
+    @pytest.mark.parametrize("mode", ["photon-flux", "g2-map"])
+    def test_coupling_list_through_threshold_is_one_numerical_failure(
+            self, tmp_path, capsys, mode, lam_list):
+        """Exit 3 with the message of the first failing coupling alone; nothing written."""
+        p = DickeParams(300.0, 1.0, 5.0, 0.0, 200.0, 1e5)
+        with pytest.raises(ThresholdError) as alone:
+            for lam in lam_list:
+                photon_flux(p.with_coupling(lam))
+        out = tmp_path / "o"
+        rc = main([mode, "--out", str(out), *DICKE_SETS,
+                   "--set", "grid.lam_list=" + " ".join(map(repr, lam_list))])
+        assert rc == 3
+        assert capsys.readouterr().err == f"numerical failure: {alone.value}\n"
+        assert not out.exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

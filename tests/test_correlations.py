@@ -1,6 +1,7 @@
 """Moment system, two-time correlators, g2 and its spectrum."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -43,6 +44,8 @@ class TestSteadyMoments:
     def test_conjugate_closure(self):
         m = corr.steady_moments(params(lam=0.7 * LC))
         assert m.conjugate_closure_residual() < 1e-12
+        _, stack = corr._resolve_operating_point(params(), np.linspace(0.1, 0.99, 50) * LC)
+        assert corr.steady_moments(params(), stack).conjugate_closure_residual() < 1e-12
 
     @pytest.mark.parametrize("lam_prime_ratio, fractions", [
         (0.0, (0.3, 0.7, 0.99)),
@@ -110,6 +113,31 @@ class TestPhotonFlux:
         assert corr.photon_flux(p) == pytest.approx(coherent + fluct, rel=1e-9)
         assert coherent > 0
 
+    def test_grid_equals_the_points_alone_bit_for_bit(self):
+        # one stack of trivial states, lam = 0 (decoupled, zero moments) included
+        p = params()
+        lam = np.concatenate([[0.0, 1e-6], np.linspace(0.01, 0.999, 400) * LC])
+        alone = [corr.photon_flux(p.with_coupling(x)) for x in lam.tolist()]
+        assert corr.photon_flux(p, lam).tobytes() == np.array(alone).tobytes()
+
+    def test_biased_grid_agrees_with_the_points_alone(self):
+        # the stack continues each state from the last; alone each is solved afresh
+        p = params(lam_prime=0.025, n=1e6)
+        lam = np.linspace(0.5, 1.5 * LC, 150)
+        alone = np.array([corr.photon_flux(p.with_coupling(x)) for x in lam.tolist()])
+        assert np.max(np.abs(corr.photon_flux(p, lam) / alone - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("lam", [
+        [2.0, 9.0, LC, 12.0], [2.0, LC * (1 - 1e-8)], [1e-170, 20.0], [-1.0, 2.0]],
+        ids=["at-threshold", "near-threshold", "singular-before-threshold", "negative"])
+    def test_grid_raises_what_the_first_failing_point_raises(self, lam):
+        p = params()
+        with pytest.raises(ValueError if lam[0] < 0 else corr.ThresholdError) as alone:
+            for x in lam:
+                corr.photon_flux(p.with_coupling(x))
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            corr.photon_flux(p, lam)
+
     def test_ground_state_guards(self):
         with pytest.raises(ValueError, match="threshold"):
             corr.ground_state_photon_number(params(), 0.6 * math.sqrt(OMEGA))
@@ -168,6 +196,27 @@ class TestTwoTimeCorrelations:
         q = params(lam=lam, lam_prime=lam_prime, n=n)
         s = corr.two_time_correlations(q, corr.default_tau_grid(q), method="both")
         assert s.tau.size == 2 ** 14
+
+    @pytest.mark.parametrize("lam, lam_prime, n", [
+        (0.5, 0.0, 1e5), (2.0, 0.0, 1e5), (9.0, 0.0, 1e5), (0.99 * LC, 0.0, 1e5),
+        (9.0, 0.025, 1e6)])
+    def test_frequency_route_equals_the_direct_phase_table(self, lam, lam_prime, n):
+        # the two-table sampling against one exponential per tau and eigenvalue
+        q = params(lam=lam, lam_prime=lam_prime, n=n)
+        _, m = corr._resolve_operating_point(q)
+        tau = corr.default_tau_grid(q, m=m)
+        mu, amp = corr._residues(m, q.kappa)
+        direct = np.exp(np.outer(tau, mu)) @ amp.T
+        sampled = np.column_stack(corr._correlators_frequency(m, q.kappa, tau))
+        assert np.max(np.abs(sampled - direct)) <= 2e-12 * np.max(np.abs(direct))
+
+    def test_frequency_route_takes_two_small_tables_of_exponentials(self, monkeypatch):
+        q = params(lam=6.0)
+        _, m = corr._resolve_operating_point(q)
+        sizes, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+        corr._correlators_frequency(m, q.kappa, np.linspace(0.0, 50.0, 2 ** 14))
+        assert sizes == [128 * 4, 128 * 4]          # ceil(sqrt(16384)) = 128
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 200])
     def test_squared_propagation_matches_stepping(self, n):

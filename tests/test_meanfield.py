@@ -162,6 +162,22 @@ class TestIntegration:
                           t_eval=[1.0], method=method)
 
     @pytest.mark.parametrize("method", ["RK45", "LSODA", "DOP853"])
+    @pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)],
+                             ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_span_is_refused_before_any_solver_call(self, span, method,
+                                                               monkeypatch):
+        # DOPRI5 given (0, inf) spins in Fortran without calling the right-hand
+        # side, so no work limit stops it; the stand-ins fail where it would hang
+        def reached(*args, **kwargs):
+            raise AssertionError("a SciPy integrator was reached")
+
+        for name in ("ode", "odeint", "solve_ivp"):
+            monkeypatch.setattr(scipy.integrate, name, reached)
+        p = params()
+        with pytest.raises(ValueError, match="^t_span must be finite"):
+            mfd.integrate(mfd.trivial_state(p), p, span, method=method)
+
+    @pytest.mark.parametrize("method", ["RK45", "LSODA", "DOP853"])
     def test_the_kernel_is_given_floats(self, method, monkeypatch):
         # _bounded converts the solver's state once, for every route; 2000
         # samples over t = 2 take RK45 on to solve_ivp's dense output too

@@ -136,6 +136,20 @@ class TestMapToDicke:
         with pytest.raises(ParameterError, match=field):
             make(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "minus-inf"])
+    @pytest.mark.parametrize("field", list(DICKE))
+    def test_infinite_dicke_field_is_refused(self, field, value):
+        # +inf passed every sign check and reached the solvers as inf or NaN
+        with pytest.raises(ParameterError, match=f"^{field} must "):
+            dicke(**{field: value})
+
+    def test_with_coupling_refuses_an_infinite_coupling(self):
+        p = dicke()
+        with pytest.raises(ParameterError, match="^lam must be finite, got inf$"):
+            p.with_coupling(math.inf)
+        with pytest.raises(ParameterError, match="^lam_prime must be finite, got -inf$"):
+            p.with_coupling(5.0, -math.inf)
+
 
 class TestQuadShim:
     """``_solvers.quad`` is SciPy's ``quad`` with only IntegrationWarning hidden."""

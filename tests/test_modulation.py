@@ -22,7 +22,7 @@ from opendicke import modulation as mod
 from opendicke.fluctuations import soft_mode_perturbative
 from opendicke.params import DickeParams, ParameterError
 
-from util import ODEPACK_ERROR, failing_odeint
+from util import ODEPACK_ERROR, dop853_reference, failing_odeint
 
 OMEGA, KAPPA = 300.0, 200.0
 
@@ -232,13 +232,10 @@ class TestFloquetExponents:
         lam, eps, seed, t_max = 0.8 * LC, 0.02, 1e-4, 150.0
         cell = mod._solve_cell((p, lam, nu, eps, seed, t_max))
         t = np.linspace(0.5 * t_max, t_max, 4096)
-        ref = solve_ivp(mod._scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0],
-                        method="DOP853", rtol=1e-11, atol=1e-16, t_eval=t,
-                        args=(p, lam, eps, nu))
-        assert ref.success
-        assert cell.max_alpha2 == pytest.approx(
-            np.max(ref.y[0] ** 2 + ref.y[1] ** 2), rel=1e-5)
-        assert cell.max_re_beta == pytest.approx(np.max(ref.y[2]), rel=1e-5)
+        ref = dop853_reference(mod._scaled_rhs, (0.0, t_max), [seed, 0.0, seed, 0.0], t,
+                               rtol=1e-11, atol=1e-16, args=(p, lam, eps, nu))
+        assert cell.max_alpha2 == pytest.approx(np.max(ref[0] ** 2 + ref[1] ** 2), rel=1e-5)
+        assert cell.max_re_beta == pytest.approx(np.max(ref[2]), rel=1e-5)
 
     def test_integrated_cells_still_call_the_integrator(self, monkeypatch):
         calls = []
@@ -384,7 +381,9 @@ class TestDrivenResponse:
         (0.8 * LC, math.nan, "modulation frequencies"), (0.8 * LC, 0.0, "modulation frequencies"),
         (0.8 * LC, -1.2, "modulation frequencies"), (0.8 * LC, math.inf, "modulation frequencies"),
         (-0.8 * LC, 1.2, "lam must be >= 0"), (math.nan, 1.2, "lam must be >= 0"),
-    ], ids=["nu-nan", "nu-0", "nu-negative", "nu-inf", "lam-negative", "lam-nan"])
+        (math.inf, 1.2, "lam must be finite"),
+    ], ids=["nu-nan", "nu-0", "nu-negative", "nu-inf", "lam-negative", "lam-nan",
+            "lam-inf"])
     @pytest.mark.parametrize("driven", ["map", "trajectory"])
     def test_bad_drive_is_refused_before_any_cell_runs(self, monkeypatch, lam, nu, message,
                                                        driven):
@@ -398,6 +397,39 @@ class TestDrivenResponse:
                 mod.driven_response_map(params(), [0.5 * LC, lam], [1.6, nu], t_max=50.0)
             else:
                 mod.driven_trajectory(params(), lam, nu, t_max=50.0)
+
+    @pytest.mark.parametrize("drive, message", [
+        (dict(eps=math.nan), "^eps must be finite, got nan$"),
+        (dict(eps=math.inf), "^eps must be finite, got inf$"),
+        (dict(seed=math.inf), "^seed must be finite, got inf$"),
+        (dict(seed=math.nan), "^seed must be finite, got nan$"),
+        (dict(t_max=math.inf), "^t_max must be positive and finite, got inf$"),
+        (dict(t_max=math.nan), "^t_max must be positive and finite, got nan$"),
+        (dict(t_max=0.0), "^t_max must be positive and finite, got 0.0$"),
+        (dict(t_max=-5.0), "^t_max must be positive and finite, got -5.0$"),
+    ], ids=["eps-nan", "eps-inf", "seed-inf", "seed-nan", "t_max-inf", "t_max-nan",
+            "t_max-0", "t_max-negative"])
+    @pytest.mark.parametrize("driven", ["map", "trajectory"])
+    def test_bad_eps_seed_or_span_is_refused_before_any_cell_runs(
+            self, monkeypatch, drive, message, driven):
+        # t_max = inf gave a NaN map, eps = nan a message naming A0 and A1,
+        # seed = inf an ODEPACK "Illegal input"
+        def no_run(*args, **kwargs):
+            raise AssertionError("a driven cell ran")
+        monkeypatch.setattr(mod, "_solve_cell", no_run)
+        monkeypatch.setattr(mod, "_driven_run", no_run)
+        with pytest.raises(ParameterError, match=message):
+            if driven == "map":
+                mod.driven_response_map(params(), [0.5 * LC], [1.6], **drive)
+            else:
+                mod.driven_trajectory(params(), 0.5 * LC, 1.6, **drive)
+
+    @pytest.mark.parametrize("lam, nu, message", [
+        ([], [1.6], "^empty coupling grid$"), ([0.5 * LC], [], "^empty modulation grid$")],
+        ids=["lam", "nu"])
+    def test_empty_grid_is_refused(self, lam, nu, message):
+        with pytest.raises(ParameterError, match=message):
+            mod.driven_response_map(params(), lam, nu)
 
     def test_growth_flagged_when_not_stabilized(self):
         p = params(lam=0.9 * LC)

@@ -81,3 +81,20 @@ class FailingOde(scipy.integrate.ode):
         self._integrator.istate, self._integrator.success = -3, 0
         warnings.warn(f"dopri5: {DOPRI5_ERROR}", UserWarning)
         return self._y
+
+
+def dop853_reference(fun, t_span, y0, t_eval, rtol, atol, args=()):
+    """Samples y(t_eval), shape (len(y0), len(t_eval)), of ``ode``'s compiled ``dop853``.
+
+    The same Dormand-Prince 8(5,3) pair as ``solve_ivp``'s DOP853, run at the
+    same tolerances in Fortran's own step loop, stepped to each output time
+    in turn; ``solve_ivp`` drives it from Python one step at a time.
+    """
+    solver = scipy.integrate.ode(fun).set_integrator("dop853", rtol=rtol, atol=atol,
+                                                     nsteps=2 ** 31 - 1)
+    solver.set_initial_value(y0, t_span[0]).set_f_params(*args)
+    samples = []
+    for t in t_eval:
+        samples.append(solver.y if t == solver.t else solver.integrate(t))
+        assert solver.successful(), f"dop853 failed at t = {t}"
+    return np.array(samples).T
