@@ -27,12 +27,18 @@ import numpy as np
 
 from ._expsum import uniform_samples
 from ._solvers import solve_ivp
-from .fluctuations import _walk_stack, dynamical_matrix, hp_coefficients, stability
-from .meanfield import (MeanFieldState, _sorted_grid, critical_coupling, operating_point,
-                        trivial_state)
+from .fluctuations import (ValidityError, _walk_stack, dynamical_matrix, hp_coefficients,
+                           stability)
+from .meanfield import MeanFieldState, _sorted_grid, critical_coupling, operating_point
 from .params import DickeParams
 
 NEAR_THRESHOLD_GUARD = 1e-6
+#: smallest rate at which the coupling may damp the atomic mode in
+#: ``steady_moments``: with omega, kappa and omega0 from 1e-3 to 1e8 the
+#: moment solve returned NaN, a singular matrix or a degraded moment exactly
+#: where that rate fell below about 1e-308.  At the canonical point (omega =
+#: 300, kappa = 200, omega0 = 1, lam' = 0) the bound is lam = 8.4e-151
+WEAKEST_DAMPING = 1e-305
 
 #: positions of the fluctuation operators in x = (c, c+, d, d+), the vector
 #: that ``fluctuations.dynamical_matrix`` M acts on
@@ -91,10 +97,9 @@ def _resolve_operating_point(p: DickeParams, lam: np.ndarray | None = None
     """Operating point and its dynamical matrix, refused near threshold.
 
     With ``lam``, a sorted coupling grid at p's bias, the (rows, 5) state
-    vectors (``MeanFieldState.as_vector``) and the (rows, 4, 4) stack of M:
-    the trivial states at lam' = 0, where the first coupling refused raises
-    as it does alone, and the states of ``fluctuations._walk_stack`` under a
-    bias.
+    vectors (``MeanFieldState.as_vector``) and the (rows, 4, 4) stack of M
+    of ``fluctuations._walk_stack``; at lam' = 0 the threshold guard first
+    raises at the first coupling it refuses, as that coupling does alone.
     """
     if p.lam_prime == 0.0:
         lc = critical_coupling(p)
@@ -108,10 +113,7 @@ def _resolve_operating_point(p: DickeParams, lam: np.ndarray | None = None
     if lam is None:
         ss = operating_point(p)
         return ss, dynamical_matrix(hp_coefficients(ss, p), p)
-    if p.lam_prime != 0.0:
-        return _walk_stack(p, lam.tolist())[1:]
-    vectors = np.broadcast_to(trivial_state(p).as_vector(), (lam.size, 5))
-    return vectors, dynamical_matrix(hp_coefficients(vectors, p, lam), p)
+    return _walk_stack(p, lam)[1:]
 
 
 def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
@@ -123,8 +125,10 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     parameters (trivial state for lam' = 0, the bracketed root of
     ``meanfield.operating_point`` otherwise).  A generator that
     ``fluctuations.stability`` finds unstable is refused as threshold
-    proximity, a marginal one passes; in a stack the first refused row
-    raises as it does alone.
+    proximity, a marginal one passes; a coupling that damps the atomic mode
+    more weakly than ``WEAKEST_DAMPING`` is refused as too weak to resolve
+    (ValidityError).  In a stack the first refused row raises as it does
+    alone.
     """
     if m is None:
         _, m = _resolve_operating_point(p)
@@ -133,18 +137,33 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     # (the undriven atomic moments are conserved, so the equation is singular)
     live = (m[..., C, D] != 0.0) | (m[..., D, DDAG] != 0.0)
     coupled = m[live]                                   # (rows, 4, 4), also for one M
-    unstable = np.flatnonzero(stability(coupled, p.omega0) == "unstable")
+    # to second order in g2 the cavity damps the atomic mode at g2^2 * rate,
+    # rate = 4 kappa omega nu / (((omega - nu)^2 + kappa^2) ((omega + nu)^2 + kappa^2))
+    # with nu^2 = |omega0' (omega0' + 4 g1)|, the atomic block's own frequency;
+    # a row whose rate overflows is left out of the test.  -Im M[c, d],
+    # M[d, d] and M[d, d+] are g2, omega0' + 2 g1 and 2 g1
+    g2, diag, off = (-coupled[:, i, j].imag for i, j in ((C, D), (D, D), (D, DDAG)))
+    w, k = p.omega, p.kappa
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = np.sqrt(abs(diag * diag - off * off))
+        rate = 4.0 * k * w * nu / (((w - nu) ** 2 + k * k) * ((w + nu) ** 2 + k * k))
+        weak = (g2 * g2 * rate < WEAKEST_DAMPING) & (rate > 0.0)
+    refused = np.flatnonzero(weak | (stability(coupled, p.omega0) == "unstable"))
     noise = np.zeros((4, 4), dtype=complex)
     noise[C, CDAG] = 2.0 * p.kappa
     # row-major vec(M S + S M^T) = (M (x) I + I (x) M) vec(S); np.kron takes
     # the stack's leading axis along
     eye = np.eye(4)
-    head = coupled[:unstable[0]] if unstable.size else coupled
+    head = coupled[:refused[0]] if refused.size else coupled
     try:
         s = np.linalg.solve(np.kron(head, eye) + np.kron(eye, head), -noise.ravel())
     except np.linalg.LinAlgError as exc:
         raise ThresholdError("moment equation is singular (criticality)") from exc
-    if unstable.size:
+    if refused.size and weak[refused[0]]:
+        g, r = float(g2[refused[0]]), float(rate[refused[0]])
+        raise ValidityError(f"coupling g2 = {g} is too weak to resolve the steady moments: "
+                            f"it damps the atomic mode at {g * g * r:.3g} < {WEAKEST_DAMPING:g}")
+    if refused.size:
         raise ThresholdError("fluctuation dynamics is not stable at this point")
     values[live] = s.reshape(-1, 4, 4) - _COMMUTATORS
     return MomentVector(values)
@@ -188,7 +207,6 @@ def photon_flux(p: DickeParams, lam=None) -> float | np.ndarray:
         moments = steady_moments(p, m)
         return 2.0 * p.kappa * (moments.photon_number + abs(ss.alpha) ** 2)
     lam = _sorted_grid(lam)
-    p.with_coupling(float(lam[0]))  # refuses a negative coupling
     try:
         vectors, m = _resolve_operating_point(p, lam)
         photons = steady_moments(p, m).photon_number

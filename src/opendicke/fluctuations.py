@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import MeanFieldState, _sorted_grid, branch_walk, critical_coupling
+from .meanfield import (MeanFieldState, _sorted_grid, branch_walk, critical_coupling,
+                        superradiant_states, trivial_state)
 from .params import DickeParams
 
 
@@ -150,33 +151,47 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     cavity pair omega - i kappa, -omega - i kappa and the bare atomic pair
     +/- omega0; at every later grid point the modes are ordered to follow
     their frequencies at the previous point, with the smallest total
-    distance sum_b |omega_b - omega_b(previous)|.  ``branch_walk`` gives
-    the states for every bias, one ``dynamical_matrix`` call their stack and
-    one ``eigvals`` call its eigenvalues, before the matching runs over them.
-    The grid is checked by ``_sorted_grid``, as for ``steady_states``.
+    distance sum_b |omega_b - omega_b(previous)| (``_follow``).
+    ``_walk_stack`` gives the states (closed forms over the grid at
+    lam' = 0, ``branch_walk`` under a bias), one ``dynamical_matrix`` call
+    their stack and one ``eigvals`` call its eigenvalues.  The grid is
+    checked by ``_sorted_grid``, as for ``steady_states``.
     """
     lam_grid = _sorted_grid(lam_grid)
     # ramp up from the anchor at lam = 0 in small steps, so that matching by
     # frequency stays unambiguous even when the requested grid starts near lam_c
     approach = np.linspace(0.0, lam_grid[0], 33)[:-1] if lam_grid[0] > 0.0 else []
     work_grid = np.concatenate([approach, lam_grid])
-    freqs_out = 1j * np.linalg.eigvals(_walk_stack(p, work_grid.tolist())[2])
+    freqs = 1j * np.linalg.eigvals(_walk_stack(p, work_grid)[2])
     # anchor: order deterministically; the polariton branch starts as the
     # mode closest to the bare atomic frequency +omega0
-    anchor = freqs_out[0]
-    freqs_out[0] = anchor[np.lexsort((anchor.imag, np.abs(anchor.real)))]
-    pol_index = int(np.argmin(np.abs(freqs_out[0] - p.omega0)))
-    for i in range(1, work_grid.size):
-        freqs, prev = freqs_out[i], freqs_out[i - 1]
-        freqs_out[i] = freqs[_best_permutation(np.abs(freqs[None, :] - prev[:, None]))]
-    return TrackedSpectrum(lam_grid, freqs_out[len(approach):], pol_index)
+    anchor = freqs[0]
+    freqs[0] = anchor[np.lexsort((anchor.imag, np.abs(anchor.real)))]
+    pol_index = int(np.argmin(np.abs(freqs[0] - p.omega0)))
+    return TrackedSpectrum(lam_grid, _follow(freqs)[len(approach):], pol_index)
 
 
-def _walk_stack(p: DickeParams, lams: list, lam_prime_over_lam: float | None = None):
-    """Row couplings, (rows, 5) state vectors and M stack along ``branch_walk``."""
+def _walk_stack(p: DickeParams, lam: np.ndarray, lam_prime_over_lam: float | None = None):
+    """Row couplings, (rows, 5) state vectors and M stack of the physical branch.
+
+    One row per coupling of the sorted grid ``lam``, with lam' =
+    ``lam_prime_over_lam`` * lam if the ratio is given and ``p.lam_prime``
+    otherwise.  Where that is lam' = 0 the rows are the closed forms over the
+    whole grid, each the per-point ``operating_point`` bit for bit (the
+    trivial state up to lam_c, the first ``superradiant_states`` above),
+    once a negative first coupling is refused as ``with_coupling`` refuses
+    it.  Under a bias they are the states of ``branch_walk``.
+    """
+    if (p.lam_prime if lam_prime_over_lam is None else lam_prime_over_lam) == 0.0:
+        p.with_coupling(float(lam[0]))  # refuses a negative coupling
+        vectors = np.tile(trivial_state(p).as_vector(), (lam.size, 1))
+        above = lam > critical_coupling(p)
+        if above.any():
+            vectors[above] = superradiant_states(p, lam[above])[0].as_vector().T
+        return lam, vectors, dynamical_matrix(hp_coefficients(vectors, p, lam, 0.0), p)
     rows = []
     try:
-        for q, st in branch_walk(p, lams, lam_prime_over_lam):
+        for q, st in branch_walk(p, lam.tolist(), lam_prime_over_lam):
             rows.append((q.lam, q.lam_prime, st.alpha.real, st.alpha.imag,
                          st.beta.real, st.beta.imag, st.w))
     finally:  # where the walk fails, a failing state before that point raises first
@@ -188,11 +203,48 @@ def _walk_stack(p: DickeParams, lams: list, lam_prime_over_lam: float | None = N
 _ROWS = np.arange(4)
 #: the 24 orderings of the four modes, in lexicographic order
 _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+#: ``_COMPOSE[j][k]`` is the index of the ordering ``_PERMUTATIONS[k][_PERMUTATIONS[j]]``,
+#: found by its digits read in base 4, which ascend with the orderings
+_COMPOSE = np.searchsorted(_PERMUTATIONS @ 4 ** _ROWS[::-1],
+                           _PERMUTATIONS[:, _PERMUTATIONS].transpose(1, 0, 2) @ 4 ** _ROWS[::-1]
+                           ).tolist()
+#: two best sums of ``_best_permutation`` closer than this (relative) are a near tie
+_NEAR_TIE = 1e-14
 
 
-def _best_permutation(cost: np.ndarray) -> np.ndarray:
-    """The ordering perm minimizing sum_i cost[i, perm[i]] of a 4x4 cost matrix."""
-    return _PERMUTATIONS[np.argmin(cost[_ROWS, _PERMUTATIONS].sum(axis=1))]
+def _best_permutation(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ordering perm minimizing sum_i cost[..., i, perm[i]], and whether it nearly ties.
+
+    For a (..., 4, 4) stack of non-negative costs, arrays over its leading
+    axes: the index in ``_PERMUTATIONS`` of the first ordering with the
+    smallest sum, and True where the second-smallest sum is within
+    ``_NEAR_TIE`` of it, relative, or the smallest sum is not finite.
+    """
+    sums = cost[..., _ROWS, _PERMUTATIONS].sum(axis=-1)
+    low = np.partition(sums, 1, axis=-1)
+    return np.argmin(sums, axis=-1), ~(low[..., 1] - low[..., 0] > _NEAR_TIE * low[..., 0])
+
+
+def _follow(freqs: np.ndarray) -> np.ndarray:
+    """The rows of ``freqs`` reordered so that each follows the row before it.
+
+    Row 0 stays; each later row takes the ``_best_permutation`` of its
+    distances to the reordered row before it.  One batched call finds each
+    step's best ordering relative to the raw row before, which ``_COMPOSE``
+    composes onto that row's ordering.  The batched and the per-step call
+    sum the same four non-negative terms in two orders, whose sums differ
+    by at most about 6.7e-16 relative, so they pick the same ordering
+    wherever the two best sums lie further apart than ``_NEAR_TIE``; a step
+    with a near tie is taken by the per-step call, and the result is the
+    per-step loop's bit for bit.
+    """
+    cost = np.abs(freqs[1:, None, :] - freqs[:-1, :, None])
+    best, near = _best_permutation(cost)
+    k, order = 0, [0]
+    for i, (step, tie) in enumerate(zip(best.tolist(), near.tolist())):
+        k = int(_best_permutation(cost[i, _PERMUTATIONS[k]])[0]) if tie else _COMPOSE[k][step]
+        order.append(k)
+    return np.take_along_axis(freqs, _PERMUTATIONS[order], axis=1)
 
 
 def soft_mode_perturbative(p: DickeParams, lam: float) -> complex:

@@ -355,7 +355,7 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
         vectors = np.concatenate([trivial, *pair])[order]
         m = dynamical_matrix(hp_coefficients(vectors, p, lam), p)
     else:
-        lam, vectors, m = _walk_stack(p, lam_grid.tolist(), lam_prime_over_lam)
+        lam, vectors, m = _walk_stack(p, lam_grid, lam_prime_over_lam)
     return SteadyStateBranch(lam, vectors, stability(m, p.omega0))
 
 

@@ -601,6 +601,18 @@ class TestSubcommands:
             closed = 2.0 * p.kappa * photon_number_closed_form(p, lam)
             assert flux == pytest.approx(closed, rel=1e-12, abs=0.0)
 
+    def test_photon_flux_at_an_unresolvably_weak_coupling(self, tmp_path, capsys):
+        # the moment solve cannot resolve this coupling: the run refuses it by
+        # name, not with the table's "non-finite value nan"
+        out = tmp_path / "o"
+        rc = main(["photon-flux", "--out", str(out), *DICKE_SETS,
+                   "--set", "grid.lam_list=1e-155"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical failure: coupling g2 = 1e-155 is too weak to "
+                              "resolve the steady moments") and err.count("\n") == 1, err
+        assert not (out / "photon_flux.csv").exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["steady-state", *DICKE_SETS], 2),
         (["spectrum", *DICKE_SETS, "--set", "grid.lam_list=5 1"], 2),

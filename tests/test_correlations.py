@@ -120,6 +120,35 @@ class TestPhotonFlux:
         alone = [corr.photon_flux(p.with_coupling(x)) for x in lam.tolist()]
         assert corr.photon_flux(p, lam).tobytes() == np.array(alone).tobytes()
 
+    def test_tiny_couplings_give_the_closed_form_or_are_refused(self):
+        # the moment solve fails where the atomic mode's damping underflows
+        # (NaN from lam = 1e-152, a singular matrix from 3.2e-160 down): such
+        # a coupling is refused as too weak, never as criticality
+        p = params()
+        lam = np.append(5e-324, 10.0 ** -np.arange(170.0, 139.9, -0.5))
+        refused = "is too weak to resolve the steady moments"
+        resolved = []
+        for x in lam.tolist():
+            q = p.with_coupling(x)
+            try:
+                flux = corr.photon_flux(q)
+            except fl.ValidityError as exc:
+                assert f"coupling g2 = {x} {refused}" in str(exc)
+                assert "criticality" not in str(exc)
+                continue
+            closed = 2.0 * q.kappa * corr.photon_number_closed_form(q)
+            assert math.isfinite(flux) and abs(flux - closed) <= 1e-12 * closed
+            resolved.append(x)
+        assert 1e-150 in resolved and 1e-152 not in resolved
+        with pytest.raises(fl.ValidityError, match=f"^coupling g2 = 5e-324 {refused}"):
+            corr.photon_flux(p, lam)
+        grid = np.array(resolved)
+        closed = [2.0 * p.kappa * corr.photon_number_closed_form(p, x) for x in resolved]
+        assert np.all(np.abs(corr.photon_flux(p, grid) - closed) <= 1e-12 * np.array(closed))
+        # lam = 0 stays exactly decoupled
+        assert corr.photon_flux(p, [0.0, 1e-140]).tolist()[0] == 0.0
+        assert not corr.steady_moments(p).values.any()
+
     def test_biased_grid_agrees_with_the_points_alone(self):
         # the stack continues each state from the last; alone each is solved afresh
         p = params(lam_prime=0.025, n=1e6)
@@ -129,10 +158,10 @@ class TestPhotonFlux:
 
     @pytest.mark.parametrize("lam", [
         [2.0, 9.0, LC, 12.0], [2.0, LC * (1 - 1e-8)], [1e-170, 20.0], [-1.0, 2.0]],
-        ids=["at-threshold", "near-threshold", "singular-before-threshold", "negative"])
+        ids=["at-threshold", "near-threshold", "too-weak-before-threshold", "negative"])
     def test_grid_raises_what_the_first_failing_point_raises(self, lam):
         p = params()
-        with pytest.raises(ValueError if lam[0] < 0 else corr.ThresholdError) as alone:
+        with pytest.raises((ValueError, corr.ThresholdError)) as alone:
             for x in lam:
                 corr.photon_flux(p.with_coupling(x))
         with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):

@@ -2,6 +2,8 @@
 
 import ast
 import math
+import re
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,17 @@ from opendicke import correlations as corr
 from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke.figures import FIGURE_PARAMS
-from opendicke.params import DickeParams
+from opendicke.modulation import FloquetError
+from opendicke.params import DickeParams, ParameterError
 
 OMEGA, KAPPA = 300.0, 200.0
 
 
 def params(lam=0.0, lam_prime=0.0, n=1e5):
     return DickeParams(OMEGA, 1.0, lam, lam_prime, KAPPA, n)
+
+
+LC = mfd.critical_coupling(params())
 
 
 def exact_soft_pair(p, lam):
@@ -172,6 +178,11 @@ def recorded_stacks(monkeypatch) -> list:
     return stacks
 
 
+def best_ordering(cost):
+    """The ordering ``fl._best_permutation`` picks for one 4x4 cost matrix."""
+    return fl._PERMUTATIONS[fl._best_permutation(cost)[0]]
+
+
 def overlap_matched(matrices):
     """Frequencies of successive dynamical matrices, labelled by eigenvector overlap.
 
@@ -187,9 +198,9 @@ def overlap_matched(matrices):
             order = np.lexsort((freqs.imag, np.abs(freqs.real)))
         else:
             overlap = np.abs(vecs_prev.conj().T @ vecs)
-            order = fl._best_permutation(-overlap)
+            order = best_ordering(-overlap)
             if np.min(overlap[np.arange(4), order]) < 0.99:
-                order = order[fl._best_permutation(
+                order = order[best_ordering(
                     np.abs(freqs[order][None, :] - rows[-1][:, None]))]
         rows.append(freqs[order])
         vecs_prev = vecs[:, order]
@@ -270,7 +281,7 @@ class TestSpectrum:
         for cost in rng.normal(size=(500, 4, 4)):
             row, col = linear_sum_assignment(cost)
             assert np.array_equal(row, np.arange(4))
-            assert np.array_equal(fl._best_permutation(cost), col)
+            assert np.array_equal(best_ordering(cost), col)
 
     def test_no_module_imports_scipy_optimize(self):
         for path in Path(fl.__file__).parent.glob("*.py"):
@@ -415,7 +426,7 @@ def per_point_spectrum(p, lam_grid):
             freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
             pol = int(np.argmin(np.abs(freqs - p.omega0)))
         else:
-            freqs = freqs[fl._best_permutation(np.abs(freqs[None, :] - rows[-1][:, None]))]
+            freqs = freqs[best_ordering(np.abs(freqs[None, :] - rows[-1][:, None]))]
         rows.append(freqs)
     return np.array(rows)[work.size - lam_grid.size:], pol, np.array(matrices)
 
@@ -460,11 +471,22 @@ class TestStackedSweeps:
         (stack,) = stacks
         assert stack.tobytes() == want[3].tobytes()
 
-    @pytest.mark.parametrize("lam_prime, lo", [(0.0, 0.0), (0.0, 0.4), (1e-3, 0.2)])
+    @pytest.mark.parametrize("lam_prime, lo, grid", [
+        pytest.param(0.0, 0.0, None, id="0.0-0.0"),
+        pytest.param(0.0, 0.4, None, id="0.0-0.4"),
+        pytest.param(1e-3, 0.2, None, id="0.001-0.2"),
+        # fig1's zoom, where the soft pair is overdamped
+        pytest.param(0.0, None, np.linspace(1.0 - 1e-5, 1.0 + 1e-5, 201) * LC, id="fig1-zoom"),
+        pytest.param(0.0, None, np.linspace(0.0, 1.6, 2000) * LC, id="2000-points"),
+        pytest.param(0.0, None, np.linspace(1.0, 1.6, 300) * LC, id="from-lam_c"),
+        pytest.param(0.0, None, np.full(2000, LC), id="2000-copies-of-lam_c"),
+        pytest.param(0.0, None, np.array([0.0]), id="one-point-0"),
+        pytest.param(0.0, None, np.array([LC]), id="one-point-lam_c"),
+    ])
     def test_spectra_equal_the_per_point_solve_bit_for_bit(self, monkeypatch,
-                                                           lam_prime, lo):
+                                                           lam_prime, lo, grid):
         p = params(lam_prime=lam_prime)
-        grid = self.grid(lo, 1.6)
+        grid = self.grid(lo, 1.6) if grid is None else grid
         stacks = recorded_stacks(monkeypatch)
         sw = fl.spectrum_sweep(p, grid)
         freqs, pol, matrices = per_point_spectrum(p, grid)
@@ -473,6 +495,76 @@ class TestStackedSweeps:
         assert sw.frequencies.shape == freqs.shape
         assert sw.frequencies.tobytes() == freqs.tobytes()
         assert sw.polariton_index == pol
+
+    def test_batched_matching_equals_the_per_step_loop_at_exact_ties(self, monkeypatch):
+        # integer-valued eigenvalues tie exactly and often; where the two best
+        # orderings nearly tie the step is taken by the per-step rule, with
+        # one more _best_permutation call
+        rng = np.random.default_rng(37)
+        calls, best = [], fl._best_permutation
+
+        def counted(cost):
+            calls.append(best(cost))
+            return calls[-1]
+
+        monkeypatch.setattr(fl, "_best_permutation", counted)
+        needed = 0
+        for seq in rng.integers(-2, 3, size=(3000, 7, 4, 2)):
+            freqs = (seq[..., 0] + 1j * seq[..., 1]).astype(complex)
+            want = [freqs[0]]
+            for row in freqs[1:]:
+                want.append(row[best_ordering(np.abs(row[None, :] - want[-1][:, None]))])
+            calls.clear()
+            got = fl._follow(freqs)
+            assert got.tobytes() == np.array(want).tobytes()
+            ties = int(calls[0][1].sum())
+            assert len(calls) == 1 + ties
+            needed += ties > 0
+        assert needed > 1000
+
+    def test_unbiased_sweeps_walk_no_branch(self, monkeypatch):
+        # the closed forms over the grid: no walk, operating point or Newton
+        p = params()
+        grid = np.linspace(0.0, 1.6, 400) * LC
+        below = grid[grid < 0.99 * LC]
+        want = per_point_spectrum(p, grid)
+        flux = [corr.photon_flux(p.with_coupling(x)) for x in below.tolist()]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("walked")
+
+        for module, name in ((mfd, "branch_walk"), (fl, "branch_walk"),
+                             (mfd, "operating_point"), (corr, "operating_point"),
+                             (mfd, "newton_steady_state")):
+            monkeypatch.setattr(module, name, refused)
+        calls, best = [], fl._best_permutation
+        monkeypatch.setattr(fl, "_best_permutation", lambda cost: calls.append(cost) or best(cost))
+        sw = fl.spectrum_sweep(p, grid)
+        assert sw.frequencies.tobytes() == want[0].tobytes()
+        # one batched matching call, no near tie on this grid
+        assert [cost.shape for cost in calls] == [(len(grid) - 1, 4, 4)]
+        assert corr.photon_flux(p, below).tobytes() == np.array(flux).tobytes()
+        # a zero ratio is lam' = 0 too
+        biased = params(lam_prime=1e-3)
+        walk = ((q, mfd.trivial_state(q) if q.lam <= LC else oracle_superradiant(q)[0])
+                for q in (biased.with_coupling(x, 0.0) for x in grid.tolist()))
+        self.assert_branch_is(mfd.steady_states(biased, grid, 0.0), per_point(walk, p.omega0))
+
+    @pytest.mark.parametrize("lam_prime, ratio", [(0.0, None), (1e-3, 0.0), (1e-3, None)])
+    def test_a_negative_first_coupling_is_refused_as_alone(self, lam_prime, ratio):
+        p = params(lam_prime=lam_prime)
+        with pytest.raises(ParameterError) as alone:
+            p.with_coupling(-1.0, None if ratio is None else -ratio)
+        message = f"^{re.escape(str(alone.value))}$"
+        grid = np.array([-1.0, 0.5, 2.0])
+        with pytest.raises(ParameterError, match=message):
+            mfd.steady_states(p, grid, ratio)
+        with pytest.raises(ParameterError, match=message):
+            fl._walk_stack(p, grid, ratio)
+        if ratio is None:
+            for sweep in (fl.spectrum_sweep, corr.photon_flux):
+                with pytest.raises(ParameterError, match=message):
+                    sweep(p, grid)
 
     def test_one_state_builds_the_oracle_matrix(self):
         # the scalar call correlations makes, on both branches and biased
@@ -565,6 +657,62 @@ class TestStackedSweeps:
         for sweep in (mfd.steady_states, fl.spectrum_sweep):
             with pytest.raises(error, match=message):
                 sweep(p, grid)
+
+
+#: the package's errors; every coupling-grid entry point raises one of them,
+#: or a ValueError, with a message
+PACKAGE_ERRORS = (ValueError, corr.ThresholdError, mfd.ConvergenceError,
+                  mfd.IntegrationError, FloquetError)
+#: grid entries at and past every boundary: non-finite, zero, negative,
+#: extreme, and the couplings around lam_c
+GRID_ENTRIES = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0, -1e300,
+                                1e300, 1e-300, 5e-324, LC, 0.5 * LC, 1.5 * LC]) | st.floats(
+    -LC, 3.0 * LC, allow_nan=False)
+#: lam' / lam: none (lam' = 0), or a weak bias of either sign
+BIASES = st.none() | st.builds(math.copysign, st.floats(1e-5, 1e-2), st.sampled_from([1, -1]))
+#: empty, duplicated and descending grids, and sorted ones that reach the sweeps
+GRIDS = st.lists(GRID_ENTRIES, max_size=6) | st.lists(GRID_ENTRIES, max_size=6).map(sorted)
+
+
+# the expansion's arithmetic overflows at couplings near 1e300 before its
+# validity check refuses them
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestGridBoundary:
+    """Grid entry points return finite arrays over the grid or raise a package error."""
+
+    @staticmethod
+    def returns_or_refuses(call, grid):
+        try:
+            out = call()
+        except PACKAGE_ERRORS as exc:
+            assert str(exc), type(exc)
+            return
+        assert len(out) == len(grid) > 0
+        assert np.all(np.isfinite(out))
+
+    @settings(max_examples=80, deadline=timedelta(seconds=2), database=None)
+    @given(grid=GRIDS, ratio=BIASES)
+    def test_steady_states(self, grid, ratio):
+        # one row per coupling, and two more above lam_c at lam' = 0
+        def rows():
+            branch = mfd.steady_states(params(), grid, ratio)
+            assert np.isfinite(branch.lam).all()
+            assert np.unique(branch.lam).tolist() == np.unique(grid).tolist()
+            return branch.vectors[np.unique(branch.lam, return_index=True)[1]]
+        self.returns_or_refuses(rows, np.unique(grid))
+
+    @settings(max_examples=80, deadline=timedelta(seconds=2), database=None)
+    @given(grid=GRIDS, ratio=BIASES)
+    def test_spectrum_sweep(self, grid, ratio):
+        p = params(lam_prime=(ratio or 0.0) * LC)
+        self.returns_or_refuses(lambda: fl.spectrum_sweep(p, grid).frequencies, grid)
+
+    @settings(max_examples=80, deadline=timedelta(seconds=2), database=None)
+    @given(grid=GRIDS, ratio=BIASES)
+    def test_photon_flux(self, grid, ratio):
+        p = params(lam_prime=(ratio or 0.0) * LC)
+        self.returns_or_refuses(lambda: corr.photon_flux(p, grid), grid)
 
 
 class TestPerturbativeSoftMode:
