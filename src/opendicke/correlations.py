@@ -211,8 +211,7 @@ def photon_flux(p: DickeParams, lam=None) -> float | np.ndarray:
         vectors, m = _resolve_operating_point(p, lam)
         photons = steady_moments(p, m).photon_number
     except (ValueError, RuntimeError):
-        # a walk may fail at another coupling than the points alone, and a
-        # refusal at the threshold guard may follow a moment failure
+        # a refusal at the threshold guard may follow a moment failure
         for x in lam.tolist():
             photon_flux(p.with_coupling(x))
         raise

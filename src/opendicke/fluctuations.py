@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import (MeanFieldState, _sorted_grid, branch_walk, critical_coupling,
-                        superradiant_states, trivial_state)
+from .meanfield import (ConvergenceError, MeanFieldState, _continue_branch, _sorted_grid,
+                        critical_coupling, superradiant_states, trivial_state)
 from .params import DickeParams
 
 
@@ -153,7 +153,7 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     their frequencies at the previous point, with the smallest total
     distance sum_b |omega_b - omega_b(previous)| (``_follow``).
     ``_walk_stack`` gives the states (closed forms over the grid at
-    lam' = 0, ``branch_walk`` under a bias), one ``dynamical_matrix`` call
+    lam' = 0, one array solve under a bias), one ``dynamical_matrix`` call
     their stack and one ``eigvals`` call its eigenvalues.  The grid is
     checked by ``_sorted_grid``, as for ``steady_states``.
     """
@@ -176,28 +176,38 @@ def _walk_stack(p: DickeParams, lam: np.ndarray, lam_prime_over_lam: float | Non
 
     One row per coupling of the sorted grid ``lam``, with lam' =
     ``lam_prime_over_lam`` * lam if the ratio is given and ``p.lam_prime``
-    otherwise.  Where that is lam' = 0 the rows are the closed forms over the
-    whole grid, each the per-point ``operating_point`` bit for bit (the
-    trivial state up to lam_c, the first ``superradiant_states`` above),
-    once a negative first coupling is refused as ``with_coupling`` refuses
-    it.  Under a bias they are the states of ``branch_walk``.
+    otherwise, each the per-point ``operating_point`` bit for bit: the
+    closed forms where lam' = 0 (the trivial state up to lam_c, the first
+    ``superradiant_states`` above), one ``_continue_branch`` call for the
+    rest.  The first row that fails alone (a negative coupling, an infinite
+    lam', a failed solve) raises what it raises alone, after any failing
+    state before it has raised its ``hp_coefficients`` error.
     """
-    if (p.lam_prime if lam_prime_over_lam is None else lam_prime_over_lam) == 0.0:
-        p.with_coupling(float(lam[0]))  # refuses a negative coupling
-        vectors = np.tile(trivial_state(p).as_vector(), (lam.size, 1))
-        above = lam > critical_coupling(p)
-        if above.any():
-            vectors[above] = superradiant_states(p, lam[above])[0].as_vector().T
-        return lam, vectors, dynamical_matrix(hp_coefficients(vectors, p, lam, 0.0), p)
-    rows = []
+    with np.errstate(over="ignore"):  # an infinite lam' is refused at its row
+        lam_prime = (np.full(lam.shape, p.lam_prime) if lam_prime_over_lam is None
+                     else lam_prime_over_lam * lam)
+    p.with_coupling(float(lam[0]), float(lam_prime[0]))  # refuses a negative coupling
+    # |lam'| ascends with lam >= 0, so the infinite rows come last
+    stop, failure = int(np.isfinite(lam_prime).sum()), None
+    vectors = np.tile(trivial_state(p).as_vector(), (stop, 1))
+    zero = lam_prime[:stop] == 0.0
+    above = zero & (lam[:stop] > critical_coupling(p))
+    if above.any():
+        vectors[above] = superradiant_states(p, lam[:stop][above])[0].as_vector().T
+    biased = np.flatnonzero(~zero)
     try:
-        for q, st in branch_walk(p, lam.tolist(), lam_prime_over_lam):
-            rows.append((q.lam, q.lam_prime, st.alpha.real, st.alpha.imag,
-                         st.beta.real, st.beta.imag, st.w))
-    finally:  # where the walk fails, a failing state before that point raises first
-        rows = np.reshape(rows, (-1, 7))
-        m = dynamical_matrix(hp_coefficients(rows[:, 2:], p, rows[:, 0], rows[:, 1]), p)
-    return rows[:, 0], rows[:, 2:], m
+        if biased.size:
+            vectors[biased] = _continue_branch(p, lam[biased], lam_prime[biased])
+    except ConvergenceError as exc:
+        solved = len(exc.state)
+        failure, stop = exc, biased[solved]
+        vectors[biased[:solved]] = exc.state
+    m = dynamical_matrix(hp_coefficients(vectors[:stop], p, lam[:stop], lam_prime[:stop]), p)
+    if failure is not None:
+        raise failure
+    if stop < lam.size:
+        p.with_coupling(float(lam[stop]), float(lam_prime[stop]))  # raises
+    return lam, vectors, m
 
 
 _ROWS = np.arange(4)

@@ -5,7 +5,8 @@ beta = <J-> and the inversion w = <Jz>.  Their equations of motion conserve
 the pseudo angular momentum |beta|^2 + w^2 = N^2/4, which is used to
 eliminate w (negative root, the physically stable branch) in the steady
 states.  For real lam those reduce to one scalar equation in Re beta,
-whose physical root ``newton_steady_state`` brackets and solves.
+whose physical root ``newton_steady_state`` brackets and solves, at one
+coupling or at a whole grid of them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ class IntegrationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """Failed steady-state solve; ``state`` holds a stack's rows solved before it."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 @dataclass
@@ -193,7 +198,7 @@ def superradiant_states(p: DickeParams, lam=None) -> tuple[MeanFieldState, MeanF
     lams = p.lam if lam is None else np.asarray(lam, dtype=float)
     if np.asarray(lams <= lc).any():
         raise ValueError(f"no symmetry-broken solutions below lam_c = {lc}")
-    # math for one point, which a walk takes at every coupling
+    # math for one point, whose fields are then Python numbers
     sqrt, power = (math.sqrt, math.pow) if lam is None else (np.sqrt, np.float_power)
     n, om, k = p.atom_number, p.omega, p.kappa
     root = sqrt(1.0 - power(lc / lams, 4))
@@ -210,9 +215,9 @@ def superradiant_states(p: DickeParams, lam=None) -> tuple[MeanFieldState, MeanF
     return MeanFieldState(alpha, beta, w), MeanFieldState(-alpha, -beta, w)
 
 
-def _w_from_beta(beta: complex, n: float) -> float:
-    # negative root of the conservation constraint
-    return -math.sqrt(max(n * n / 4.0 - abs(beta) ** 2, 0.0))
+def _w_from_beta(beta, n: float):
+    # negative root of the conservation constraint (float_power rounds as float ** does)
+    return -np.sqrt(np.maximum(n * n / 4.0 - np.float_power(abs(beta), 2), 0.0))
 
 
 def _stationary(b: float, p: DickeParams, k_l: float, k_lp: float, half_n: float):
@@ -230,12 +235,13 @@ def _stationary(b: float, p: DickeParams, k_l: float, k_lp: float, half_n: float
 def _slope(y, p: DickeParams, k_l: float, k_lp: float) -> float:
     """dg/db at y = ``_stationary(b)``, where g = -omega0 b + 2 Re alpha (2 k_l w + k_lp b)."""
     ar, _, b, _, w = y
-    dw = -b / w if w else math.inf
+    dw = np.where(w != 0.0, -b / w, np.inf)
     dar = -p.omega * (2.0 * k_l - k_lp * dw) / (p.omega ** 2 + p.kappa ** 2)
     return -p.omega0 + 2.0 * dar * (2.0 * k_l * w + k_lp * b) + 2.0 * ar * (2.0 * k_l * dw + k_lp)
 
 
-def newton_steady_state(p: DickeParams, seed: MeanFieldState) -> MeanFieldState:
+def newton_steady_state(p: DickeParams, seed: MeanFieldState | np.ndarray,
+                        lam=None, lam_prime=None) -> MeanFieldState | np.ndarray:
     """Steady state on the half-disc of the seed from one bracketed scalar equation.
 
     At ``_stationary(b)`` only g(b) = d Im beta/dt is left to vanish.  On
@@ -243,38 +249,68 @@ def newton_steady_state(p: DickeParams, seed: MeanFieldState) -> MeanFieldState:
     g has that sign next to b = 0 and the opposite sign at b = +-N/2, so
     the root is bracketed.  Newton on g with its analytic derivative starts
     at the seed's Re beta and bisects the bracket whenever a step would
-    leave it or is not half the size of the step before; it stops at a
-    step below 1e-13 N.  The seed's Re beta picks the half (lam''s half
-    when it is zero); the other half, where g need not change sign, is
-    refused.
+    leave it, or is above 1e-13 N and not half the step before; it stops
+    at a step below 1e-13 N.  The seed's Re beta picks the half (lam''s
+    half when it is zero); the other half, where g need not change sign,
+    is refused.  A (rows, 5) stack of seed vectors at the couplings ``lam``
+    and biases ``lam_prime`` (p's where not given) gives the stack of
+    roots, each row its one-row solve bit for bit.  The first row where g
+    or its slope is not finite, or not converged in 200 steps, raises
+    ConvergenceError naming its coupling, the rows before it as ``state``.
     """
-    n = p.atom_number
-    if abs(seed.beta) >= 0.5 * n:
+    one = isinstance(seed, MeanFieldState)
+    seed = np.reshape(seed.as_vector() if one else seed, (-1, 5))
+    rows, n = len(seed), p.atom_number
+    lam, lam_prime = (np.broadcast_to(v, rows).astype(float) for v in (
+        p.lam if lam is None else lam, p.lam_prime if lam_prime is None else lam_prime))
+    if (np.hypot(seed[:, 2], seed[:, 3]) >= 0.5 * n).any():
         raise ConvergenceError(f"the seed must lie inside |beta| < N/2 = {0.5 * n}")
-    side = math.copysign(1.0, seed.beta.real or p.lam_prime)
-    if side * p.lam_prime < 0:
+    b = seed[:, 2]
+    side = np.copysign(1.0, np.where(b != 0.0, b, lam_prime))
+    against = side * lam_prime < 0
+    if against.any():
         raise ConvergenceError(f"the seed's Re beta is against the sign of lam' = "
-                               f"{p.lam_prime}, on the half-disc with no bracket")
-    couplings = _couplings(p)
-    inner, outer = 0.0, side * 0.5 * n  # side * g > 0 at inner, < 0 at outer
-    b, step, tol = seed.beta.real, math.inf, 1e-13 * n
-    for _ in range(200):
-        y = _stationary(b, p, *couplings)
-        g = _rhs_vector(0.0, y, p, *couplings)[3]
-        if g == 0.0:
-            break
-        inner, outer = (b, outer) if side * g > 0 else (inner, b)
-        dg = _slope(y, p, *couplings[:2])
-        last, step = step, (-g / dg if dg else math.inf)
-        if not (abs(step) <= tol or (min(inner, outer) < b + step < max(inner, outer)
-                                     and abs(step) <= 0.5 * abs(last))):
-            step = 0.5 * (inner + outer) - b
-        b += step
-        if abs(step) <= tol:
-            break
-    else:
-        raise ConvergenceError(f"bracketed solve did not converge at lam = {p.lam}")
-    return MeanFieldState.from_vector(_stationary(b, p, *couplings))
+                               f"{lam_prime[against.argmax()]}, on the half-disc with no bracket")
+    rn, half_n, tol = math.sqrt(n), n / 2.0, 1e-13 * n
+    solved, first, message = b.copy(), rows, ""
+    # the rows still solving: their index, couplings, bracket and last step;
+    # on either half g > 0 at lo and g < 0 at hi
+    at, k_l, k_lp = np.arange(rows), lam / rn, lam_prime / rn
+    lo, hi = np.minimum(0.0, side * 0.5 * n), np.maximum(0.0, side * 0.5 * n)
+    step = np.full(rows, np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            y = _stationary(b, p, k_l, k_lp, half_n)
+            g = _rhs_vector(0.0, y, p, k_l, k_lp, half_n)[3]
+            dg = _slope(y, p, k_l, k_lp)
+            zero = g == 0.0
+            bad = ~(np.isfinite(g) & (zero | np.isfinite(dg)))
+            if bad.any():  # no later row matters
+                first = at[bad.argmax()]
+                message = f"the steady-state equation is not finite at lam = {lam[first]}"
+            lo, hi = np.where(g > 0, b, lo), np.where(g > 0, hi, b)
+            last, step = step, np.where(dg != 0.0, -g / dg, np.inf)
+            land = b + step
+            newton = (lo <= land) & (land <= hi) & ((abs(step) <= tol) | (
+                (lo < land) & (land < hi) & (abs(step) <= 0.5 * abs(last))))
+            step = np.where(newton, step, 0.5 * (lo + hi) - b)
+            b = np.where(zero, b, b + step)
+            done = zero | (abs(step) <= tol)
+            solved[at[done]] = b[done]
+            keep = ~done & (at < first)
+            at, b, lo, hi, step, k_l, k_lp = (
+                v[keep] for v in (at, b, lo, hi, step, k_l, k_lp))
+            if not at.size:
+                break
+        else:
+            first = at[0]
+            message = f"bracketed solve did not converge at lam = {lam[first]}"
+        vectors = np.column_stack(np.broadcast_arrays(
+            *_stationary(solved, p, lam / rn, lam_prime / rn, half_n)))
+    vectors = vectors[:first]
+    if message:
+        raise ConvergenceError(message, state=vectors)
+    return MeanFieldState.from_vector(vectors[0]) if one else vectors
 
 
 def operating_point(p: DickeParams) -> MeanFieldState:
@@ -289,25 +325,6 @@ def operating_point(p: DickeParams) -> MeanFieldState:
     if p.lam_prime == 0.0:
         return superradiant_states(p)[0] if p.lam > critical_coupling(p) else trivial_state(p)
     return newton_steady_state(p, trivial_state(p))
-
-
-def branch_walk(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = None):
-    """Yield ``(q, state)`` along the physical branch of a sorted coupling grid.
-
-    ``q`` is ``p`` at each coupling, with lam' = ``lam_prime_over_lam`` * lam
-    if the ratio is given and ``p.lam_prime`` otherwise.  The first state,
-    and every state where lam' = 0, is the operating point; every other one
-    is continued from its predecessor by ``_continue_branch``.  Both keep
-    the branch rule of ``operating_point``.
-    """
-    state = None
-    for lam in lam_grid:
-        lam = float(lam)
-        q = p.with_coupling(lam, None if lam_prime_over_lam is None
-                            else lam_prime_over_lam * lam)
-        state = (operating_point(q) if state is None or q.lam_prime == 0.0
-                 else _continue_branch(q, state))
-        yield q, state
 
 
 def _sorted_grid(lam_grid) -> np.ndarray:
@@ -333,8 +350,8 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     With lam' = 0 and no ``lam_prime_over_lam`` every coupling has the
     trivial state and above threshold the closed-form symmetry-broken pair
     after it, built as arrays over the grid.  Otherwise every coupling has
-    the operating point walked by ``branch_walk``, whose Re beta has the
-    sign of lam' where lam' != 0.  If ``lam_prime_over_lam`` is given, the
+    its operating point (``fluctuations._walk_stack``), whose Re beta has
+    the sign of lam' where lam' != 0.  If ``lam_prime_over_lam`` is given, the
     bias scales with the coupling (both are proportional to the pump
     strength for a fixed geometry).  One ``fluctuations.dynamical_matrix``
     call builds the stack of matrices, and one ``stability`` call flags it.
@@ -359,11 +376,11 @@ def steady_states(p: DickeParams, lam_grid, lam_prime_over_lam: float | None = N
     return SteadyStateBranch(lam, vectors, stability(m, p.omega0))
 
 
-def _continue_branch(q: DickeParams, state: MeanFieldState) -> MeanFieldState:
-    """One continuation step: the solve at the parameters ``q`` started from ``state``.
+def _continue_branch(p: DickeParams, lam: np.ndarray, lam_prime: np.ndarray) -> np.ndarray:
+    """State vectors of the physical branch at the couplings ``lam`` and biases ``lam_prime``.
 
-    ``newton_steady_state`` brackets the root on the half-disc of
-    ``state``, which for lam' != 0 is the half of the sign of lam', so the
-    step keeps the branch rule of ``operating_point``.
+    One ``newton_steady_state`` call, each row started at b = 0 and so the
+    ``operating_point`` of its coupling and bias bit for bit.
     """
-    return newton_steady_state(q, state)
+    seed = np.broadcast_to(trivial_state(p).as_vector(), (len(lam), 5))
+    return newton_steady_state(p, seed, lam, lam_prime)

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -407,6 +408,63 @@ def unbiased_walk(p, lams):
             yield q, state
 
 
+def oracle_operating_point(q):
+    """``operating_point(q)`` as the scalar solve computed it, in Python floats.
+
+    The bracketed Newton from b = 0 as it was written before the array
+    solve, with the rules added since: a step that leaves the bracket
+    bisects however small it is, and a residual or slope that is not finite
+    raises.  About 20 us a point, where the one-row array solve takes 0.3 to
+    0.6 ms.
+    """
+    if q.lam_prime == 0.0:
+        return mfd.operating_point(q)
+    n, om, k = q.atom_number, q.omega, q.kappa
+    k_l, k_lp, half_n = mfd._couplings(q)
+
+    def stationary(b):
+        w = -math.sqrt(max(n * n / 4.0 - abs(b) ** 2, 0.0))
+        ar = -om * (2.0 * k_l * b + k_lp * (half_n - w)) / (om ** 2 + k ** 2)
+        return ar, k * ar / om, b, 0.0, w
+
+    def slope(ar, b, w):
+        dw = -b / w if w else math.inf
+        dar = -om * (2.0 * k_l - k_lp * dw) / (om ** 2 + k ** 2)
+        return (-q.omega0 + 2.0 * dar * (2.0 * k_l * w + k_lp * b)
+                + 2.0 * ar * (2.0 * k_l * dw + k_lp))
+
+    side = math.copysign(1.0, q.lam_prime)
+    inner, outer = 0.0, side * 0.5 * n
+    b, step, tol = 0.0, math.inf, 1e-13 * n
+    for _ in range(200):
+        y = stationary(b)
+        g = mfd._rhs_vector(0.0, y, q, k_l, k_lp, half_n)[3]
+        if g == 0.0:
+            break
+        dg = slope(y[0], b, y[4])
+        if not (math.isfinite(g) and math.isfinite(dg)):
+            raise mfd.ConvergenceError(f"the steady-state equation is not finite at lam = {q.lam}")
+        inner, outer = (b, outer) if side * g > 0 else (inner, b)
+        last, step = step, (-g / dg if dg else math.inf)
+        lo, hi = min(inner, outer), max(inner, outer)
+        if not (lo <= b + step <= hi and (abs(step) <= tol or (
+                lo < b + step < hi and abs(step) <= 0.5 * abs(last)))):
+            step = 0.5 * (inner + outer) - b
+        b += step
+        if abs(step) <= tol:
+            break
+    else:
+        raise mfd.ConvergenceError(f"bracketed solve did not converge at lam = {q.lam}")
+    return mfd.MeanFieldState.from_vector(stationary(b))
+
+
+def biased_walk(p, lams, ratio=None, solve=mfd.operating_point):
+    """Each coupling's parameters and its own operating point, one point at a time."""
+    for lam in lams:
+        q = p.with_coupling(lam, None if ratio is None else ratio * lam)
+        yield q, solve(q)
+
+
 def per_point_spectrum(p, lam_grid):
     """Reference tracked spectrum and M stack: one ``eigvals`` call per coupling."""
     work = lam_grid
@@ -417,7 +475,7 @@ def per_point_spectrum(p, lam_grid):
         walk = ((q, oracle_superradiant(q)[0] if q.lam > lc else mfd.trivial_state(q))
                 for q in map(p.with_coupling, work.tolist()))
     else:
-        walk = mfd.branch_walk(p, work.tolist())
+        walk = biased_walk(p, work.tolist())
     rows, matrices, pol = [], [], 0
     for q, state in walk:
         matrices.append(oracle_matrix(state, q))
@@ -466,7 +524,7 @@ class TestStackedSweeps:
         grid = self.grid(0.1, 1.6)
         stacks = recorded_stacks(monkeypatch)
         branch = mfd.steady_states(p, grid, ratio)
-        want = per_point(mfd.branch_walk(p, grid.tolist(), ratio), p.omega0)
+        want = per_point(biased_walk(p, grid.tolist(), ratio), p.omega0)
         self.assert_branch_is(branch, want)
         (stack,) = stacks
         assert stack.tobytes() == want[3].tobytes()
@@ -533,7 +591,7 @@ class TestStackedSweeps:
         def refused(*args, **kwargs):
             raise AssertionError("walked")
 
-        for module, name in ((mfd, "branch_walk"), (fl, "branch_walk"),
+        for module, name in ((mfd, "_continue_branch"), (fl, "_continue_branch"),
                              (mfd, "operating_point"), (corr, "operating_point"),
                              (mfd, "newton_steady_state")):
             monkeypatch.setattr(module, name, refused)
@@ -636,27 +694,54 @@ class TestStackedSweeps:
                     oracle_matrix(mfd.MeanFieldState.from_vector(row), p)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("ratio", [None, 1e-4])
     @pytest.mark.parametrize("bad_row", [1, None])
-    def test_a_walk_failure_raises_after_the_states_before_it(self, monkeypatch, bad_row):
-        # the walk stops at its fourth point; a failing state before that
-        # point raises in its place, as when each state was built in turn
+    def test_a_solve_failure_raises_after_the_states_before_it(self, monkeypatch, bad_row,
+                                                               ratio):
+        # the solve stops at its fourth row; a failing state before that
+        # row raises in its place, as when each state was built in turn.
+        # Under the ratio the first coupling, lam = 0, is unbiased and solved
+        # in closed form, so the solve's rows are the grid's rows 1 to 5
         p = params(lam_prime=1e-3)
-        walk = mfd.branch_walk
+        solve = mfd._continue_branch
 
         def stopping(*args):
-            for i, (q, state) in enumerate(walk(*args)):
-                if i == 3:
-                    raise mfd.ConvergenceError("walk stopped")
-                yield q, (mfd.MeanFieldState(0j, 0.5 * p.atom_number, 0.0)
-                          if i == bad_row else state)
+            rows = solve(*args)[:3]
+            if bad_row is not None:
+                rows[bad_row] = [0.0, 0.0, 0.5 * p.atom_number, 0.0, 0.0]
+            raise mfd.ConvergenceError("walk stopped", state=rows)
 
-        monkeypatch.setattr(fl, "branch_walk", stopping)
-        grid = np.linspace(1.0, 8.0, 6)
+        monkeypatch.setattr(fl, "_continue_branch", stopping)
+        grid = np.linspace(1.0 if ratio is None else 0.0, 8.0, 6)
         error, message = ((fl.ValidityError, r"\|beta_ss\|/N = 0.5 >= 1/2") if bad_row
                           else (mfd.ConvergenceError, "walk stopped"))
-        for sweep in (mfd.steady_states, fl.spectrum_sweep):
+        with pytest.raises(error, match=message):
+            mfd.steady_states(p, grid, ratio)
+        if ratio is None:
             with pytest.raises(error, match=message):
-                sweep(p, grid)
+                fl.spectrum_sweep(p, grid)
+
+
+    @pytest.mark.parametrize("grid, ratio, error", [
+        ([1.0, 2.0, 3.0, 1e300, 1e300], None, mfd.ConvergenceError),
+        ([0.0, 2.0, 3.0, 1e300, 1e300], 1e10, ParameterError),
+        ([0.0, 2.0, 3.0, 1e300, 1e300], -1e-14, mfd.ConvergenceError),
+    ])
+    def test_the_first_failing_row_raises_what_it_raises_alone(self, grid, ratio, error):
+        # the fourth row fails alone: a residual that overflows, or lam' =
+        # ratio * lam that does; the rows before it are solved as usual
+        p = params(lam_prime=1e-3)
+        with pytest.raises(error) as want:
+            list(biased_walk(p, grid, ratio))
+        for sweep in (lambda: mfd.steady_states(p, grid, ratio),
+                      lambda: fl._walk_stack(p, np.array(grid), ratio)):
+            with pytest.raises(error) as got:
+                sweep()
+            assert str(got.value) == str(want.value)
+        if ratio is None:
+            with pytest.raises(error) as got:
+                fl.spectrum_sweep(p, grid)
+            assert str(got.value) == str(want.value)
 
 
 #: the package's errors; every coupling-grid entry point raises one of them,
@@ -674,10 +759,8 @@ BIASES = st.none() | st.builds(math.copysign, st.floats(1e-5, 1e-2), st.sampled_
 GRIDS = st.lists(GRID_ENTRIES, max_size=6) | st.lists(GRID_ENTRIES, max_size=6).map(sorted)
 
 
-# the expansion's arithmetic overflows at couplings near 1e300 before its
-# validity check refuses them
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# no numpy warning escapes the grid entry points, at any coupling
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGridBoundary:
     """Grid entry points return finite arrays over the grid or raise a package error."""
 
@@ -713,6 +796,49 @@ class TestGridBoundary:
     def test_photon_flux(self, grid, ratio):
         p = params(lam_prime=(ratio or 0.0) * LC)
         self.returns_or_refuses(lambda: corr.photon_flux(p, grid), grid)
+
+
+#: a bias of either sign from 1e-14 to 1e-1 omega0
+SIGNED_BIASES = st.builds(lambda exponent, sign: math.copysign(10.0 ** exponent, sign),
+                          st.floats(-14.0, -1.0), st.sampled_from([1.0, -1.0]))
+#: 1 to 2000 ascending couplings from below lam_c to above it, up to 1e300
+CROSSING_GRIDS = st.builds(
+    np.linspace, st.floats(0.0, 0.999).map(lambda x: x * LC),
+    st.floats(1.001, 3.0).map(lambda x: x * LC) | st.floats(1.2, 300.0).map(lambda e: 10.0 ** e),
+    st.integers(1, 2000))
+
+
+class TestBiasedGrids:
+    """Each row of a biased sweep is its own operating point bit for bit, or the sweep raises."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(grid=CROSSING_GRIDS, bias=SIGNED_BIASES, as_ratio=st.booleans())
+    def test_rows_are_the_per_point_operating_points(self, grid, bias, as_ratio):
+        p = params(lam_prime=0.0 if as_ratio else bias)
+        ratio = bias if as_ratio else None
+        # one point at a time: its solve, then its validity check
+        want, error = [], None
+        try:
+            for q, state in biased_walk(p, grid.tolist(), ratio, oracle_operating_point):
+                fl.hp_coefficients(state, q)
+                want.append((q, state))
+        except PACKAGE_ERRORS as exc:
+            error = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                branch = mfd.steady_states(p, grid, ratio)
+            except PACKAGE_ERRORS as exc:
+                assert (type(exc), str(exc)) == (type(error), str(error))
+                return
+        assert error is None
+        assert branch.lam.tobytes() == grid.tobytes()
+        for (q, state), vector in zip(want, branch.vectors, strict=True):
+            assert vector.tobytes() == state.as_vector().tobytes(), q
+            assert vector[2] * q.lam_prime >= 0.0, q
+        # the oracle is the public per-point solve
+        for q, state in (want[0], want[-1]):
+            assert mfd.operating_point(q) == state
 
 
 class TestPerturbativeSoftMode:

@@ -419,16 +419,42 @@ class TestSteadyStateBranches:
                 slope = mfd._slope(mfd._stationary(b, p, *k), p, *k[:2])
                 assert slope == pytest.approx(central, rel=1e-6, abs=1e-9 * p.omega0)
 
-    def test_walk_spends_few_residual_evaluations(self, monkeypatch):
-        # a wrong slope still converges, by bisection, at several times this cost
-        calls = []
+    def test_array_solve_spends_few_residual_evaluations(self, monkeypatch):
+        # a wrong slope still converges, by bisection, at several times this
+        # cost; each call evaluates the rows still solving
+        rows = []
         rhs = mfd._rhs_vector
-        monkeypatch.setattr(mfd, "_rhs_vector", lambda *args: calls.append(args) or rhs(*args))
+        monkeypatch.setattr(mfd, "_rhs_vector",
+                            lambda *args: rows.append(np.size(args[1][0])) or rhs(*args))
         p = DickeParams(OMEGA, 1.0, 0.0, 0.0, KAPPA, 1e5)
         grid = np.linspace(0.0, 2.0 * mfd.critical_coupling(p), 1001)[1:]
-        walk = list(mfd.branch_walk(p, grid, 1.0 / 120.0))
-        assert len(walk) == 1000
-        assert len(calls) <= 8 * len(walk)
+        branch = mfd.steady_states(p, grid, 1.0 / 120.0)
+        assert len(branch.lam) == 1000
+        assert sum(rows) <= 8 * len(branch.lam)
+
+    @pytest.mark.parametrize("lam_prime", [1e-12, 1e-13, 1e-15])
+    def test_a_step_out_of_the_bracket_bisects_however_small(self, lam_prime):
+        # from b = 0 above lam_c the first Newton step points at the
+        # near-trivial root on the other half, under the step tolerance when
+        # lam'/lam is below about 1e-13; the solve used to stop there
+        p = DickeParams(OMEGA, 1.0, 15.0, lam_prime, KAPPA, 1e5)
+        state = mfd.operating_point(p)
+        assert state.beta.real / p.atom_number == pytest.approx(0.438, abs=1e-3)
+        assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * p.atom_number
+        branch = mfd.steady_states(p, [9.0, 15.0])
+        assert branch.flags.tolist() == ["stable", "stable"]
+        assert branch.vectors[1].tobytes() == state.as_vector().tobytes()
+
+    @pytest.mark.parametrize("grid", [[1.0, 1e300], [1e300]])
+    def test_a_coupling_that_overflows_the_residual_is_refused(self, grid):
+        p = DickeParams(OMEGA, 1.0, 5.0, 1e-3, KAPPA, 1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mfd.ConvergenceError,
+                               match=r"^the steady-state equation is not finite at lam = 1e\+300$"):
+                mfd.steady_states(p, grid)
+            with pytest.raises(mfd.ConvergenceError, match="not finite at lam = 1e"):
+                mfd.operating_point(p.with_coupling(1e300))
 
     def test_solve_refuses_the_half_against_the_bias(self):
         # g keeps one sign next to b = 0 and at b = -N/2 there: no bracket
@@ -477,16 +503,17 @@ class TestSteadyStateBranches:
     @pytest.mark.parametrize("lam_prime", [0.03, -0.03])
     def test_biased_operating_point_above_threshold(self, lam_prime):
         # above lam_c the unstable near-trivial root lies on the other half;
-        # the cold solve and the walk from below threshold agree
+        # the one-point solve and the last row of a sweep from below
+        # threshold agree
         p = DickeParams(OMEGA, 1.0, 12.0, lam_prime, KAPPA, 1e5)
-        branch = mfd.steady_states(p, [12.0])
-        (flag,), (vector,) = branch.flags, branch.vectors
-        state = mfd.MeanFieldState.from_vector(vector)
-        assert flag == "stable"
-        *_, (_, walked) = mfd.branch_walk(p, np.linspace(0.5, 12.0, 60))
+        branch = mfd.steady_states(p, np.linspace(0.5, 12.0, 60))
+        assert branch.flags[-1] == "stable"
+        swept = mfd.MeanFieldState.from_vector(branch.vectors[-1])
+        state = mfd.operating_point(p)
         n = p.atom_number
-        assert abs(state.beta - walked.beta) < 1e-9 * n
-        assert abs(state.alpha - walked.alpha) < 1e-9 * math.sqrt(n)
+        assert abs(state.beta - swept.beta) < 1e-9 * n
+        assert abs(state.alpha - swept.alpha) < 1e-9 * math.sqrt(n)
+        assert state.beta.real * lam_prime > 0
 
     def test_weak_bias_walk_through_threshold_returns(self):
         # Newton used to stall just above lam_c on this grid
@@ -495,7 +522,7 @@ class TestSteadyStateBranches:
         branch = mfd.steady_states(p, grid)
         assert branch.flags.tolist() == ["stable"] * 1000
 
-    def test_weak_bias_walk_is_the_operating_point(self):
+    def test_weak_bias_sweep_is_the_operating_point(self):
         # grids drawn as the branch-sweeps benchmark draws them, both signs
         rng = random.Random(14)
         n = 1e5
@@ -504,21 +531,25 @@ class TestSteadyStateBranches:
             lam_prime = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, -2.0)
             p = DickeParams(OMEGA, 1.0, 0.0, lam_prime, KAPPA, n)
             grid = np.linspace(lo, hi, 200)
-            for lam, (_, walked) in zip(grid, mfd.branch_walk(p, grid)):
+            branch = mfd.steady_states(p, grid)
+            for lam, vector in zip(grid, branch.vectors):
+                swept = mfd.MeanFieldState.from_vector(vector)
                 ref = mfd.operating_point(p.with_coupling(float(lam)))
-                assert abs(walked.alpha - ref.alpha) < 1e-6 * math.sqrt(n), (lam_prime, lam)
-                assert abs(walked.beta - ref.beta) < 1e-6 * n, (lam_prime, lam)
+                assert abs(swept.alpha - ref.alpha) < 1e-6 * math.sqrt(n), (lam_prime, lam)
+                assert abs(swept.beta - ref.beta) < 1e-6 * n, (lam_prime, lam)
+                assert vector.tobytes() == ref.as_vector().tobytes(), (lam_prime, lam)
 
     @pytest.mark.parametrize("ratio", [None, 1.0 / 120.0, -1.0 / 360.0])
-    def test_walk_yields_the_parameters_of_each_point(self, ratio):
+    def test_sweep_rows_are_the_states_at_the_parameters_of_each_point(self, ratio):
         p = DickeParams(OMEGA, 1.0, 0.0, 0.03, KAPPA, 1e5)
         grid = np.linspace(0.5, 20.0, 40)
-        walk = list(mfd.branch_walk(p, grid, ratio))
-        assert [q.lam for q, _ in walk] == grid.tolist()
-        for q, state in walk:
-            assert q.lam_prime == (p.lam_prime if ratio is None else ratio * q.lam)
-            assert (q.omega, q.omega0, q.kappa, q.atom_number) == (
-                p.omega, p.omega0, p.kappa, p.atom_number)
+        branch = mfd.steady_states(p, grid, ratio)
+        assert branch.lam.tolist() == grid.tolist()
+        for lam, vector in zip(grid.tolist(), branch.vectors):
+            q = p.with_coupling(lam, None if ratio is None else ratio * lam)
+            state = mfd.MeanFieldState.from_vector(vector)
+            assert state.beta.real * q.lam_prime > 0
+            assert vector.tobytes() == mfd.operating_point(q).as_vector().tobytes()
             assert state_norm(mfd.eom_rhs(state, q)) < 1e-10 * p.atom_number
 
     @pytest.mark.parametrize("ratio", [None, 0.0])
@@ -528,7 +559,8 @@ class TestSteadyStateBranches:
         p = DickeParams(OMEGA, 1.0, 0.0, 0.0, KAPPA, 1e5)
         grid = np.array([0.1, 0.5, 0.9, 1.1, 1.25, 1.5, 2.0]) * mfd.critical_coupling(p)
         want = [mfd.operating_point(p.with_coupling(float(lam))) for lam in grid]
-        assert [state for _, state in mfd.branch_walk(p, grid, ratio)] == want
+        _, vectors, _ = fl._walk_stack(p, grid, ratio)
+        assert [mfd.MeanFieldState.from_vector(v) for v in vectors] == want
         branch = mfd.steady_states(p, grid, lam_prime_over_lam=0.0)
         assert branch.lam.tolist() == grid.tolist()
         assert branch.vectors.tolist() == [state.as_vector().tolist() for state in want]

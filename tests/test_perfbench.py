@@ -97,6 +97,36 @@ print(json.dumps(dict(
     sweeps=tracer.counts["meanfield.steady_states.calls"])))
 """
 
+#: a traced biased steady-state sweep, then a traced biased g2 request
+TRACED_BIASED = """
+import json
+import tempfile
+import numpy as np
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from opendicke import cli, meanfield
+from opendicke.params import DickeParams
+p = DickeParams(300.0, 1.0, 0.0, 1e-3, 200.0, 1e5)
+lc = meanfield.critical_coupling(p)
+out = {}
+tracer.active = True
+branch = meanfield.steady_states(p, np.linspace(0.1, 1.8, 1000) * lc)
+out["sweep"] = dict(rows=len(branch.flags),
+                    newton=tracer.counts["meanfield.newton_steady_state.calls"],
+                    continued=tracer.counts["meanfield._continue_branch.calls"])
+tracer.reset()
+dicke = dict(omega=300.0, omega0=1.0, lam=8.0, lam_prime=8.0 / 360.0, kappa=200.0,
+             atom_number=1e5)
+argv = ["g2", *(a for k, v in dicke.items() for a in ("--set", f"dicke.{k}={v!r}"))]
+with tempfile.TemporaryDirectory() as tmp:
+    code = cli.main(argv + ["--out", tmp + "/g2"])
+out["g2"] = dict(code=code, newton=tracer.counts["meanfield.newton_steady_state.calls"],
+                 continued=tracer.counts["meanfield._continue_branch.calls"])
+tracer.active = False
+print(json.dumps(out))
+"""
+
 
 def _child(code: str) -> subprocess.CompletedProcess:
     # in a child process, so the wrappers never reach the other tests
@@ -154,3 +184,14 @@ def test_traced_steady_states_build_one_matrix_per_flag():
     assert out["matrices"] == 1
     assert out["stacks"] == [[out["flags"]]]
     assert out["sweeps"] == 1
+
+
+def test_traced_biased_sweep_is_one_solve_and_g2_continues_nothing():
+    # branch-sweeps reads meanfield.newton_calls and continue_calls from
+    # these two traced functions: a biased sweep reaches each once, over its
+    # whole stack, and photodetection's biased g2 only the one-point solve
+    proc = _child(TRACED_BIASED)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["sweep"] == dict(rows=1000, newton=1, continued=1)
+    assert out["g2"] == dict(code=0, newton=1, continued=0)
