@@ -9,6 +9,14 @@ the c rows of the resulting 4x4 dynamical matrix.
 Eigenvalues mu of the dynamical matrix are reported as complex frequencies
 omega_k = i*mu (dynamics ~ exp(-i omega_k t)), so a positive damping rate
 appears as a negative imaginary part, matching the plotted spectra.
+
+In each mode's quadratures x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2)
+M is the real matrix R = T M T^dag (the form of Dimer et al., PRA 75, 013804
+(2007)), whose real eigensolve costs half the complex one; ``stability``
+and ``spectrum_sweep`` take their eigenvalues from it (``_eigenvalues``).
+The frequency route's residues need M's eigenvectors in the c basis, and
+the tau grids of ``correlations`` keep their complex ``eigvals``, so they
+keep the complex M.
 """
 
 from __future__ import annotations
@@ -118,13 +126,65 @@ def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
     omega0 on the canonical operating point the normal phase grows at
     +1.1e-16 omega0 from rounding alone.  A ``(..., 4, 4)`` stack is
     classified by one eigenvalue call into an array of labels of shape
-    ``(...)``; a single matrix gets a ``str``.
+    ``(...)``; a single matrix gets a ``str``.  The eigenvalues are those
+    of M's real quadrature form (``_eigenvalues``), so M must have the
+    structure of a ``dynamical_matrix``, its c^dag and d^dag rows the
+    conjugates of its c and d rows; any other matrix raises ValueError.
     """
-    growth = np.linalg.eigvals(m).real.max(axis=-1)
+    growth = _eigenvalues(m).real.max(axis=-1)
     tol = 1e-12 * omega0
-    verdict = np.where(growth < -tol, "stable",
-                       np.where(growth > tol, "unstable", "marginal"))
+    verdict = _VERDICTS[1 + (growth > tol).astype(int) - (growth < -tol)]
     return str(verdict) if verdict.ndim == 0 else verdict
+
+
+#: ``stability``'s labels, indexed by 1 + (growth > tol) - (growth < -tol)
+_VERDICTS = np.array(["stable", "marginal", "unstable"])
+
+
+#: the columns (c, c^dag, d, d^dag) in conjugated order (c^dag, c, d^dag, d)
+_CONJUGATE = [1, 0, 3, 2]
+
+
+def _quadrature_terms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R = T M T^dag's 16 entries, and the 16 (Re, Im) residuals of M's conjugate rows.
+
+    T = diag(t, t), t = [[1, 1], [-i, i]]/sqrt(2), takes each mode's (a,
+    a^dag) to its quadratures (x, p).  A 2x2 block [[a, b], [b*, a*]] of M
+    gives the block [[Re(a + b), -Im(a - b)], [Im(a + b), Re(a - b)]] of R,
+    T's halves cancelled by hand: each entry is one rounding of two of M's
+    (a T of 1/sqrt(2) products moves the bare modes).
+    """
+    # top[..., row mode, column mode, a or b]; r[..., row mode, x or p, column mode, x or p]
+    top = m[..., ::2, :].reshape(m.shape[:-2] + (2, 2, 2))
+    plus, minus = top[..., 0] + top[..., 1], top[..., 0] - top[..., 1]
+    r = np.stack([np.stack([plus.real, -minus.imag], -1),
+                  np.stack([plus.imag, minus.real], -1)], -3)
+    residual = m[..., 1::2, :] - m[..., ::2, _CONJUGATE].conj()
+    return (r.reshape(m.shape[:-2] + (16,)),
+            residual.view(float).reshape(m.shape[:-2] + (16,)))
+
+
+#: ``_quadrature_terms`` as two (32, 16) matrices of 0 and +/-1 on M's 16
+#: (Re, Im) pairs, read off at the 32 unit matrices; no output has more than
+#: two non-zero terms, so each product rounds as the formula does
+_QUADRATURE_FORM, _CONJUGATE_RESIDUALS = _quadrature_terms(
+    np.eye(32).view(complex).reshape(32, 4, 4))
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of M, or of each matrix of a (..., 4, 4) stack, as complex.
+
+    A product with ``_CONJUGATE_RESIDUALS`` checks M, one with
+    ``_QUADRATURE_FORM`` gives R and one real ``eigvals`` call solves it.  R
+    is similar to M only if M's c^dag and d^dag rows are the conjugates of
+    its c and d rows, as ``dynamical_matrix`` builds them bit for bit; any
+    other finite M raises ValueError (a non-finite one fails in ``eigvals``).
+    """
+    m = np.asarray(m, dtype=complex)
+    parts = m.reshape(m.shape[:-2] + (16,)).view(float)
+    if (parts @ _CONJUGATE_RESIDUALS).any() and np.isfinite(m).all():
+        raise ValueError("M's c^dag and d^dag rows must be the conjugates of its c and d rows")
+    return np.linalg.eigvals((parts @ _QUADRATURE_FORM).reshape(m.shape)).astype(complex, copy=False)
 
 
 @dataclass
@@ -154,17 +214,24 @@ def spectrum_sweep(p: DickeParams, lam_grid) -> TrackedSpectrum:
     distance sum_b |omega_b - omega_b(previous)| (``_follow``).
     ``_walk_stack`` gives the states (closed forms over the grid at
     lam' = 0, one array solve under a bias), one ``dynamical_matrix`` call
-    their stack and one ``eigvals`` call its eigenvalues.  The grid is
-    checked by ``_sorted_grid``, as for ``steady_states``.
+    their stack and one ``_eigenvalues`` call, on the real quadrature
+    form, its eigenvalues.  The grid is checked by ``_sorted_grid``, as for
+    ``steady_states``.
     """
     lam_grid = _sorted_grid(lam_grid)
     # ramp up from the anchor at lam = 0 in small steps, so that matching by
     # frequency stays unambiguous even when the requested grid starts near lam_c
     approach = np.linspace(0.0, lam_grid[0], 33)[:-1] if lam_grid[0] > 0.0 else []
     work_grid = np.concatenate([approach, lam_grid])
-    freqs = 1j * np.linalg.eigvals(_walk_stack(p, work_grid)[2])
-    # anchor: order deterministically; the polariton branch starts as the
-    # mode closest to the bare atomic frequency +omega0
+    freqs = 1j * _eigenvalues(_walk_stack(p, work_grid)[2])
+    # every row in one order, whichever the eigensolver returns: descending
+    # Re, then descending Im; an exact tie in ``_follow`` (a mode pair meeting
+    # on the imaginary axis as mirror images) then gives the lower column the
+    # mode with the larger Re, then the larger Im
+    freqs = np.take_along_axis(freqs, np.lexsort((-freqs.imag, -freqs.real)), axis=-1)
+    # anchor: ascending |Re|, then ascending Im, each pair's positive
+    # frequency first; the polariton branch starts as the mode closest to the
+    # bare atomic frequency +omega0
     anchor = freqs[0]
     freqs[0] = anchor[np.lexsort((anchor.imag, np.abs(anchor.real)))]
     pol_index = int(np.argmin(np.abs(freqs[0] - p.omega0)))

@@ -167,6 +167,69 @@ class TestDynamicalMatrix:
         assert np.max(np.min(dist, axis=1)) < 1e-9 * max(1.0, OMEGA, kappa)
 
 
+class TestRealForm:
+    @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
+    def test_eigenvalues_match_fifty_digit_ones(self, lam_prime):
+        mpmath = pytest.importorskip("mpmath")
+        p = params(lam_prime=lam_prime)
+        lc = mfd.critical_coupling(p)
+        with mpmath.workdps(50):
+            for ratio in (0.0, 0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.5):
+                q = p.with_coupling(ratio * lc)
+                m = fl.dynamical_matrix(fl.hp_coefficients(mfd.operating_point(q), q), q)
+                exact = np.array([complex(z) for z in mpmath.eig(
+                    mpmath.matrix(m.tolist()), left=False, right=False)])
+                mu = fl._eigenvalues(m)
+                assert mu.dtype == complex
+                assert np.max(np.min(np.abs(mu[:, None] - exact[None, :]), axis=1)) < 1e-12
+
+    def test_real_form_is_t_m_t_dagger(self):
+        p = params(lam_prime=1e-3)
+        m = fl._walk_stack(p, np.linspace(0.0, 1.6, 50) * LC)[2]
+        parts = m.reshape(-1, 16).view(float)
+        want = QUADRATURES @ m @ QUADRATURES.conj().T
+        assert np.allclose((parts @ fl._QUADRATURE_FORM).reshape(m.shape), want.real,
+                           rtol=0.0, atol=1e-13 * LC)
+        assert np.max(np.abs(want.imag)) < 1e-13 * LC
+        assert not (parts @ fl._CONJUGATE_RESIDUALS).any()
+        # a real stack and a complex one with the same entries agree
+        real = np.diag([-1.0, -1.0, -2.0, -2.0])
+        np.testing.assert_array_equal(fl._eigenvalues(real), fl._eigenvalues(real + 0j))
+
+    @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
+    def test_sweep_order_is_independent_of_the_eigensolver(self, monkeypatch, lam_prime):
+        # the anchor row reversed, then every row reversed: the same bytes
+        p = params(lam_prime=lam_prime)
+        grid = np.linspace(0.0, 1.4, 281) * mfd.critical_coupling(p)
+        want = fl.spectrum_sweep(p, grid)
+        solve = fl._eigenvalues
+        for rows in (slice(0, 1), slice(None)):
+            def reversed_rows(m, rows=rows):
+                mu = solve(m)
+                mu[rows] = mu[rows, ::-1]
+                return mu
+
+            monkeypatch.setattr(fl, "_eigenvalues", reversed_rows)
+            got = fl.spectrum_sweep(p, grid)
+            assert got.frequencies.tobytes() == want.frequencies.tobytes()
+            assert got.polariton_index == want.polariton_index == 0
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (*FIGURE_PARAMS["fig1"]["lam_over_lc"], FIGURE_PARAMS["fig1"]["points"]),
+        (*FIGURE_PARAMS["fig1"]["zoom"], FIGURE_PARAMS["fig1"]["zoom_points"]),
+    ])
+    def test_polariton_is_the_soft_mode_at_threshold(self, lo, hi, points):
+        # at lam_c the atomic pair is purely damped, one mode at zero; the
+        # pair meets the imaginary axis as mirror images, and the tie goes to
+        # the lower, polariton column
+        p = params()
+        grid = np.linspace(lo, hi, points) * mfd.critical_coupling(p)
+        at = int(np.argmin(np.abs(grid - mfd.critical_coupling(p))))
+        sw = fl.spectrum_sweep(p, grid)
+        assert abs(sw.polariton()[at]) < 1e-9
+        assert sw.polariton()[0].real > 0.0 and sw.polariton()[-1].real > 0.0
+
+
 def recorded_stacks(monkeypatch) -> list:
     """The list every later ``fl.dynamical_matrix`` call appends its result to."""
     build, stacks = fl.dynamical_matrix, []
@@ -184,17 +247,33 @@ def best_ordering(cost):
     return fl._PERMUTATIONS[fl._best_permutation(cost)[0]]
 
 
+def canonical(freqs):
+    """One matrix's frequencies by descending Re, then descending Im, as the sweep orders them."""
+    return freqs[np.lexsort((-freqs.imag, -freqs.real))]
+
+
+#: T = diag(t, t), t = [[1, 1], [-i, i]]/sqrt(2): (a, a^dag) to the quadratures (x, p)
+QUADRATURES = np.kron(np.eye(2), np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0))
+
+
 def overlap_matched(matrices):
     """Frequencies of successive dynamical matrices, labelled by eigenvector overlap.
 
     The matcher ``spectrum_sweep`` used before it matched by frequency alone:
     maximal overlap with the previous point's eigenvectors, and frequency
-    continuity wherever an overlap falls below 0.99.
+    continuity wherever an overlap falls below 0.99.  The frequencies are
+    ``fl._eigenvalues``'s, one matrix at a time, each with the eigenvector
+    ``eig`` gives the real form T M T^dag for its nearest eigenvalue; the
+    unitary T leaves every overlap as it is in the c basis.  A mode pair on
+    the imaginary axis ties its overlaps exactly (the real eigenvectors of a
+    conjugate pair are conjugates), and the tie goes to the lower raw index,
+    as in the sweep.
     """
     rows, vecs_prev = [], None
     for m in matrices:
-        mu, vecs = np.linalg.eig(m)
-        freqs = 1j * mu
+        freqs = canonical(1j * fl._eigenvalues(m))
+        mu_r, vecs_r = np.linalg.eig((QUADRATURES @ m @ QUADRATURES.conj().T).real)
+        vecs = vecs_r[:, best_ordering(np.abs(freqs[:, None] - 1j * mu_r[None, :]))]
         if vecs_prev is None:
             order = np.lexsort((freqs.imag, np.abs(freqs.real)))
         else:
@@ -300,8 +379,9 @@ class TestStability:
     def test_verdicts_at_the_tolerance(self):
         cases = ((-2e-12, "stable"), (0.0, "marginal"), (5e-13, "marginal"),
                  (-5e-13, "marginal"), (2e-12, "unstable"))
-        stack = np.array([np.diag([growth - 1.0, growth, -3.0, -1.0])
-                          for growth, _ in cases], dtype=complex)
+        # diag(a, a*, b, b*): the conjugate-row structure of a dynamical matrix
+        stack = np.array([np.diag([growth + 2j, growth - 2j, -1.0 + 0.5j, -1.0 - 0.5j])
+                          for growth, _ in cases])
         verdicts = [verdict for _, verdict in cases]
         for m, verdict in zip(stack, verdicts):
             assert type(fl.stability(m, 1.0)) is str
@@ -312,6 +392,33 @@ class TestStability:
         assert fl.stability(stack * 10.0, 10.0).tolist() == verdicts
         assert fl.stability(stack.reshape(5, 1, 4, 4), 1.0).tolist() == [
             [verdict] for verdict in verdicts]
+
+    def test_refuses_a_matrix_without_conjugate_rows(self):
+        m = fl.dynamical_matrix(fl.hp_coefficients(mfd.trivial_state(params()), params(5.0)),
+                                params(5.0))
+        assert fl.stability(m, 1.0) == "stable"
+        for bad in (np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex), m * 1j):
+            with pytest.raises(ValueError, match="conjugates"):
+                fl.stability(bad, 1.0)
+            with pytest.raises(ValueError, match="conjugates"):
+                fl.stability(np.array([m, bad]), 1.0)
+        broken = m.copy()
+        broken[1, 2] += 1e-15
+        with pytest.raises(ValueError, match="conjugates"):
+            fl.stability(broken, 1.0)
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9])
+    def test_a_slow_atom_in_a_broad_cavity_is_stable(self, ratio):
+        # omega = omega0 = 1e-3, kappa = 1e5: the soft mode damps at 1e-13 to
+        # 8e-12, which the complex eigensolver of M read as growth (+8.8e-13
+        # to +3.2e-11); the real form resolves the perturbative damping
+        p = DickeParams(1e-3, 1e-3, 0.0, 0.0, 1e5, 1e5)
+        lam = ratio * mfd.critical_coupling(p)
+        q = p.with_coupling(lam)
+        m = fl.dynamical_matrix(fl.hp_coefficients(mfd.trivial_state(q), q), q)
+        assert fl.stability(m, q.omega0) == "stable"
+        growth = float(np.max(fl._eigenvalues(m).real))
+        assert growth == pytest.approx(fl.soft_mode_perturbative(q, lam).imag, rel=0.15)
 
     @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
     def test_steady_moments_refuse_exactly_the_unstable_states(self, lam_prime):
@@ -384,12 +491,12 @@ def oracle_superradiant(q):
 def per_point(walk, omega0):
     """Reference rows (couplings, state vectors, flags, M stack) of a walk.
 
-    One oracle M and one ``eigvals`` call per state, in walk order.
+    One oracle M and one ``fl._eigenvalues`` call per state, in walk order.
     """
     lam, vectors, flags, matrices = [], [], [], []
     for q, state in walk:
         m = oracle_matrix(state, q)
-        growth = float(np.max(np.linalg.eigvals(m).real))
+        growth = float(np.max(fl._eigenvalues(m).real))
         tol = 1e-12 * omega0
         flags.append("stable" if growth < -tol
                      else "unstable" if growth > tol else "marginal")
@@ -466,7 +573,7 @@ def biased_walk(p, lams, ratio=None, solve=mfd.operating_point):
 
 
 def per_point_spectrum(p, lam_grid):
-    """Reference tracked spectrum and M stack: one ``eigvals`` call per coupling."""
+    """Reference tracked spectrum and M stack: one ``fl._eigenvalues`` call per coupling."""
     work = lam_grid
     if lam_grid[0] > 0.0:
         work = np.concatenate([np.linspace(0.0, lam_grid[0], 33)[:-1], lam_grid])
@@ -479,7 +586,7 @@ def per_point_spectrum(p, lam_grid):
     rows, matrices, pol = [], [], 0
     for q, state in walk:
         matrices.append(oracle_matrix(state, q))
-        freqs = 1j * np.linalg.eigvals(matrices[-1])
+        freqs = canonical(1j * fl._eigenvalues(matrices[-1]))
         if not rows:
             freqs = freqs[np.lexsort((freqs.imag, np.abs(freqs.real)))]
             pol = int(np.argmin(np.abs(freqs - p.omega0)))
