@@ -1,16 +1,21 @@
 """Physical-parameter mapping, mode functions and density profiles."""
 
 import math
+import re
 import warnings
 from dataclasses import fields
+from datetime import timedelta
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from opendicke import _solvers
+from opendicke import _solvers, params
 from opendicke.meanfield import MeanFieldState
-from opendicke.params import (DickeParams, ParameterError, PhysicalParams,
+from opendicke.params import (MAX_MAGNITUDE, DickeParams, ParameterError, PhysicalParams,
                               density_profile, map_to_dicke, mode_functions)
 
 from util import correlation_shift
@@ -65,6 +70,18 @@ class TestModeFunctions:
             overlap, _ = quad(lambda x: mf.cavity(x) * mf.excited(x),
                               mf.x_left, mf.x_right, epsrel=1e-10, limit=400)
             assert overlap >= 0.0
+
+    @pytest.mark.parametrize("d", [0.0, D_RATIO_120, -D_RATIO_120])
+    @pytest.mark.parametrize("mode", ["ground", "excited", "cavity"])
+    def test_a_float_gives_the_bits_of_a_one_element_array(self, mode, d):
+        # quad evaluates the modes on floats, density_profile on arrays
+        mf = mode_functions(build(d=d))
+        f = getattr(mf, mode)
+        for x in (mf.x_left, mf.x_right, *np.linspace(mf.x_left, mf.x_right, 257)[1:-1]):
+            x = float(x)
+            value = f(x)
+            assert isinstance(value, float)
+            assert value.hex() == float(f(np.array([x]))[0]).hex(), x
 
 
 class TestMapToDicke:
@@ -143,12 +160,136 @@ class TestMapToDicke:
         with pytest.raises(ParameterError, match=f"^{field} must "):
             dicke(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 1e155],
+                             ids=["inf", "minus-inf", "1e155"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
+    def test_infinite_or_huge_physical_field_is_refused(self, field, value):
+        # an infinite cavity_length mapped to lam = lam' = 0; an infinite or
+        # 1e155 cavity_wavevector escaped as OverflowError from round or ** 2
+        with pytest.raises(ParameterError, match=(
+                f"^{field} must be finite and at most 1e\\+30 in magnitude, "
+                f"got {re.escape(str(value))}$")):
+            build(**{field: value})
+
     def test_with_coupling_refuses_an_infinite_coupling(self):
         p = dicke()
         with pytest.raises(ParameterError, match="^lam must be finite, got inf$"):
             p.with_coupling(math.inf)
         with pytest.raises(ParameterError, match="^lam_prime must be finite, got -inf$"):
             p.with_coupling(5.0, -math.inf)
+
+
+def mapped_overlaps(p, monkeypatch):
+    """The three overlaps ``map_to_dicke`` integrates: excited (before the
+    orientation flips its sign), cavity squared and ground."""
+    found = []
+
+    def recorded(f, a, b):
+        found.append(overlap(f, a, b))
+        return found[-1]
+
+    overlap = params._overlap
+    monkeypatch.setattr(params, "_overlap", recorded)
+    params._oriented_modes.cache_clear()
+    map_to_dicke(p)
+    return found
+
+
+def closed_form_overlaps(p, mf):
+    """The three overlaps in closed form, in 40-digit mpmath on the float inputs.
+
+    sin(Gx)cos(k(x-a)) = [sin((G+k)x - ka) + sin((G-k)x + ka)]/2, and the
+    G - k term is written with a sinc, so that it stays exact at G = k.
+    """
+    with mpmath.workdps(40):
+        a, b = map(mpmath.mpf, p.support)
+        g, k = mpmath.mpf(p.cavity_wavevector), mpmath.mpf(mf.k_n)
+        width, length = mpmath.mpf(p.condensate_length), mpmath.mpf(p.cavity_length)
+        q = g - k
+        excited = mpmath.sqrt(2 / (width * length)) / 2 * (
+            (mpmath.cos(g * a) - mpmath.cos((g + k) * b - k * a)) / (g + k)
+            + (b - a) * mpmath.sin(q * (a + b) / 2 + k * a) * mpmath.sinc(q * (b - a) / 2))
+        cavity2 = ((b - a) / 2 - (mpmath.sin(2 * g * b) - mpmath.sin(2 * g * a)) / (4 * g)) / length
+        ground = (2 * mpmath.sin(g * (a + b) / 2) * mpmath.sin(g * (b - a) / 2)
+                  / (g * mpmath.sqrt(length * width)))
+        return excited, cavity2, ground
+
+
+#: (condensate length, displacement): fig5's geometry and its mirror, a
+#: sweep of displacements, the resonance G = k at length 40.5, and the two
+#: smallest lam' overlaps (|overlap| 3.8e-4 and 2.7e-4) of a wider scan, where
+#: quad sits 3.4e-12 and 1.4e-12 off.  Overlaps near zero (a symmetric trap's
+#: lam') are off by quad's absolute error, about 1e-15, and are not here.
+ORACLE_GEOMETRIES = [
+    (40.3, D_RATIO_120), (40.3, -D_RATIO_120),
+    *((40.3, d) for d in (-3.627, -0.403, 0.1209, 0.806, 2.821)),
+    *((40.5, d) for d in (-3.645, -2.025, 0.1215, 2.835)),
+    (20.3, -1.015), (40.3, -2.015),
+]
+
+
+class TestOverlapOracle:
+    """``quad``'s overlaps against their closed forms; the accuracy gate of the mapping."""
+
+    @pytest.mark.parametrize("length, d", ORACLE_GEOMETRIES)
+    def test_quad_overlaps_match_the_closed_forms(self, length, d, monkeypatch):
+        p = build(d=d, condensate_length=length)
+        found = mapped_overlaps(p, monkeypatch)
+        oracle = closed_form_overlaps(p, mode_functions(p))
+        assert len(found) == 3
+        for name, value, exact in zip(("excited", "cavity2", "ground"), found, oracle):
+            assert abs((value - exact) / exact) < 1e-11, name
+
+    def test_length_40_5_is_the_resonance(self):
+        # n = 81 at length 40.5 puts k_n within rounding of G
+        mf = mode_functions(build(condensate_length=40.5))
+        assert abs(mf.k_n - GEOMETRY["cavity_wavevector"]) < 1e-14
+
+    @pytest.mark.parametrize("length, d", [(40.3, D_RATIO_120), (40.5, -2.025)])
+    def test_closed_forms_match_mpmath_quadrature(self, length, d):
+        # the oracle itself, against 20-digit tanh-sinh quadrature over 40 pieces
+        p = build(d=d, condensate_length=length)
+        mf = mode_functions(p)
+        oracle = closed_form_overlaps(p, mf)
+        with mpmath.workdps(20):
+            a, b = map(mpmath.mpf, p.support)
+            g, k = mpmath.mpf(p.cavity_wavevector), mpmath.mpf(mf.k_n)
+            width, length = mpmath.mpf(p.condensate_length), mpmath.mpf(p.cavity_length)
+
+            def cavity(x):
+                return mpmath.sin(g * x) / mpmath.sqrt(length)
+
+            pieces = mpmath.linspace(a, b, 41)
+            integrals = (
+                mpmath.quad(lambda x: cavity(x) * mpmath.sqrt(2 / width)
+                            * mpmath.cos(k * (x - a)), pieces),
+                mpmath.quad(lambda x: cavity(x) ** 2, pieces),
+                mpmath.quad(lambda x: cavity(x) / mpmath.sqrt(width), pieces))
+            for value, exact in zip(integrals, oracle):
+                assert abs((value - exact) / exact) < 1e-18
+
+
+#: fig5's geometry
+FIG5 = {**GEOMETRY, "trap_displacement": D_RATIO_120, "hbar": 1.0}
+#: every field's boundary values: non-finite, zero, negative, extreme and
+#: at MAX_MAGNITUDE
+EXTREMES = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0, 1e300, -1e300,
+                            1e-300, -1e-300, MAX_MAGNITUDE, -MAX_MAGNITUDE,
+                            1.0 / MAX_MAGNITUDE]) | st.floats()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMapBoundary:
+    @settings(max_examples=300, deadline=timedelta(seconds=2), database=None)
+    @given(changed=st.dictionaries(st.sampled_from(list(FIG5)), EXTREMES))
+    def test_maps_to_finite_params_or_refuses(self, changed):
+        # fig5's geometry with any fields replaced by boundary values
+        try:
+            dk = map_to_dicke(PhysicalParams(**{**FIG5, **changed}))
+        except ParameterError as exc:
+            assert str(exc)
+            return
+        assert all(math.isfinite(v) for v in vars(dk).values())
 
 
 class TestQuadShim:
