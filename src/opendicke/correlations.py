@@ -4,7 +4,9 @@ Below threshold the photons leaking out of the cavity carry the statistics
 of the intracavity fluctuations.  Their dynamics is written only once, as
 the 4x4 matrix ``fluctuations.dynamical_matrix`` M; the equal-time second
 moments S_ij = <x_i x_j> solve the Lyapunov equation M S + S M^T + Q = 0,
-with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q.
+with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q,
+and each has a closed form, rational in omega, kappa and M's atomic
+entries (``steady_moments``).
 Two-time correlators follow either by contour integration of the
 frequency-domain Langevin solution driven by vacuum noise (a sum over the
 eigenvalues of M, sampled at tau_0 + k dtau from two small tables of
@@ -27,18 +29,12 @@ import numpy as np
 
 from ._expsum import uniform_samples
 from ._solvers import solve_ivp
-from .fluctuations import (ValidityError, _walk_stack, dynamical_matrix, hp_coefficients,
+from .fluctuations import (_eigenvalues, _walk_stack, dynamical_matrix, hp_coefficients,
                            stability)
 from .meanfield import MeanFieldState, _sorted_grid, critical_coupling, operating_point
 from .params import DickeParams
 
 NEAR_THRESHOLD_GUARD = 1e-6
-#: smallest rate at which the coupling may damp the atomic mode in
-#: ``steady_moments``: with omega, kappa and omega0 from 1e-3 to 1e8 the
-#: moment solve returned NaN, a singular matrix or a degraded moment exactly
-#: where that rate fell below about 1e-308.  At the canonical point (omega =
-#: 300, kappa = 200, omega0 = 1, lam' = 0) the bound is lam = 8.4e-151
-WEAKEST_DAMPING = 1e-305
 
 #: positions of the fluctuation operators in x = (c, c+, d, d+), the vector
 #: that ``fluctuations.dynamical_matrix`` M acts on
@@ -117,55 +113,60 @@ def _resolve_operating_point(p: DickeParams, lam: np.ndarray | None = None
 
 
 def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
-    """Steady moments from the Lyapunov equation M S + S M^T + Q = 0.
+    """Steady moments of M S + S M^T + Q = 0, each in closed form.
 
-    ``m`` is the dynamical matrix at the operating point, or a (rows, 4, 4)
-    stack of them, whose moments come from one ``stability`` call and one
-    batched solve; omitted, the operating point is resolved from the
-    parameters (trivial state for lam' = 0, the bracketed root of
-    ``meanfield.operating_point`` otherwise).  A generator that
-    ``fluctuations.stability`` finds unstable is refused as threshold
-    proximity, a marginal one passes; a coupling that damps the atomic mode
-    more weakly than ``WEAKEST_DAMPING`` is refused as too weak to resolve
-    (ValidityError).  In a stack the first refused row raises as it does
-    alone.
+    In M's real quadrature form R (``fluctuations._quadrature_terms``) the
+    equation is R V + V R^T + diag(kappa, kappa, 0, 0) = 0 (Dimer et al.,
+    PRA 75, 013804 (2007)), solved once symbolically.  With g2 = -Im M[c, d],
+    2 g1 = -Im M[d, d+], omega0' + 2 g1 = -Im M[d, d], s = omega^2 + kappa^2
+    and Delta = (omega0' + 4 g1) s - 4 g2^2 omega (det R = omega0' Delta),
+    each normal-ordered moment is its own fraction, here in delta = Delta / s:
+
+        <c+c> = g2^2 / (2 omega delta),   <cc> = <c+c> (omega + i kappa)^2 / s
+        <cd>, <cd+> = -/+ g2 / (4 omega) - g2 (omega + i kappa) / (4 omega delta)
+        <dd>  = -(g1 omega0' delta + g1 s - g2^2 omega) / (2 omega omega0' delta)
+        <d+d> = [((omega - omega0')^2 + kappa^2 + 2 g1 omega0') delta
+                 - 2 (g1 s - g2^2 omega)] / (4 omega omega0' delta)
+
+    the rest being conjugates and transposes.  A row with g2 = 0 (lam = 0)
+    has decoupled modes and all moments 0: its atomic moments are conserved,
+    not fixed by the equation, although <d+d> tends to ((omega - omega0')^2
+    + kappa^2) / (4 omega omega0') as g2 -> 0+ (107.8 at the canonical
+    point; the effective temperature of Dalla Torre et al., PRA 87, 023831
+    (2013)).  ``m`` is the dynamical matrix at the operating point or a
+    (rows, 4, 4) stack of them, resolved from p when omitted.  An M that
+    ``fluctuations.stability`` finds unstable (a marginal one passes) and a
+    singular equation (omega0' Delta = 0, or a moment past the float range)
+    raise ThresholdError; in a stack the first refused row raises as it
+    does alone.
     """
     if m is None:
         _, m = _resolve_operating_point(p)
-    values = np.zeros(m.shape, dtype=complex)
-    # decoupled modes (g1 = g2 = 0) with vacuum input: every moment vanishes
-    # (the undriven atomic moments are conserved, so the equation is singular)
-    live = (m[..., C, D] != 0.0) | (m[..., D, DDAG] != 0.0)
-    coupled = m[live]                                   # (rows, 4, 4), also for one M
-    # to second order in g2 the cavity damps the atomic mode at g2^2 * rate,
-    # rate = 4 kappa omega nu / (((omega - nu)^2 + kappa^2) ((omega + nu)^2 + kappa^2))
-    # with nu^2 = |omega0' (omega0' + 4 g1)|, the atomic block's own frequency;
-    # a row whose rate overflows is left out of the test.  -Im M[c, d],
-    # M[d, d] and M[d, d+] are g2, omega0' + 2 g1 and 2 g1
-    g2, diag, off = (-coupled[:, i, j].imag for i, j in ((C, D), (D, D), (D, DDAG)))
     w, k = p.omega, p.kappa
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = np.sqrt(abs(diag * diag - off * off))
-        rate = 4.0 * k * w * nu / (((w - nu) ** 2 + k * k) * ((w + nu) ** 2 + k * k))
-        weak = (g2 * g2 * rate < WEAKEST_DAMPING) & (rate > 0.0)
-    refused = np.flatnonzero(weak | (stability(coupled, p.omega0) == "unstable"))
-    noise = np.zeros((4, 4), dtype=complex)
-    noise[C, CDAG] = 2.0 * p.kappa
-    # row-major vec(M S + S M^T) = (M (x) I + I (x) M) vec(S); np.kron takes
-    # the stack's leading axis along
-    eye = np.eye(4)
-    head = coupled[:refused[0]] if refused.size else coupled
-    try:
-        s = np.linalg.solve(np.kron(head, eye) + np.kron(eye, head), -noise.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise ThresholdError("moment equation is singular (criticality)") from exc
-    if refused.size and weak[refused[0]]:
-        g, r = float(g2[refused[0]]), float(rate[refused[0]])
-        raise ValidityError(f"coupling g2 = {g} is too weak to resolve the steady moments: "
-                            f"it damps the atomic mode at {g * g * r:.3g} < {WEAKEST_DAMPING:g}")
-    if refused.size:
+    g2, off, diag = (-m[..., i, j].imag for i, j in ((C, D), (D, DDAG), (D, D)))
+    g1, w0p, s = 0.5 * off, diag - off, w * w + k * k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = diag + off - 4.0 * g2 * g2 * w / s
+        photons = g2 * g2 / (2.0 * w * delta)
+        cross = -g2 * complex(w, k) / (4.0 * w * delta)
+        shift, detuning = g1 * s - g2 * g2 * w, w - w0p
+        free = {(C, C): photons * (complex(w, k) ** 2 / s), (C, CDAG): photons,
+                (C, D): cross - g2 / (4.0 * w), (C, DDAG): cross + g2 / (4.0 * w),
+                (D, D): -(g1 * w0p * delta + shift) / (2.0 * w * w0p * delta),
+                (D, DDAG): ((detuning * detuning + k * k + 2.0 * g1 * w0p) * delta - 2.0 * shift)
+                / (4.0 * w * w0p * delta)}
+    values = np.empty(m.shape, dtype=complex)
+    for (i, j), v in free.items():
+        # normal order makes the matrix symmetric; x_i+ sits at index i ^ 1
+        values[..., i, j] = values[..., j, i] = v
+        values[..., i ^ 1, j ^ 1] = values[..., j ^ 1, i ^ 1] = np.conj(v)
+    values[g2 == 0.0] = 0.0
+    unstable = stability(m, p.omega0) == "unstable"
+    refused = np.flatnonzero(unstable | ~np.isfinite(values).all(axis=(-2, -1)))
+    if refused.size and np.ravel(unstable)[refused[0]]:
         raise ThresholdError("fluctuation dynamics is not stable at this point")
-    values[live] = s.reshape(-1, 4, 4) - _COMMUTATORS
+    if refused.size:
+        raise ThresholdError("moment equation is singular (criticality)")
     return MomentVector(values)
 
 
@@ -361,8 +362,6 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
     frequency route.
     """
     v0 = np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
-    # <c+c> is an occupation number; drop the rounding in its imaginary part
-    v0[CDAG] = moments.photon_number
     n = tau.size
     first = _propagator(m, float(tau[0])) @ v0
     step = _propagator(m, float(tau[-1] - tau[0]) / (n - 1))
@@ -397,7 +396,7 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
     ss, m = resolved if resolved is not None else _resolve_operating_point(p)
     moments = steady_moments(p, m)
 
-    soft_freq = min(np.abs(np.linalg.eigvals(m).imag))
+    soft_freq = min(np.abs(_eigenvalues(m).imag))
     if soft_freq > 0 and math.pi / float(steps[0]) < 2.0 * soft_freq:
         warnings.warn(
             f"tau grid spacing {steps[0]:.3g} cannot resolve the soft-mode "
@@ -453,10 +452,9 @@ def default_tau_grid(p: DickeParams, n: int = 2 ** 14,
     """
     if m is None:
         _, m = _resolve_operating_point(p)
-    mu = np.linalg.eigvals(m)
-    slow = -float(np.max(mu.real))
+    slow = -float(np.max(_eigenvalues(m).real))
     if slow <= 0:
-        raise ThresholdError("no decaying steady state: tau grid undefined")
+        raise ThresholdError("the soft mode is undamped to rounding: tau grid undefined")
     span = 20.0 / slow
     span = min(span, n * math.pi / (8.0 * p.omega0))
     return np.linspace(0.0, span, n)

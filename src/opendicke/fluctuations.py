@@ -13,10 +13,9 @@ appears as a negative imaginary part, matching the plotted spectra.
 In each mode's quadratures x = (a + a^dag)/sqrt(2), p = -i (a - a^dag)/sqrt(2)
 M is the real matrix R = T M T^dag (the form of Dimer et al., PRA 75, 013804
 (2007)), whose real eigensolve costs half the complex one; ``stability``
-and ``spectrum_sweep`` take their eigenvalues from it (``_eigenvalues``).
-The frequency route's residues need M's eigenvectors in the c basis, and
-the tau grids of ``correlations`` keep their complex ``eigvals``, so they
-keep the complex M.
+and ``spectrum_sweep`` take their eigenvalues from it (``_eigenvalues``),
+as do the tau grids of ``correlations``.  The frequency route's residues
+need M's eigenvectors in the c basis, so they keep the complex M.
 """
 
 from __future__ import annotations

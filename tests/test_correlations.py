@@ -1,11 +1,16 @@
 """Moment system, two-time correlators, g2 and its spectrum."""
 
+import itertools
 import math
 import re
 import warnings
+from datetime import timedelta
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from opendicke import correlations as corr
@@ -69,6 +74,114 @@ class TestSteadyMoments:
             corr.steady_moments(params(lam=LC * (1 - 1e-8)))
 
 
+def lyapunov_oracle(m, kappa):
+    """Normal-ordered moments of M S + S M^T + Q = 0 from a 50-digit solve of its 16 equations."""
+    with mpmath.workdps(50):
+        entries = [[mpmath.mpc(complex(x)) for x in row] for row in m]
+        a = mpmath.matrix(16, 16)
+        for i, j, k in itertools.product(range(4), repeat=3):
+            a[4 * i + j, 4 * k + j] += entries[i][k]
+            a[4 * i + j, 4 * i + k] += entries[j][k]
+        q = mpmath.matrix(16, 1)
+        q[4 * corr.C + corr.CDAG] = -2 * mpmath.mpf(kappa)
+        s = mpmath.lu_solve(a, q)
+        return np.array([complex(s[r]) for r in range(16)]).reshape(4, 4) - corr._COMMUTATORS
+
+
+def oracle_box(seed, exponents, omega0):
+    """40 draws of omega and kappa (and omega0 if not given) log-uniform over ``exponents``.
+
+    Every second draw is biased, lam'/lam log-uniform in [1e-5, 1e-1]; each
+    draw gives three points, at 0.1, 0.5 and 0.9 lam_c, with N = 1e5.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(40):
+        w, kappa, *rest = 10.0 ** rng.uniform(*exponents, 2 if omega0 else 3)
+        ratio = 10.0 ** rng.uniform(-5.0, -1.0) if k % 2 else 0.0
+        p = DickeParams(w, omega0 or rest[0], 1.0, 0.0, kappa, 1e5)
+        for f in (0.1, 0.5, 0.9):
+            lam = f * mfd.critical_coupling(p)
+            yield p.with_coupling(lam, ratio * lam)
+
+
+def extreme_ratios():
+    """The points where a 16x16 Kronecker solve of the moments was off by up to 57%, silently.
+
+    (omega, kappa, omega0) = (1e5, 1e-3, 1e-3), (300, 1e5, 1e-3) and (1e-3,
+    1e5, 1e-3), each at 0.1, 0.5 and 0.9 lam_c, with N = 1e5.
+    """
+    for (w, k, w0), f in itertools.product(
+            [(1e5, 1e-3, 1e-3), (300.0, 1e5, 1e-3), (1e-3, 1e5, 1e-3)], (0.1, 0.5, 0.9)):
+        p = DickeParams(w, w0, 1.0, 0.0, k, 1e5)
+        yield p.with_coupling(f * mfd.critical_coupling(p))
+
+
+class TestMomentOracle:
+    """Every moment against a 50-digit solve of the same M, within 1e-12 of the largest."""
+
+    @staticmethod
+    def worst(points):
+        worst = 0.0
+        for q in points:
+            _, m = corr._resolve_operating_point(q)
+            want = lyapunov_oracle(m, q.kappa)
+            got = corr.steady_moments(q, m).values
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        return worst
+
+    @pytest.mark.parametrize("seed, exponents, omega0", [
+        (2041, (-1.0, 5.0), 1.0), (4117, (-3.0, 8.0), None)], ids=["physical", "wide"])
+    def test_boxes(self, seed, exponents, omega0):
+        # physical: omega0 = 1, omega and kappa in [0.1, 1e5]; wide: all
+        # three in [1e-3, 1e8]
+        assert self.worst(oracle_box(seed, exponents, omega0)) < 1e-12
+
+    def test_extreme_frequency_ratios(self):
+        assert self.worst(extreme_ratios()) < 1e-12
+        for q in extreme_ratios():
+            n = corr.photon_number_closed_form(q)
+            assert abs(corr.steady_moments(q).photon_number - n) < 1e-14 * n
+
+    def test_singular_equation_is_refused(self):
+        # omega = kappa = 1, omega0' = 2, g1 = 0 and g2 = 1: Delta = 2 * 2 - 4 * 1 = 0
+        p = DickeParams(1.0, 2.0, 1.0, 0.0, 1.0, 1e5)
+        m = fl.dynamical_matrix(fl.HPCoefficients(2.0, 0.0, 1.0, 0j, 0.0), p)
+        assert fl.stability(m, p.omega0) == "marginal"
+        good = fl.dynamical_matrix(fl.HPCoefficients(2.0, 0.0, 0.5, 0j, 0.0), p)
+        for stack in (m, np.stack([good, m, good])):
+            with pytest.raises(corr.ThresholdError,
+                               match=r"^moment equation is singular \(criticality\)$"):
+                corr.steady_moments(p, stack)
+
+
+#: omega, kappa or omega0 log-uniform in [1e-3, 1e8], the wide box
+WIDE = st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMomentBoundary:
+    """Finite moments with |<cc>| = <c+c>, or a refusal with a message, over the wide box."""
+
+    @settings(max_examples=150, deadline=timedelta(seconds=2), database=None)
+    @given(w=WIDE, kappa=WIDE, w0=WIDE, fraction=st.floats(0.0, 1.5),
+           ratio=st.just(0.0) | st.floats(-5.0, -1.0).map(lambda e: 10.0 ** e),
+           n=st.floats(2.0, 8.0).map(lambda e: 10.0 ** e))
+    def test_moments_and_flux(self, w, kappa, w0, fraction, ratio, n):
+        p = DickeParams(w, w0, 1.0, 0.0, kappa, n)
+        lam = fraction * mfd.critical_coupling(p)
+        q = p.with_coupling(lam, ratio * lam)
+        try:
+            moments = corr.steady_moments(q)
+            flux = corr.photon_flux(q)
+        except (corr.ThresholdError, fl.ValidityError) as exc:
+            assert str(exc)
+            return
+        assert np.isfinite(moments.values).all() and math.isfinite(flux) and flux >= 0.0
+        # a subnormal photon number carries no relative accuracy
+        photons = moments.photon_number
+        assert abs(abs(moments.cc) - photons) <= 1e-12 * photons + np.finfo(float).tiny
+
+
 class TestPhotonFlux:
     def test_vanishes_without_drive(self):
         assert corr.photon_flux(params(lam=0.0)) == pytest.approx(0.0, abs=1e-20)
@@ -120,31 +233,18 @@ class TestPhotonFlux:
         alone = [corr.photon_flux(p.with_coupling(x)) for x in lam.tolist()]
         assert corr.photon_flux(p, lam).tobytes() == np.array(alone).tobytes()
 
-    def test_tiny_couplings_give_the_closed_form_or_are_refused(self):
-        # the moment solve fails where the atomic mode's damping underflows
-        # (NaN from lam = 1e-152, a singular matrix from 3.2e-160 down): such
-        # a coupling is refused as too weak, never as criticality
+    def test_tiny_couplings_give_the_closed_form(self):
+        # the closed-form moments need no damping to resolve a coupling: every
+        # coupling down to the smallest float gives the closed-form flux,
+        # singly and as one grid, subnormal photon numbers included
         p = params()
-        lam = np.append(5e-324, 10.0 ** -np.arange(170.0, 139.9, -0.5))
-        refused = "is too weak to resolve the steady moments"
-        resolved = []
-        for x in lam.tolist():
-            q = p.with_coupling(x)
-            try:
-                flux = corr.photon_flux(q)
-            except fl.ValidityError as exc:
-                assert f"coupling g2 = {x} {refused}" in str(exc)
-                assert "criticality" not in str(exc)
-                continue
-            closed = 2.0 * q.kappa * corr.photon_number_closed_form(q)
-            assert math.isfinite(flux) and abs(flux - closed) <= 1e-12 * closed
-            resolved.append(x)
-        assert 1e-150 in resolved and 1e-152 not in resolved
-        with pytest.raises(fl.ValidityError, match=f"^coupling g2 = 5e-324 {refused}"):
-            corr.photon_flux(p, lam)
-        grid = np.array(resolved)
-        closed = [2.0 * p.kappa * corr.photon_number_closed_form(p, x) for x in resolved]
-        assert np.all(np.abs(corr.photon_flux(p, grid) - closed) <= 1e-12 * np.array(closed))
+        lam = np.append(5e-324, 10.0 ** -np.arange(323.0, 139.9, -0.5))
+        closed = np.array([2.0 * p.kappa * corr.photon_number_closed_form(p, x)
+                           for x in lam.tolist()])
+        alone = np.array([corr.photon_flux(p.with_coupling(x)) for x in lam.tolist()])
+        assert np.all(np.abs(alone - closed) <= 1e-12 * closed)
+        assert np.all(np.abs(corr.photon_flux(p, lam) - closed) <= 1e-12 * closed)
+        assert closed[-1] > 0.0
         # lam = 0 stays exactly decoupled
         assert corr.photon_flux(p, [0.0, 1e-140]).tolist()[0] == 0.0
         assert not corr.steady_moments(p).values.any()
@@ -158,7 +258,7 @@ class TestPhotonFlux:
 
     @pytest.mark.parametrize("lam", [
         [2.0, 9.0, LC, 12.0], [2.0, LC * (1 - 1e-8)], [1e-170, 20.0], [-1.0, 2.0]],
-        ids=["at-threshold", "near-threshold", "too-weak-before-threshold", "negative"])
+        ids=["at-threshold", "near-threshold", "tiny-before-threshold", "negative"])
     def test_grid_raises_what_the_first_failing_point_raises(self, lam):
         p = params()
         with pytest.raises((ValueError, corr.ThresholdError)) as alone:
@@ -417,6 +517,19 @@ class TestG2:
 
 
 class TestDefaultTauGrid:
+    def test_grid_wherever_stability_finds_damping(self):
+        # one eigensolver with ``stability``: at omega = omega0 = 1e-3 and
+        # kappa = 1e5 it resolves a soft-mode damping near 1e-13
+        p = DickeParams(1e-3, 1e-3, 1.0, 0.0, 1e5, 1e5)
+        for f in (0.1, 0.5, 0.9):
+            q = p.with_coupling(f * mfd.critical_coupling(p))
+            _, m = corr._resolve_operating_point(q)
+            assert fl.stability(m, q.omega0) == "stable"
+            assert corr.default_tau_grid(q, 64, m)[-1] > 0.0
+        # decoupled at lam = 0, the atomic mode is not damped at all
+        with pytest.raises(corr.ThresholdError, match="^the soft mode is undamped to rounding"):
+            corr.default_tau_grid(params(lam=0.0))
+
     def test_resolves_envelope_and_oscillation(self):
         q = params(lam=0.7 * LC)
         tau = corr.default_tau_grid(q)
