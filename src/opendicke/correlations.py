@@ -7,16 +7,18 @@ moments S_ij = <x_i x_j> solve the Lyapunov equation M S + S M^T + Q = 0,
 with the vacuum input noise 2 kappa <c_in c_in+> as the one entry of Q,
 and each has a closed form, rational in omega, kappa and M's atomic
 entries (``steady_moments``).
-Two-time correlators follow either by contour integration of the
-frequency-domain Langevin solution driven by vacuum noise (a sum over the
-eigenvalues of M, sampled at tau_0 + k dtau from two small tables of
-exponentials), or by quantum regression: the steady moments are
-propagated exactly along the uniform tau grid by the powers of
-exp(M dtau), formed by repeated squaring; exp(M dtau) itself is built from
-one ODE run of d Phi/d tau = M Phi by scaling and squaring, without an
-eigendecomposition.  Both routes are implemented and must agree.  The
-steady moments and the photon flux also come for a whole coupling grid
-from one stack of M.
+By the quantum-regression theorem the two-time correlators v_k(tau) =
+<x_k(t+tau) c(t)> obey d v/d tau = M v from the steady moments v0_k =
+<x_k c>, the tau = 0 data of both routes.  The frequency route integrates
+the frequency-domain solution (-i nu - M)^-1 v0 around M's eigenvalues, a
+sum of residues sampled at tau_0 + k dtau from two small tables of
+exponentials; the regression route propagates v0 exactly along the uniform
+tau grid by the powers of exp(M dtau), formed by repeated squaring, and
+builds exp(M dtau) itself from one ODE run of d Phi/d tau = M Phi by
+scaling and squaring, without an eigendecomposition.  Both routes are
+implemented and must agree: they share M and v0 and differ in how they
+propagate.  The steady moments and the photon flux also come for a whole
+coupling grid from one stack of M.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from ._expsum import uniform_samples
 from ._solvers import solve_ivp
-from .fluctuations import (_eigenvalues, _walk_stack, dynamical_matrix, hp_coefficients,
-                           stability)
+from .fluctuations import (ValidityError, _eigenvalues, _walk_stack, dynamical_matrix,
+                           hp_coefficients, stability)
 from .meanfield import MeanFieldState, _sorted_grid, critical_coupling, operating_point
 from .params import DickeParams
 
@@ -252,23 +254,23 @@ class CorrelationSeries:
     photon_number: float
 
 
-def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
+def _correlators_frequency(m: np.ndarray, moments: MomentVector, tau: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Contour-integrated frequency-domain solution on the tau grid.
 
-    With S(nu) = (-i nu I - M)^{-1} and vacuum input entering only through
-    the commutator spectrum <a_in a_in+> the correlators are sums of
-    exp(mu_k tau) over the eigenvalues of M:
+    The regression equation d v/d tau = M v solves in the frequency domain
+    as v(nu) = (-i nu I - M)^-1 v0; closing the contour around M's
+    eigenvalues mu_k leaves one residue per pole (``_residues``),
 
-    <c (t+tau) c(t)> = -2k sum_kl P_k R_l e^{mu_k tau} / (mu_k + mu_l)
-    <c+(t+tau) c(t)> = -2k sum_kl Q_k R_l e^{mu_k tau} / (mu_k + mu_l)
+        v(tau) = sum_k V[:, k] (V^-1 v0)_k e^{mu_k tau},   M = V diag(mu) V^-1,
 
-    with P_k = V_1k (V^-1)_k1, Q_k = V_2k (V^-1)_k1, R_l = V_1l (V^-1)_l2
-    (``_residues``), sampled at tau_0 + k dtau, dtau = (tau[-1] - tau_0) /
-    (n - 1), by ``_expsum.uniform_samples``: 2 ceil(sqrt(n)) rows of four
-    exponentials, not n.  M has passed ``steady_moments``' stability check.
+    with v0 the steady moments <x_k c> (``_seed``).  Rows c+ and c of v
+    are <c+(t+tau) c(t)> and <c(t+tau) c(t)>, sampled at tau_0 + k dtau,
+    dtau = (tau[-1] - tau_0) / (n - 1), by ``_expsum.uniform_samples``:
+    2 ceil(sqrt(n)) rows of four exponentials, not n.  M has passed
+    ``steady_moments``' stability check.
     """
-    mu, amp = _residues(m, kappa)
+    mu, amp = _residues(m, _seed(moments))
     n = tau.size
     dtau = float(tau[-1] - tau[0]) / (n - 1)
     y = uniform_samples(amp, lambda t: np.exp(np.multiply.outer(t, mu)),
@@ -276,25 +278,20 @@ def _correlators_frequency(m: np.ndarray, kappa: float, tau: np.ndarray
     return y[0], y[1]
 
 
-def _residues(m: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+def _residues(m: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues mu of M and the amplitudes of their exponentials, a row per correlator.
 
-    Row 0 is -2k Q_k sum_l R_l / (mu_k + mu_l), of <c+(t+tau) c(t)>; row 1
-    is -2k P_k sum_l R_l / (mu_k + mu_l), of <c(t+tau) c(t)>.
+    The residue of (-i nu I - M)^-1 v0 at mu_k is V[:, k] (V^-1 v0)_k; row
+    0 holds its c+ entries, of <c+(t+tau) c(t)>, and row 1 its c entries,
+    of <c(t+tau) c(t)>.
     """
     mu, v = np.linalg.eig(m)
-    v_inv = np.linalg.inv(v)
-    p_k = v[0, :] * v_inv[:, 0]
-    q_k = v[1, :] * v_inv[:, 0]
-    r_l = v[0, :] * v_inv[:, 1]
-    denom = mu[:, None] + mu[None, :]
-    # modes decoupled from the input noise contribute nothing; masking them
-    # keeps marginal (undamped, decoupled) modes from producing 0/0
-    terms = np.zeros_like(denom)
-    live = np.abs(r_l) > 1e-300
-    terms[:, live] = r_l[live][None, :] / denom[:, live]
-    weight = terms.sum(axis=1)
-    return mu, -2.0 * kappa * np.stack([q_k, p_k]) * weight
+    return mu, v[[CDAG, C], :] * np.linalg.solve(v, v0)
+
+
+def _seed(moments: MomentVector) -> np.ndarray:
+    """v0_k = <x_k c> for x = (c, c+, d, d+), the tau = 0 data of both correlator routes."""
+    return np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
 
 
 #: largest ||M h||_1 integrated directly by ``_propagator``; longer steps
@@ -355,15 +352,14 @@ def _correlators_regression(m: np.ndarray, moments: MomentVector, tau: np.ndarra
     """Quantum-regression propagation d v/d tau = M v from the steady moments.
 
     v_k = <x_k(t+tau) c(t)> for x = (c, c+, d, d+), seeded at tau = 0 by
-    the steady moments <x_k c>, carried to the grid's first point by
-    exp(M tau_0) and along the uniform grid by the powers of E = exp(M dtau)
-    (``_propagator``), which ``_propagate`` forms by repeated squaring.  No
-    eigendecomposition is used, so the route stays independent of the
-    frequency route.
+    the steady moments <x_k c> (``_seed``), carried to the grid's first
+    point by exp(M tau_0) and along the uniform grid by the powers of E =
+    exp(M dtau) (``_propagator``), which ``_propagate`` forms by repeated
+    squaring.  No eigendecomposition is used, so the route checks the
+    frequency route's propagation.
     """
-    v0 = np.array([moments.pair(k, C) for k in range(4)], dtype=complex)
     n = tau.size
-    first = _propagator(m, float(tau[0])) @ v0
+    first = _propagator(m, float(tau[0])) @ _seed(moments)
     step = _propagator(m, float(tau[-1] - tau[0]) / (n - 1))
     v = _propagate(step, first, n)
     return v[:, CDAG], v[:, C]
@@ -376,9 +372,11 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
 
     ``method`` selects the frequency-domain route ("frequency"), the
     quantum-regression route ("regression"), or "both", which computes the
-    two independently and fails loudly if they disagree beyond 1e-6
-    relative to the correlator scale.  ``resolved`` is the operating point
-    and dynamical matrix of ``p`` when the caller has them already.
+    two and fails loudly if they disagree beyond 1e-6 relative to the
+    correlator scale.  Both routes take M and the steady moments' seed
+    v0 = <x_k c>, so "both" checks their propagation: M's eigenvectors
+    against exp(M dtau) from an ODE run.  ``resolved`` is the operating
+    point and dynamical matrix of ``p`` when the caller has them already.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 2:
@@ -402,13 +400,9 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
             f"tau grid spacing {steps[0]:.3g} cannot resolve the soft-mode "
             f"oscillation at 2*{soft_freq:.3g}", stacklevel=2)
 
-    if method == "frequency":
-        cdagc_tau, cc_tau = _correlators_frequency(m, p.kappa, tau)
-    elif method == "regression":
-        cdagc_tau, cc_tau = _correlators_regression(m, moments, tau)
-    elif method == "both":
-        f1 = _correlators_frequency(m, p.kappa, tau)
-        f2 = _correlators_regression(m, moments, tau)
+    routes = {"frequency": _correlators_frequency, "regression": _correlators_regression}
+    if method == "both":
+        f1, f2 = (route(m, moments, tau) for route in routes.values())
         scale = max(np.max(np.abs(f1[0])), np.max(np.abs(f1[1])))
         err = max(np.max(np.abs(f1[0] - f2[0])), np.max(np.abs(f1[1] - f2[1])))
         if err > 1e-6 * scale:
@@ -416,6 +410,8 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
                 f"frequency-domain and regression correlators disagree: "
                 f"{err:.3e} vs scale {scale:.3e}")
         cdagc_tau, cc_tau = f1
+    elif method in routes:
+        cdagc_tau, cc_tau = routes[method](m, moments, tau)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -430,11 +426,13 @@ def assemble_g2(cdagc_tau, cc_tau, photon_number: float, alpha_ss: complex
 
     g1 = (<c+(t+tau)c(t)> + |a|^2) / (<c+c> + |a|^2)
     g2 = 1 + |g1|^2 + (|<c(t+tau)c(t)> + a^2|^2 - 2|a|^4) / (<c+c> + |a|^2)^2
+
+    A total photon number below 1e-30 raises ValidityError.
     """
     a2 = abs(alpha_ss) ** 2
     total = photon_number + a2
     if total < 1e-30:
-        raise ZeroDivisionError("total photon number vanishes; g2 undefined")
+        raise ValidityError(f"total photon number {total:.3g} is below 1e-30: g2 not resolved")
     g1 = (np.asarray(cdagc_tau) + a2) / total
     anomalous = np.abs(np.asarray(cc_tau) + alpha_ss ** 2) ** 2 - 2.0 * a2 ** 2
     g2_vals = 1.0 + np.abs(g1) ** 2 + anomalous / total ** 2

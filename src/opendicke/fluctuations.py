@@ -15,7 +15,8 @@ M is the real matrix R = T M T^dag (the form of Dimer et al., PRA 75, 013804
 (2007)), whose real eigensolve costs half the complex one; ``stability``
 and ``spectrum_sweep`` take their eigenvalues from it (``_eigenvalues``),
 as do the tau grids of ``correlations``.  The frequency route's residues
-need M's eigenvectors in the c basis, so they keep the complex M.
+project the steady moments onto M's eigenvectors in the c basis, so they
+keep the complex M.
 """
 
 from __future__ import annotations
@@ -121,22 +122,35 @@ def dynamical_matrix(c: HPCoefficients, p: DickeParams) -> np.ndarray:
 def stability(m: np.ndarray, omega0: float) -> str | np.ndarray:
     """"stable", "unstable" or "marginal" by the largest growth rate Re mu of M.
 
-    A growth rate within 1e-12 omega0 of zero is marginal: at lam = 1e-6
-    omega0 on the canonical operating point the normal phase grows at
-    +1.1e-16 omega0 from rounding alone.  A ``(..., 4, 4)`` stack is
-    classified by one eigenvalue call into an array of labels of shape
-    ``(...)``; a single matrix gets a ``str``.  The eigenvalues are those
-    of M's real quadrature form (``_eigenvalues``), so M must have the
-    structure of a ``dynamical_matrix``, its c^dag and d^dag rows the
+    A damping rate above 1e-12 omega0 is stable, a growth rate above
+    max(1e-12 omega0, 0.1 eps max|M|) unstable, with eps the float epsilon,
+    and anything between marginal.  Growth must clear the eigensolve's
+    rounding, which scales with M's largest entry: at lam = 1e-6 omega0 on
+    the canonical operating point the normal phase grows at +1.1e-16
+    omega0 from rounding alone, where eps max|M| is 8e-14 omega0; at omega
+    = 22.3, kappa = 1.09e7, omega0 = 0.0187 and 0.1 lam_c a 60-digit solve
+    of the same M damps at 3.2e-13, and the eigensolve reads growth of
+    +1.8e-10 = 0.076 eps max|M| (0.1 is the smallest power of ten above
+    that).  A damping is taken as computed: at omega = omega0 = 1e-3 and
+    kappa = 1e5 the real form resolves one of 1e-13 = 0.0045 eps max|M|,
+    which a band on both sides would call marginal.  A ``(..., 4, 4)``
+    stack is classified by one eigenvalue call into an array of labels of
+    shape ``(...)``; a single matrix gets a ``str``.  The eigenvalues are
+    those of M's real quadrature form (``_eigenvalues``), so M must have
+    the structure of a ``dynamical_matrix``, its c^dag and d^dag rows the
     conjugates of its c and d rows; any other matrix raises ValueError.
     """
     growth = _eigenvalues(m).real.max(axis=-1)
     tol = 1e-12 * omega0
-    verdict = _VERDICTS[1 + (growth > tol).astype(int) - (growth < -tol)]
+    rounding = 0.1 * _EPS * np.abs(m).max(axis=(-2, -1))
+    verdict = _VERDICTS[1 + (growth > np.maximum(tol, rounding)).astype(int) - (growth < -tol)]
     return str(verdict) if verdict.ndim == 0 else verdict
 
 
-#: ``stability``'s labels, indexed by 1 + (growth > tol) - (growth < -tol)
+#: the float epsilon, the relative rounding of the eigensolve
+_EPS = np.finfo(float).eps
+
+#: ``stability``'s labels, indexed by 1 + (growth beyond rounding) - (damping)
 _VERDICTS = np.array(["stable", "marginal", "unstable"])
 
 

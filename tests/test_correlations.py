@@ -18,7 +18,7 @@ from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke.params import DickeParams
 
-from util import alternation_ratio, loglog_slope, refined_peak_heights
+from util import alternation_ratio, expm_reference, loglog_slope, refined_peak_heights
 
 OMEGA, KAPPA = 300.0, 200.0
 
@@ -182,6 +182,25 @@ class TestMomentBoundary:
         assert abs(abs(moments.cc) - photons) <= 1e-12 * photons + np.finfo(float).tiny
 
 
+class TestExpmOracle:
+    """The frequency route against a 40-digit exp(M tau) v0 on the physical box."""
+
+    def test_physical_box(self):
+        # at tau indices 0, 1, 1000 and 16383 of each default grid, within
+        # 1e-6 of the correlator scale (the largest |<c+c>|, |<cc>| there);
+        # v0 is the same float seed, so this checks the propagation alone
+        index = [0, 1, 1000, 2 ** 14 - 1]
+        worst = 0.0
+        for q in oracle_box(2041, (-1.0, 5.0), 1.0):
+            _, m = corr._resolve_operating_point(q)
+            moments = corr.steady_moments(q, m)
+            tau = corr.default_tau_grid(q, m=m)
+            want = expm_reference(m, corr._seed(moments), tau[index])[:, [corr.CDAG, corr.C]]
+            got = np.column_stack(corr._correlators_frequency(m, moments, tau))[index]
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        assert worst <= 1e-6
+
+
 class TestPhotonFlux:
     def test_vanishes_without_drive(self):
         assert corr.photon_flux(params(lam=0.0)) == pytest.approx(0.0, abs=1e-20)
@@ -277,8 +296,9 @@ class TestPhotonFlux:
 
 class TestTwoTimeCorrelations:
     def test_tau_zero_reproduces_moments(self):
-        # the contour-integrated correlators at tau = 0 must agree with the
-        # independent Lyapunov steady solve
+        # the residues are seeded with the steady moments, so at tau = 0 this
+        # checks the round trip V (V^-1 v0) through M's eigenvectors, not an
+        # independent solve (TestMomentOracle checks the moments themselves)
         q = params(lam=0.7 * LC)
         m = corr.steady_moments(q)
         tau = np.linspace(0.0, 5.0, 16)
@@ -288,7 +308,8 @@ class TestTwoTimeCorrelations:
 
     @pytest.mark.parametrize("lam", [6.0, 9.0])
     def test_tau_zero_reproduces_biased_moments(self, lam):
-        # with a bias g1 != 0, so the g1 entries of M count
+        # the V (V^-1 v0) round trip with a bias g1 != 0, so the g1 entries
+        # of M count
         q = params(lam=lam, lam_prime=lam / 360.0, n=1e6)
         m = corr.steady_moments(q)
         tau = np.linspace(0.0, 5.0, 16)
@@ -333,18 +354,20 @@ class TestTwoTimeCorrelations:
         # the two-table sampling against one exponential per tau and eigenvalue
         q = params(lam=lam, lam_prime=lam_prime, n=n)
         _, m = corr._resolve_operating_point(q)
+        moments = corr.steady_moments(q, m)
         tau = corr.default_tau_grid(q, m=m)
-        mu, amp = corr._residues(m, q.kappa)
+        mu, amp = corr._residues(m, corr._seed(moments))
         direct = np.exp(np.outer(tau, mu)) @ amp.T
-        sampled = np.column_stack(corr._correlators_frequency(m, q.kappa, tau))
+        sampled = np.column_stack(corr._correlators_frequency(m, moments, tau))
         assert np.max(np.abs(sampled - direct)) <= 2e-12 * np.max(np.abs(direct))
 
     def test_frequency_route_takes_two_small_tables_of_exponentials(self, monkeypatch):
         q = params(lam=6.0)
         _, m = corr._resolve_operating_point(q)
+        moments = corr.steady_moments(q, m)
         sizes, exp = [], np.exp
         monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
-        corr._correlators_frequency(m, q.kappa, np.linspace(0.0, 50.0, 2 ** 14))
+        corr._correlators_frequency(m, moments, np.linspace(0.0, 50.0, 2 ** 14))
         assert sizes == [128 * 4, 128 * 4]          # ceil(sqrt(16384)) = 128
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 200])
@@ -424,6 +447,45 @@ class TestTwoTimeCorrelations:
         q = params(lam=0.7 * LC)
         with pytest.warns(UserWarning, match="resolve"):
             corr.two_time_correlations(q, np.linspace(0.0, 300.0, 64))
+
+
+class TestWeakCoupling:
+    """g2(0) = 3 at the canonical point from lam = 1e-6 up to 0.99 lam_c."""
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1 * LC, 0.5 * LC,
+                                     0.99 * LC])
+    def test_default_grid(self, lam):
+        q = params(lam=lam)
+        assert abs(corr.default_correlations(q).g2[0] - 3.0) <= 1e-10
+        s = corr.two_time_correlations(q, corr.default_tau_grid(q), method="both")
+        assert abs(s.g2[0] - 3.0) <= 1e-10
+
+    def test_below_the_default_grid(self):
+        # at lam = 1e-7 the soft mode damps at about 1e-19, below rounding, so
+        # the default grid refuses; a fixed grid still gives both routes
+        q = params(lam=1e-7)
+        with pytest.raises(corr.ThresholdError, match="^the soft mode is undamped to rounding"):
+            corr.default_tau_grid(q)
+        s = corr.two_time_correlations(q, np.linspace(0.0, 50.0, 4096), method="both")
+        assert abs(s.g2[0] - 3.0) <= 1e-10
+
+
+class TestCorrelationBoundary:
+    """g2(0) = 3 on the default grid, or a one-line refusal, over the wide box."""
+
+    @settings(max_examples=150, deadline=timedelta(seconds=2), database=None)
+    @given(w=WIDE, kappa=WIDE, w0=WIDE,
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_default_correlations(self, w, kappa, w0, fraction):
+        p = DickeParams(w, w0, 1.0, 0.0, kappa, 1e5)
+        q = p.with_coupling(fraction * mfd.critical_coupling(p))
+        try:
+            s = corr.default_correlations(q)
+        except (corr.ThresholdError, fl.ValidityError) as exc:
+            assert str(exc) and "\n" not in str(exc)
+            return
+        assert np.isfinite(s.g2).all()
+        assert abs(s.g2[0] - 3.0) <= 1e-12
 
 
 class TestG2:
@@ -529,6 +591,22 @@ class TestDefaultTauGrid:
         # decoupled at lam = 0, the atomic mode is not damped at all
         with pytest.raises(corr.ThresholdError, match="^the soft mode is undamped to rounding"):
             corr.default_tau_grid(params(lam=0.0))
+
+    @pytest.mark.parametrize("w, kappa, w0", [
+        (22.28181113744107, 10940248.372354899, 0.01871820118990345),
+        (51.534566579969606, 2356782.221339923, 0.032787253751198966)])
+    def test_rounding_growth_is_refused_by_the_grid_alone(self, w, kappa, w0):
+        # at 0.1 lam_c the eigensolve reads growth of +1.8e-10 and +9.4e-12,
+        # rounding of entries near 1e7 and 2e6: marginal, so the moments are
+        # given, and the grid refuses a soft mode it cannot see damped
+        p = DickeParams(w, w0, 1.0, 0.0, kappa, 1e5)
+        q = p.with_coupling(0.1 * mfd.critical_coupling(p))
+        _, m = corr._resolve_operating_point(q)
+        assert float(np.max(fl._eigenvalues(m).real)) > 1e-12 * w0
+        assert fl.stability(m, w0) == "marginal"
+        assert np.isfinite(corr.steady_moments(q, m).values).all()
+        with pytest.raises(corr.ThresholdError, match="^the soft mode is undamped to rounding"):
+            corr.default_tau_grid(q, m=m)
 
     def test_resolves_envelope_and_oscillation(self):
         q = params(lam=0.7 * LC)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 
+import mpmath
 import numpy as np
 import scipy.integrate
 from scipy.integrate import ODEintWarning
@@ -98,3 +99,19 @@ def dop853_reference(fun, t_span, y0, t_eval, rtol, atol, args=()):
         samples.append(solver.y if t == solver.t else solver.integrate(t))
         assert solver.successful(), f"dop853 failed at t = {t}"
     return np.array(samples).T
+
+
+def expm_reference(m, v0, taus, dps=40):
+    """exp(M tau) v0 at each tau, shape (len(taus), len(v0)), by ``mpmath.expm``.
+
+    M and v0 are taken as the floats they are; only the propagation is
+    done in extended precision, at ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        mm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+        v = mpmath.matrix([mpmath.mpc(complex(x)) for x in v0])
+        out = []
+        for tau in taus:
+            y = mpmath.expm(mm * mpmath.mpf(float(tau))) * v
+            out.append([complex(y[i]) for i in range(len(v0))])
+    return np.array(out)
