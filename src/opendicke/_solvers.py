@@ -9,7 +9,8 @@ methods, pass their arguments to the SciPy function unchanged.
 ``solve_ivp`` runs LSODA through ``odeint`` and RK45 through ``ode``'s
 ``dopri5``, the same Dormand-Prince 5(4) pair, so that each step loop
 stays in compiled code and only the right-hand side calls back into
-Python.  ``load`` imports ``scipy.integrate`` ahead of time, for a parent
+Python; these two routes sample the solution at the output times
+``t_eval`` alone, and require them.  ``load`` imports ``scipy.integrate`` ahead of time, for a parent
 about to fork workers.
 """
 
@@ -51,11 +52,10 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, **options):
     costs about as much again as the right-hand side; ``odeint`` runs
     ODEPACK's LSODA, and ``scipy.integrate.ode``'s ``dopri5`` RK45's
     Dormand-Prince 5(4) pair, in their own loops.  For these two ``rtol``
-    and ``atol`` are the only options, ``t_eval`` is checked here as
-    ``solve_ivp`` checks it, and LSODA requires it.  RK45 steps to each
-    ``t_eval`` time in turn and hands the times left to ``solve_ivp``'s
-    RK45 once they come denser than its steps (``_DENSE_CALLS``); without
-    ``t_eval`` it samples every accepted step.  DOPRI5 runs with its
+    and ``atol`` are the only options, and ``t_eval`` is required and
+    checked here as ``solve_ivp`` checks it.  RK45 steps to each ``t_eval``
+    time in turn and hands the times left to ``solve_ivp``'s RK45 once they
+    come denser than its steps (``_DENSE_CALLS``).  DOPRI5 runs with its
     stiffness test off, as ``solve_ivp``'s RK45 has none.  The result has
     the fields ``t``, ``y``, ``nfev``, ``njev``, ``success`` and
     ``message``; for LSODA ``nfev`` and ``njev`` are ODEPACK's own counts,
@@ -68,7 +68,8 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, **options):
     right-hand side returns NaN, and DOPRI5 steps down and gives up within
     a few thousand calls.  A span with an infinite or NaN end raises
     ValueError before any SciPy call, on every route: DOPRI5 given one
-    spins without calling ``fun``, so no work limit could stop it.
+    spins without calling ``fun``, so no work limit could stop it.  So
+    does a missing ``t_eval`` on these two routes.
     """
     t0, t1 = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -76,19 +77,18 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, **options):
     if method not in ("LSODA", "RK45"):
         from scipy.integrate import solve_ivp
         return solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval, **options)
-    if t_eval is not None:  # solve_ivp's checks
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1:
-            raise ValueError("`t_eval` must be 1-dimensional.")
-        if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
-            raise ValueError("Values in `t_eval` are not within `t_span`.")
-        d = np.diff(t_eval)
-        if t1 > t0 and np.any(d <= 0) or t1 < t0 and np.any(d >= 0):
-            raise ValueError("Values in `t_eval` are not properly sorted.")
+    if t_eval is None:
+        raise ValueError(f"{method} needs t_eval")
+    t_eval = np.asarray(t_eval, dtype=float)  # solve_ivp's checks
+    if t_eval.ndim != 1:
+        raise ValueError("`t_eval` must be 1-dimensional.")
+    if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    d = np.diff(t_eval)
+    if t1 > t0 and np.any(d <= 0) or t1 < t0 and np.any(d >= 0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
     if method == "RK45":
         return _dopri5(fun, t0, t1, y0, t_eval, **options)
-    if t_eval is None:
-        raise ValueError("LSODA needs t_eval")
     return _odeint(fun, t0, y0, t_eval, **options)
 
 
@@ -108,31 +108,24 @@ def _dopri5(fun, t0: float, t1: float, y0, t_eval, rtol: float, atol: float):
                 raised.append(exc)
         return nan
 
-    times, states = [], []
-
-    def accepted(t, y):
-        times.append(t)
-        states.append(y.copy())
-
     solver = ode(rhs).set_integrator("dopri5", rtol=rtol, atol=atol, nsteps=_MXSTEP)
-    if t_eval is None:
-        solver.set_solout(accepted)
     solver.set_initial_value(y0, t0)
     solver._integrator.iwork[3] = -1  # NSTIFF < 0: no stiffness test
+    times, states = [], []
     marks, dense = [], None  # calls at each output time; solve_ivp's first
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "dopri5: ", UserWarning)
-        for i, t in enumerate((t1,) if t_eval is None else t_eval):
+        for i, t in enumerate(t_eval):
             y = solver.y if t == solver.t else solver.integrate(t)
             if not solver.successful():
                 break
-            if t_eval is not None:
-                accepted(t, y)
-                marks.append(calls)
-                if i >= _DENSE_WINDOW and (calls - marks[i - _DENSE_WINDOW]
-                                           <= _DENSE_WINDOW * _DENSE_CALLS):
-                    dense = i + 1
-                    break
+            times.append(t)
+            states.append(y.copy())
+            marks.append(calls)
+            if i >= _DENSE_WINDOW and (calls - marks[i - _DENSE_WINDOW]
+                                       <= _DENSE_WINDOW * _DENSE_CALLS):
+                dense = i + 1
+                break
     if raised:
         raise raised[0]
     code = solver.get_return_code() or 1  # None before the first step

@@ -213,6 +213,8 @@ def main(argv=None) -> int:
         lines, code = [f"warning: {warning.message}" for warning in caught], 0
     except (ConfigError, ParameterError, OSError) as exc:
         lines, code = [f"configuration error: {exc}"], EXIT_CONFIG
+    # ZeroDivisionError: steady_moments' omega^2 + kappa^2 underflows to 0 in
+    # photon-flux at omega = 1e-300, omega0 = 1e10, kappa = 0 (lam_c is NaN)
     except (RuntimeError, ValidityError, np.linalg.LinAlgError,
             ZeroDivisionError) as exc:
         lines, code = [f"numerical failure: {exc}"], EXIT_NUMERIC

@@ -439,9 +439,12 @@ def assemble_g2(cdagc_tau, cc_tau, photon_number: float, alpha_ss: complex
     return g1, g2_vals
 
 
-def default_tau_grid(p: DickeParams, n: int = 2 ** 14,
-                     m: np.ndarray | None = None) -> np.ndarray:
-    """Tau grid resolving both the oscillation and the decay envelope.
+#: points of ``default_tau_grid``
+TAU_POINTS = 2 ** 14
+
+
+def default_tau_grid(p: DickeParams, m: np.ndarray | None = None) -> np.ndarray:
+    """Tau grid of ``TAU_POINTS`` points resolving the oscillation and the decay envelope.
 
     The span targets 20 decay times of the slowest fluctuation eigenmode
     and is capped so that the sampling stays well above the Nyquist rate
@@ -454,8 +457,8 @@ def default_tau_grid(p: DickeParams, n: int = 2 ** 14,
     if slow <= 0:
         raise ThresholdError("the soft mode is undamped to rounding: tau grid undefined")
     span = 20.0 / slow
-    span = min(span, n * math.pi / (8.0 * p.omega0))
-    return np.linspace(0.0, span, n)
+    span = min(span, TAU_POINTS * math.pi / (8.0 * p.omega0))
+    return np.linspace(0.0, span, TAU_POINTS)
 
 
 def default_correlations(p: DickeParams) -> CorrelationSeries:
@@ -480,22 +483,31 @@ class G2Spectrum:
 
     nu: np.ndarray
     log_magnitude: np.ndarray
-    peaks: list[SpectralPeak]
 
     def dominant_peak(self, nu_min: float = 0.0) -> SpectralPeak:
-        eligible = [pk for pk in self.peaks if pk.frequency > nu_min]
-        if not eligible:
-            raise ValueError(f"no spectral peak above nu = {nu_min}")
-        return max(eligible, key=lambda pk: pk.log_magnitude)
+        """The highest local maximum above ``nu_min``, at its parabola-refined frequency.
+
+        Of equal maxima the lowest in nu is taken; ValueError if none lies above.
+        """
+        logmag, nu = self.log_magnitude, self.nu
+        maxima = np.flatnonzero((logmag[1:-1] > logmag[:-2])
+                                & (logmag[1:-1] > logmag[2:])) + 1
+        for i in maxima[np.argsort(-logmag[maxima], kind="stable")]:
+            left, center, right = logmag[i - 1], logmag[i], logmag[i + 1]
+            denom = left - 2.0 * center + right
+            shift = 0.5 * (left - right) / denom if denom != 0 else 0.0
+            frequency = float(nu[i] + shift * (nu[1] - nu[0]))
+            if frequency > nu_min:
+                return SpectralPeak(frequency, float(center))
+        raise ValueError(f"no spectral peak above nu = {nu_min}")
 
 
 def g2_spectrum(series: CorrelationSeries) -> G2Spectrum:
     """Discrete Fourier transform of the mean-subtracted g2 series.
 
     The long-time mean is estimated from the trailing tenth of the series;
-    the series is zero-padded to the next power of two.  Peaks are local
-    maxima of the log magnitude refined by three-point parabolic
-    interpolation.
+    the series is zero-padded to the next power of two.  Its peaks are
+    found on demand (``G2Spectrum.dominant_peak``).
     """
     tau = series.tau
     dt = float(tau[1] - tau[0])
@@ -505,15 +517,4 @@ def g2_spectrum(series: CorrelationSeries) -> G2Spectrum:
     n = 1 << (values.size - 1).bit_length()
     spec = np.fft.rfft(centered, n=n)
     nu = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
-    logmag = np.log10(np.abs(spec) + 1e-300)
-
-    peaks: list[SpectralPeak] = []
-    interior = (logmag[1:-1] > logmag[:-2]) & (logmag[1:-1] > logmag[2:])
-    for i in np.nonzero(interior)[0] + 1:
-        left, center, right = logmag[i - 1], logmag[i], logmag[i + 1]
-        denom = left - 2.0 * center + right
-        shift = 0.5 * (left - right) / denom if denom != 0 else 0.0
-        peaks.append(SpectralPeak(float(nu[i] + shift * (nu[1] - nu[0])),
-                                  float(center)))
-    peaks.sort(key=lambda pk: pk.log_magnitude, reverse=True)
-    return G2Spectrum(nu, logmag, peaks)
+    return G2Spectrum(nu, np.log10(np.abs(spec) + 1e-300))

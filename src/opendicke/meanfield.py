@@ -153,19 +153,19 @@ def _bounded(fun, *args):
     return rhs
 
 
-def integrate(state0: MeanFieldState, p: DickeParams, t_span,
-              rtol: float = 1e-10, t_eval=None, method: str = "RK45") -> Trajectory:
+def integrate(state0: MeanFieldState, p: DickeParams, t_span, t_eval,
+              rtol: float = 1e-10, method: str = "RK45") -> Trajectory:
     """Adaptive integration of the mean-field equations at fixed coupling.
 
-    Returns the solver's samples as they are (``Trajectory``).  RK45 runs
-    through ``dopri5`` (``_solvers.solve_ivp``).  Raises IntegrationError
-    when the solver gives up, as on step-size underflow, reporting the
-    last output sample reached (the last accepted step without ``t_eval``,
-    the initial state if none was reached, and always for LSODA, whose
-    failed runs return no samples); and once ``MAX_RHS_EVALS`` evaluations
-    are spent: the cost grows with the span and with the precession rate,
-    which a large initial field makes arbitrarily fast.  A bad rtol, and a
-    non-finite span (refused by ``_solvers.solve_ivp``), raise ValueError
+    Returns the solver's samples at the output times ``t_eval`` as they are
+    (``Trajectory``).  RK45 runs through ``dopri5`` (``_solvers.solve_ivp``).
+    Raises IntegrationError when the solver gives up, as on step-size
+    underflow, reporting the last output sample reached (the initial state
+    if none was reached, and always for LSODA, whose failed runs return no
+    samples); and once ``MAX_RHS_EVALS`` evaluations are spent: the cost
+    grows with the span and with the precession rate, which a large initial
+    field makes arbitrarily fast.  A bad rtol, and a non-finite span or bad
+    output times (refused by ``_solvers.solve_ivp``), raise ValueError
     before the solver starts.
     """
     if not rtol > 0:  # NaN included

@@ -66,8 +66,7 @@ _MAX_HARMONICS = 64
 _EDGE_WEIGHT = 1e-20
 
 
-def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
-                      ) -> FloquetModes:
+def floquet_exponents(a0, a1, nu: float) -> FloquetModes:
     """Floquet exponents and vectors of y' = (A0 + A1 cos(nu t)) y.
 
     A0 and A1 are the real trivial-state linearization of the driven
@@ -81,8 +80,8 @@ def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
     exactly similar to the complex one; the vectors are mapped back by
     c_+-k = (s_k -+ i d_k) / 2.  Each exponent appears once per harmonic
     shift; the copy whose harmonic weight is centred closest to n = 0 is
-    kept.  H starts at ``harmonics`` and doubles, up to 64, while a kept
-    vector reaches the outermost harmonics.  Raises ValueError unless A0
+    kept.  H starts at ``HILL_HARMONICS`` and doubles, up to 64, while a
+    kept vector reaches the outermost harmonics.  Raises ValueError unless A0
     and A1 are finite and real, FloquetError when d distinct, resolved
     exponents are not found.  The kept exponents sum to tr A0 modulo i nu
     (Liouville's identity), -2 kappa for ``_linearization``.
@@ -94,6 +93,7 @@ def floquet_exponents(a0, a1, nu: float, harmonics: int = HILL_HARMONICS
         if not np.all(np.isfinite(a)):
             raise ValueError("A0 and A1 must be finite")
     a0, half = a0.real.astype(float), 0.5 * a1.real.astype(float)
+    harmonics = HILL_HARMONICS
     while True:
         modes = _hill_modes(a0, half, nu, harmonics)
         if modes is not None:
@@ -229,6 +229,10 @@ def _check_drive(p: DickeParams, lam, nu, eps: float, seed: float,
         raise ParameterError(f"t_max must be positive and finite, got {t_max}")
 
 
+#: samples of a driven run: a map cell's retained half, or a whole time series
+DRIVEN_SAMPLES = 4096
+
+
 def _span(p: DickeParams, t_max: float | None) -> float:
     """Length of a driven run, by default 2000 / omega0."""
     return 2000.0 / p.omega0 if t_max is None else t_max
@@ -310,8 +314,7 @@ def _solve_cell(args) -> CellResponse:
     ``_linear_response`` admits it; any other cell is integrated by LSODA.
     """
     p, lam, nu, eps, seed, t_max = args
-    n_eval = 4096
-    window = (0.5 * t_max, t_max, n_eval)
+    window = (0.5 * t_max, t_max, DRIVEN_SAMPLES)
     y = (_linear_response(p, lam, nu, eps, seed, *window)
          if p.lam_prime == 0.0 else None)
     if y is None:
@@ -321,7 +324,7 @@ def _solve_cell(args) -> CellResponse:
     re_beta = y[2]
     # stationarity: the last quarter of the run must not exceed the
     # preceding quarter by more than 5%
-    half = n_eval // 2
+    half = DRIVEN_SAMPLES // 2
     prev_max = float(np.max(alpha2[:half]))
     last_max = float(np.max(alpha2[half:]))
     stabilized = last_max <= 1.05 * max(prev_max, 1e-300)
@@ -371,15 +374,15 @@ def driven_response_map(p: DickeParams, lam_grid, nu_grid, eps: float = 0.02,
 
 
 def driven_trajectory(p: DickeParams, lam: float, nu: float, eps: float = 0.02,
-                      seed: float = 1e-4, t_max: float | None = None,
-                      n_samples: int = 4096) -> Trajectory:
+                      seed: float = 1e-4, t_max: float | None = None) -> Trajectory:
     """Per-atom ``Trajectory`` of one driven cell, w/N slaved on its negative root.
 
+    ``DRIVEN_SAMPLES`` samples, uniform over the whole run from t = 0.
     Raises ParameterError for a bad coupling, frequency, eps, seed or
     t_max (``_check_drive``).
     """
     _check_drive(p, lam, nu, eps, seed, t_max)
-    t_eval = np.linspace(0.0, _span(p, t_max), n_samples)
+    t_eval = np.linspace(0.0, _span(p, t_max), DRIVEN_SAMPLES)
     y = _driven_run(p, lam, nu, eps, seed, t_eval, rtol=1e-8, atol=1e-14)
     w = -np.sqrt(np.maximum(0.25 - y[2] ** 2 - y[3] ** 2, 0.0))
     return Trajectory(t_eval, np.vstack([y, w]))

@@ -211,8 +211,8 @@ class TestSubcommands:
     def test_time_series_tables_write_the_solver_arrays(self):
         """The driven and ``evolve`` tables are the integrators' samples, bit for bit."""
         p = DickeParams(300.0, 1.0, 5.0, 0.0, 200.0, 1e5)     # as DICKE_SETS
-        t_eval = np.linspace(0.0, 50.0, 64)
-        traj = modulation.driven_trajectory(p, 8.3, 1.2, t_max=50.0, n_samples=64)
+        t_eval = np.linspace(0.0, 50.0, modulation.DRIVEN_SAMPLES)
+        traj = modulation.driven_trajectory(p, 8.3, 1.2, t_max=50.0)
         y = modulation._driven_run(p, 8.3, 1.2, 0.02, 1e-4, t_eval, rtol=1e-8, atol=1e-14)
         assert traj.t.tobytes() == t_eval.tobytes()
         assert traj.y[:4].tobytes() == y.tobytes()
