@@ -604,11 +604,12 @@ class TestDominantPeak:
     def test_refines_by_the_parabola(self):
         # one maximum, at bin 4 (nu = 2); the parabola's vertex is at 2.2
         logmag = -(self.NU - 2.2) ** 2
-        peak = corr.G2Spectrum(self.NU, logmag).dominant_peak()
+        spec = corr.G2Spectrum(self.NU, logmag)
+        peak = spec.dominant_peak()
         assert peak.frequency == pytest.approx(2.2, abs=1e-12)
         assert peak.log_magnitude == logmag[4]
         # the refined frequency, not the bin's, is compared with nu_min
-        assert corr.G2Spectrum(self.NU, logmag).dominant_peak(nu_min=2.1) == peak
+        assert spec.dominant_peak(nu_min=2.1) == peak
 
     def test_takes_the_lowest_nu_on_an_exact_tie(self):
         logmag = np.zeros(12)
