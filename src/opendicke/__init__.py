@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 #: public names and their modules, imported on first access (PEP 562), so
 #: that importing the package alone loads no NumPy
 _EXPORTS = {"DickeParams": "params", "PhysicalParams": "params",
-            "map_to_dicke": "params", "MeanFieldState": "meanfield",
-            "critical_coupling": "meanfield"}
+            "map_to_dicke": "params", "critical_coupling": "params",
+            "MeanFieldState": "meanfield"}
 
 __all__ = list(_EXPORTS)
 

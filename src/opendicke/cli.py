@@ -19,7 +19,7 @@ import numpy as np
 from . import correlations as corr
 from . import meanfield as mfd
 from . import modulation as mod
-from .config import MODES, ConfigError, RunConfig, load_config
+from .config import FORMATS, MODES, ConfigError, RunConfig, load_config
 from .figures import (G2_FFT_HEADER, Table, branch_table, g2_fft_rows,
                       reproduce_figure, response_map_table, spectrum_table,
                       timeseries_table)
@@ -176,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", help="INI run configuration")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--workers", type=int, help="parallel workers")
-        sp.add_argument("--format", choices=("csv", "json", "both"),
-                        help="output format (overrides config)")
+        sp.add_argument("--workers", help="parallel workers, an integer >= 1")
+        sp.add_argument("--format", help=f"output format, one of {', '.join(FORMATS)} "
+                                         "(overrides config)")
         sp.add_argument("--plots", action="store_true",
                         help="emit plot scripts next to the data")
         sp.add_argument("--set", action="append", default=[], metavar="S.K=V",
@@ -193,10 +193,8 @@ def _overrides(args: argparse.Namespace) -> list[str]:
     overrides = [*args.set, f"run.mode={args.mode}"]
     if args.out:
         overrides.append(f"run.out={args.out}")
-    if args.workers is not None:
-        overrides.append(f"run.workers={args.workers}")
-    if args.format:
-        overrides.append(f"run.format={args.format}")
+    overrides += [f"run.{key}={getattr(args, key)}" for key in ("workers", "format")
+                  if getattr(args, key) is not None]
     if args.plots:
         overrides.append("run.plots=true")
     if getattr(args, "figure", None):
@@ -213,10 +211,7 @@ def main(argv=None) -> int:
         lines, code = [f"warning: {warning.message}" for warning in caught], 0
     except (ConfigError, ParameterError, OSError) as exc:
         lines, code = [f"configuration error: {exc}"], EXIT_CONFIG
-    # ZeroDivisionError: steady_moments' omega^2 + kappa^2 underflows to 0 in
-    # photon-flux at omega = 1e-300, omega0 = 1e10, kappa = 0 (lam_c is NaN)
-    except (RuntimeError, ValidityError, np.linalg.LinAlgError,
-            ZeroDivisionError) as exc:
+    except (RuntimeError, ValidityError, np.linalg.LinAlgError) as exc:
         lines, code = [f"numerical failure: {exc}"], EXIT_NUMERIC
     for line in lines:
         # line breaks escaped, so that each message stays one line

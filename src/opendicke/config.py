@@ -3,15 +3,16 @@
 A run is described by a [run] section (mode, output directory, formats),
 one of [dicke] or [physical] for the model parameters, and optional [grid],
 [modulation], [evolve] and [figure] sections consumed by the individual
-modes.  ``SECTIONS`` lists every section, its keys and the rule each
-number must pass; the [dicke] and [physical] keys are the fields of the
-parameter dataclasses.  Command line flags override file values.
+modes.  ``SECTIONS`` lists every section, its keys and the one rule each
+value, text or number, must pass, wherever it comes from: a file, a --set
+override or a command-line flag; the model keys are dataclass fields.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_type_hints
 
@@ -43,14 +44,6 @@ class RunConfig:
     modulation: dict = field(default_factory=dict)
     evolve: dict = field(default_factory=dict)
     figure_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; valid: {MODES}")
-        if self.out_format not in FORMATS:
-            raise ConfigError(f"unknown format {self.out_format!r}; valid: {FORMATS}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def require_dicke(self) -> DickeParams:
         """Model parameters, mapping the physical block if necessary."""
@@ -90,11 +83,11 @@ def _parse_float(where: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{where} must be a number, got {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: not a finite number: {raw!r}")
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
     if abs(value) > MAX_MAGNITUDE:
-        raise ConfigError(f"{where}: above {MAX_MAGNITUDE:g} in magnitude: {raw!r}")
+        raise ConfigError(f"{where} must be at most {MAX_MAGNITUDE:g} in magnitude, got {raw!r}")
     return value
 
 
@@ -106,8 +99,17 @@ MIN_SPAN = 1.0 / MAX_MAGNITUDE
 #: grids and the map's cell list are built whole before any work starts
 MAX_POINTS = 2 ** 20
 
-#: a key read as text, not as a number
-TEXT = "text"
+#: a text key's rule: ``read`` gives a word's value, or None for a word it refuses
+_Text = namedtuple("_Text", "read wanted")
+#: a key that takes any text as it stands
+TEXT = _Text(str, "text")
+#: configparser's boolean words, in any case, as ``getboolean`` reads them
+_BOOLEAN = _Text(lambda word: configparser.ConfigParser.BOOLEAN_STATES.get(word.lower()),
+                 "true/false, yes/no, on/off or 1/0, in any case")
+
+
+def _one_of(words) -> _Text:
+    return _Text({word: word for word in words}.get, f"one of {', '.join(words)}")
 
 
 def _count(least: int) -> tuple:
@@ -127,12 +129,14 @@ def _model_keys(cls) -> dict:
     return {f.name: _INTEGER if types[f.name] is int else None for f in fields(cls)}
 
 
-#: every section and its keys; a numeric key maps to its rule, None (any
-#: finite number) or a (check, wanted) pair, which a ``_list`` key's every
-#: value must pass.  The model keys are the fields of the parameter
-#: dataclasses, whose own checks apply.
+#: every section and its keys, each with its one rule.  A text key maps to a
+#: ``_Text``; a numeric key maps to None (any finite number) or a (check,
+#: wanted) pair, which a ``_list`` key's every value must pass.  The model
+#: keys are the fields of the parameter dataclasses, whose own checks apply.
 SECTIONS = {
-    "run": dict.fromkeys(("mode", "out", "format", "plots", "workers"), TEXT),
+    "run": {"mode": _one_of(MODES), "out": TEXT, "format": _one_of(FORMATS),
+            "plots": _BOOLEAN,
+            "workers": (lambda v: v.is_integer() and v >= 1, "an integer >= 1")},
     "dicke": _model_keys(DickeParams),
     "physical": _model_keys(PhysicalParams),
     "grid": {"lam_list": _COUPLING, "lam_min": _COUPLING, "lam_max": _COUPLING,
@@ -152,7 +156,7 @@ SECTIONS = {
 
 
 def _section_values(cp: configparser.ConfigParser, name: str) -> dict:
-    """The numbers of one section, each checked against its rule."""
+    """The values of one section, each checked against its rule."""
     if name not in SECTIONS:
         raise ConfigError(f"unknown section [{name}]; valid: {list(SECTIONS)}")
     rules = SECTIONS[name]
@@ -162,7 +166,10 @@ def _section_values(cp: configparser.ConfigParser, name: str) -> dict:
     out: dict = {}
     for key, raw in cp[name].items():
         rule, where = rules[key], f"[{name}] {key}"
-        if rule is TEXT:
+        if isinstance(rule, _Text):
+            out[key] = rule.read(raw)
+            if out[key] is None:
+                raise ConfigError(f"{where} must be {rule.wanted}, got {raw!r}")
             continue
         listed = key.endswith("_list")
         values = [_parse_float(where, tok)
@@ -208,24 +215,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 
 
 def build_config(cp: configparser.ConfigParser) -> RunConfig:
-    if not cp.has_section("run"):
-        raise ConfigError("missing [run] section")
     values = {name: _section_values(cp, name) for name in cp.sections()}
-    run = cp["run"]
-    try:
-        cfg = RunConfig(
-            mode=run.get("mode", "").strip(),
-            out_dir=run.get("out", "./out").strip(),
-            out_format=run.get("format", "csv").strip(),
-            plots=run.getboolean("plots", fallback=False),
-            workers=run.getint("workers", fallback=1),
-            grid=values.get("grid", {}),
-            modulation=values.get("modulation", {}),
-            evolve=values.get("evolve", {}),
-            figure_id=cp.get("figure", "id", fallback="").strip() or None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[run]: {exc}") from exc
+    run = values.get("run", {})
+    if "mode" not in run:
+        raise ConfigError("[run]: missing keys ['mode']")
+    cfg = RunConfig(mode=run["mode"], out_dir=run.get("out", "./out"),
+                    out_format=run.get("format", "csv"), plots=run.get("plots", False),
+                    workers=int(run.get("workers", 1)), grid=values.get("grid", {}),
+                    modulation=values.get("modulation", {}), evolve=values.get("evolve", {}),
+                    figure_id=values.get("figure", {}).get("id") or None)
 
     if cfg.mode == "reproduce-figure":
         # a figure runs at its canonical parameters; only fig5 reads the trap

@@ -164,16 +164,19 @@ def figure4_tables(workers: int = 1) -> list[Table]:
 
 def figure5_tables(physical: PhysicalParams) -> list[Table]:
     cfg = FIGURE_PARAMS["fig5"]
+    mirrored = replace(physical, trap_displacement=-physical.trap_displacement)
+    plus, minus = map_to_dicke(physical), map_to_dicke(mirrored)
+    if plus.lam == 0 or minus.lam == 0:
+        raise ConfigError("fig5 panels (b)-(d) take lam'/lam, and this [physical] block "
+                          f"maps to lam = 0 (pump_coupling = {physical.pump_coupling})")
     p = base_params(cfg["atom_number"])
     lc = mfd.critical_coupling(p)
     grid = np.linspace(*cfg["lam_over_lc"], cfg["points"]) * lc
     tables = [branch_table("fig5a_branches", mfd.steady_states(p, grid), lc)]
     lam_density = cfg["density_lam"]
-    mirrored = replace(physical, trap_displacement=-physical.trap_displacement)
     # density panel: one fixed trap, the two signs of the bias field select
     # the two organized configurations (patterns shifted by half a pump
     # wavelength); the branch panels below use the displaced geometries
-    plus = map_to_dicke(physical)
     ratio = abs(plus.lam_prime / plus.lam)
     grid_x = np.linspace(*physical.support, 2001)
     columns = [grid_x]
@@ -184,7 +187,7 @@ def figure5_tables(physical: PhysicalParams) -> list[Table]:
         "fig5b_density",
         ["x[pump_wavelength]", "density_plus[atoms_per_length]",
          "density_minus[atoms_per_length]"], np.column_stack(columns)))
-    for tag, panel, dk in (("plus", "c", plus), ("minus", "d", map_to_dicke(mirrored))):
+    for tag, panel, dk in (("plus", "c", plus), ("minus", "d", minus)):
         branch = mfd.steady_states(dk, grid[grid > 0],
                                    lam_prime_over_lam=dk.lam_prime / dk.lam)
         tables.append(branch_table(f"fig5{panel}_branches_{tag}", branch, lc))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._solvers import solve_ivp
-from .params import DickeParams
+from .params import DickeParams, critical_coupling
 
 
 class IntegrationError(RuntimeError):
@@ -70,15 +70,6 @@ class SteadyStateBranch:
     lam: np.ndarray
     vectors: np.ndarray
     flags: np.ndarray
-
-
-def critical_coupling(p: DickeParams) -> float:
-    """Coupling at which the normal phase loses stability.
-
-    lam_c = (1/2) sqrt((omega0/omega) (kappa^2 + omega^2)); for kappa = 0
-    this reduces to the closed-system value (1/2) sqrt(omega*omega0).
-    """
-    return 0.5 * math.sqrt((p.omega0 / p.omega) * (p.kappa ** 2 + p.omega ** 2))
 
 
 def _couplings(p: DickeParams) -> tuple[float, float, float]:

@@ -59,7 +59,7 @@ class DickeParams:
     atom_number : float
         Number of atoms N.
 
-    Every field must be finite.
+    Every field must be finite, and ``critical_coupling`` finite and positive.
     """
 
     omega: float
@@ -83,11 +83,27 @@ class DickeParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        try:  # omega^2 + kappa^2 may underflow to 0, omega0/omega overflow
+            lam_c = critical_coupling(self)
+        except OverflowError:  # a square past the float range
+            lam_c = math.inf
+        if not 0.0 < lam_c < math.inf:
+            raise ParameterError(f"omega = {self.omega}, kappa = {self.kappa} and omega0 = "
+                                 f"{self.omega0} give no finite, positive lam_c ({lam_c})")
 
     def with_coupling(self, lam: float, lam_prime: float | None = None) -> "DickeParams":
         return DickeParams(self.omega, self.omega0, lam,
                            self.lam_prime if lam_prime is None else lam_prime,
                            self.kappa, self.atom_number)
+
+
+def critical_coupling(p: DickeParams) -> float:
+    """Coupling at which the normal phase loses stability.
+
+    lam_c = (1/2) sqrt((omega0/omega) (kappa^2 + omega^2)); for kappa = 0
+    this reduces to the closed-system value (1/2) sqrt(omega*omega0).
+    """
+    return 0.5 * math.sqrt((p.omega0 / p.omega) * (p.kappa ** 2 + p.omega ** 2))
 
 
 @dataclass(frozen=True)
@@ -143,10 +159,6 @@ class PhysicalParams:
             raise ParameterError(
                 f"|trap_displacement| = {abs(self.trap_displacement)} exceeds "
                 f"{MAX_DISPLACEMENT_FRACTION} * condensate_length = {limit}")
-
-    @property
-    def pump_wavelength(self) -> float:
-        return 2.0 * math.pi / self.cavity_wavevector
 
     @property
     def support(self) -> tuple[float, float]:

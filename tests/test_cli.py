@@ -102,6 +102,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode"):
             load_config(path)
 
+    def test_refused_or_missing_mode_is_one_line(self, tmp_path):
+        # the same text from a file and from an override
+        refusal = f"[run] mode must be one of {', '.join(MODES)}, got 'frob'"
+        for path, overrides in ((write_config(tmp_path, "[run]\nmode = frob\n"), None),
+                                (None, ["run.mode=frob"])):
+            with pytest.raises(ConfigError) as exc:
+                load_config(path, overrides)
+            assert str(exc.value) == refusal
+        with pytest.raises(ConfigError, match=r"^\[run\]: missing keys \['mode'\]$"):
+            load_config(None, ["dicke.lam=1"])
+
     def test_non_numeric_value_diagnosed(self, tmp_path):
         path = write_config(tmp_path, "[run]\nmode = g2\n[dicke]\nomega = fast\n")
         with pytest.raises(ConfigError, match="omega"):
@@ -367,6 +378,57 @@ class TestSubcommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, refusal", [
+        ("format", "xml", "must be one of csv, json, both, got 'xml'"),
+        ("format", "", "must be one of csv, json, both, got ''"),
+        ("plots", "maybe", "must be true/false, yes/no, on/off or 1/0, in any case, "
+                           "got 'maybe'"),
+        ("workers", "0", "must be an integer >= 1, got 0"),
+        ("workers", "2.5", "must be an integer >= 1, got 2.5"),
+        ("workers", "x", "must be a number, got 'x'"),
+        ("workers", "", "must be a number, got ''"),
+        ("workers", "1e31", "must be at most 1e+30 in magnitude, got '1e31'"),
+    ])
+    def test_refused_run_value_reads_the_same_from_every_source(self, tmp_path, capsys,
+                                                                key, value, refusal):
+        """A file, a --set override and the flag (format and workers have one): one line."""
+        sources = [["--config", write_config(tmp_path, f"[run]\n{key} = {value}\n")],
+                   ["--set", f"run.{key}={value}"]]
+        if key != "plots":
+            sources.append([f"--{key}", value])
+        out = tmp_path / "o"
+        for source in sources:
+            assert main(["spectrum", "--out", str(out), *DICKE_SETS,
+                         "--set", "grid.lam_list=1", *source]) == 2
+            assert capsys.readouterr().err == f"configuration error: [run] {key} {refusal}\n"
+        assert not out.exists()
+
+    def test_integral_float_workers_is_its_integer(self, tmp_path):
+        # as for every count key; the manifest and its hash are those of --workers 2
+        manifests = []
+        for flags in (["--workers", "2"], ["--workers", "2.0"], ["--set", "run.workers=2.0"]):
+            out = tmp_path / str(len(manifests))
+            assert main(["spectrum", "--out", str(out), *DICKE_SETS,
+                         "--set", "grid.lam_list=1", *flags]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        workers = [m["resolved_params"]["workers"] for m in manifests]
+        assert workers == [2, 2, 2] and all(type(w) is int for w in workers)
+        assert len({m["config_hash"] for m in manifests}) == 1
+
+    @pytest.mark.parametrize("mode", ["photon-flux", "spectrum", "steady-state"])
+    def test_model_without_a_finite_lam_c_is_config_failure(self, tmp_path, capsys, mode):
+        # omega^2 + kappa^2 underflows to 0 and omega0/omega overflows: lam_c is
+        # NaN, which failed later with exit 3
+        out = tmp_path / "o"
+        rc = main([mode, "--out", str(out), *DICKE_SETS, "--set", "dicke.omega=1e-300",
+                   "--set", "dicke.omega0=1e10", "--set", "dicke.kappa=0",
+                   "--set", "grid.lam_list=1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [dicke]: omega = 1e-300, kappa = 0.0 and omega0 = "
+            "10000000000.0 give no finite, positive lam_c (nan)\n")
         assert not out.exists()
 
     def test_evolve_default_w0_follows_given_beta0(self, tmp_path):
@@ -894,6 +956,17 @@ class TestReproduceFigure:
         rc = main(["reproduce-figure", "fig5", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_fig5_geometry_without_coupling_is_config_failure(self, tmp_path, capsys):
+        # panels (b)-(d) take lam'/lam, which divided by zero (exit 3) at lam = 0
+        out = tmp_path / "fig5"
+        rc = main(["reproduce-figure", "fig5", "--config", str(FIG5_CONFIG),
+                   "--out", str(out), "--set", "physical.pump_coupling=0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: fig5 panels (b)-(d) take lam'/lam, and this [physical] "
+            "block maps to lam = 0 (pump_coupling = 0.0)\n")
+        assert not out.exists()
+
     def test_fig5_with_canonical_geometry(self, tmp_path):
         out = tmp_path / "fig5"
         rc = main(["reproduce-figure", "fig5", "--config", str(FIG5_CONFIG),
@@ -1332,9 +1405,12 @@ class TestFailureContract:
     ], ids=["workers-x", "workers-1.5", "format-xml", "unknown-flag", "no-mode",
             "newline-flag", "newline-config"])
     def test_rejected_command_line_is_one_line(self, argv, capsys):
-        """A command line that argparse rejects: exit 2, one line, no usage block.
+        """A rejected command line: exit 2, one line, no usage block.
 
-        ``main`` returns the code; argparse on its own would raise SystemExit.
+        argparse rejects the unknown flag, the missing mode and the line
+        breaks; ``--workers x``, ``--workers 1.5`` and ``--format xml`` reach
+        the config as text, whose [run] rules refuse them.  ``main`` returns
+        the code; argparse on its own would raise SystemExit.
         """
         rc = main(argv)
         err = capsys.readouterr().err
@@ -1374,6 +1450,9 @@ class TestFailureContract:
     @example(mode="spectrum", items=["dicke.omega=1e300"])
     @example(mode="steady-state", items=["dicke.kappa=1e300"])
     @example(mode="photon-flux", items=["grid.lam_list=1e300"])
+    # omega^2 + kappa^2 underflows and omega0/omega overflows: no finite lam_c
+    @example(mode="photon-flux", items=["dicke.omega=1e-300", "dicke.omega0=1e10",
+                                        "dicke.kappa=0"])
     def test_fuzzed_overrides_keep_the_exit_contract(self, mode, items):
         """Exit 0, 2 or 3, with one stderr line on failure and no traceback."""
         argv = [mode, *DICKE_SETS, "--set", "grid.lam_min=1", "--set", "grid.lam_max=8",
@@ -1454,6 +1533,8 @@ class TestFailureContract:
 
     @settings(max_examples=40, deadline=timedelta(seconds=20), database=None)
     @given(items=FUZZ_PHYSICAL_ITEMS)
+    # a geometry that maps to lam = 0, which fig5's lam'/lam divides by
+    @example(items=["physical.pump_coupling=0"])
     def test_fuzzed_fig5_keeps_the_exit_contract(self, items):
         """As above for ``reproduce-figure fig5`` at its reduced point count."""
         argv = ["reproduce-figure", "fig5", "--config", str(FIG5_CONFIG),

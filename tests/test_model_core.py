@@ -171,6 +171,21 @@ class TestMapToDicke:
                 f"got {re.escape(str(value))}$")):
             build(**{field: value})
 
+    @pytest.mark.parametrize("omega, omega0, kappa, lam_c", [
+        (1e-300, 1e10, 0.0, "nan"),  # omega^2 + kappa^2 underflows, omega0/omega overflows
+        (1e-200, 1.0, 0.0, "0.0"),   # omega^2 + kappa^2 underflows to 0
+        (1e-300, 1e300, 1.0, "inf"),  # omega0/omega overflows
+        (1.0, 1.0, 1e200, "inf"),    # kappa ** 2 overflows a Python float
+    ])
+    def test_model_without_a_finite_positive_lam_c_is_refused(self, omega, omega0,
+                                                               kappa, lam_c):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"omega = {omega}, kappa = {kappa} and omega0 = {omega0} give no "
+                f"finite, positive lam_c ({lam_c})")):
+            dicke(omega=omega, omega0=omega0, kappa=kappa)
+        # lam_c does not depend on the couplings, so any finite one is taken
+        assert dicke(lam=1e300, lam_prime=-1e300).lam == 1e300
+
     def test_with_coupling_refuses_an_infinite_coupling(self):
         p = dicke()
         with pytest.raises(ParameterError, match="^lam must be finite, got inf$"):
