@@ -123,9 +123,13 @@ _COUPLING = (lambda v: v >= 0.0, ">= 0")
 _FREQUENCY = (lambda v: v > 0.0, "> 0")
 
 
+#: each parameter dataclass's field types, resolved once
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (DickeParams, PhysicalParams)}
+
+
 def _model_keys(cls) -> dict:
     """A parameter dataclass's fields as keys; an ``int`` field takes integers."""
-    types = get_type_hints(cls)
+    types = _FIELD_TYPES[cls]
     return {f.name: _INTEGER if types[f.name] is int else None for f in fields(cls)}
 
 
@@ -244,7 +248,7 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
         missing = required - values[name].keys()
         if missing:
             raise ConfigError(f"[{name}]: missing keys {sorted(missing)}")
-        types = get_type_hints(cls)
+        types = _FIELD_TYPES[cls]
         try:
             setattr(cfg, name, cls(**{k: types[k](v) for k, v in values[name].items()}))
         except ParameterError as exc:

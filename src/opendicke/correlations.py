@@ -24,6 +24,7 @@ coupling grid from one stack of M.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -420,6 +421,11 @@ def two_time_correlations(p: DickeParams, tau, method: str = "frequency",
                              complex(ss.alpha), moments.photon_number)
 
 
+#: largest total photon number n g2 is formed at: its largest term, 2 n^2,
+#: stays a float
+MAX_PHOTONS = math.sqrt(0.5 * sys.float_info.max)
+
+
 def assemble_g2(cdagc_tau, cc_tau, photon_number: float, alpha_ss: complex
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized first and second order correlation functions.
@@ -427,12 +433,18 @@ def assemble_g2(cdagc_tau, cc_tau, photon_number: float, alpha_ss: complex
     g1 = (<c+(t+tau)c(t)> + |a|^2) / (<c+c> + |a|^2)
     g2 = 1 + |g1|^2 + (|<c(t+tau)c(t)> + a^2|^2 - 2|a|^4) / (<c+c> + |a|^2)^2
 
-    A total photon number below 1e-30 raises ValidityError.
+    A total photon number below 1e-30 or above ``MAX_PHOTONS`` raises
+    ValidityError.
     """
-    a2 = abs(alpha_ss) ** 2
+    amplitude = abs(alpha_ss)
+    # a float squared past sqrt(float max) raises OverflowError; refused below
+    a2 = amplitude ** 2 if amplitude <= MAX_PHOTONS else math.inf
     total = photon_number + a2
     if total < 1e-30:
         raise ValidityError(f"total photon number {total:.3g} is below 1e-30: g2 not resolved")
+    if total > MAX_PHOTONS:
+        raise ValidityError(f"total photon number {total:.3g} is above {MAX_PHOTONS:.3g}, "
+                            "where g2's terms overflow: g2 not resolved")
     g1 = (np.asarray(cdagc_tau) + a2) / total
     anomalous = np.abs(np.asarray(cc_tau) + alpha_ss ** 2) ** 2 - 2.0 * a2 ** 2
     g2_vals = 1.0 + np.abs(g1) ** 2 + anomalous / total ** 2

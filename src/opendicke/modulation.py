@@ -55,12 +55,14 @@ class FloquetModes:
 
 #: harmonics kept on each side of the Hill matrix at first.  Harmonic n of
 #: a soft Floquet vector falls roughly like (eps (lam/lam_c)^2 omega0/nu)^n
-#: / n!; on the fig4 and criterion-8 maps the outermost harmonics of H = 8
-#: carry at most 3e-15 of a vector's norm, and H = 16 moves no rate by more
-#: than 3.2e-12 omega0
-HILL_HARMONICS = 8
-#: the truncation doubles up to this many harmonics before giving up
-_MAX_HARMONICS = 64
+#: / n!; on the fig4 and criterion-8 maps (eps = 0.02) the edge test first
+#: passes at H = 4 to 6, and against H = 12 the rates at H = 6 move by at
+#: most 5.5e-12 omega0 and the cell maxima by at most 1.5e-9 relative,
+#: within the scatter rounding gives between any two passing truncations
+HILL_HARMONICS = 6
+#: the truncations tried in turn, the last before giving up; at eps = 0.1
+#: most cells need 6 to 8 harmonics, which doubling 6 would pay for at 12
+_TRUNCATIONS = (HILL_HARMONICS, 8, 16, 32, 64)
 #: largest share of its squared norm a resolved Floquet vector may put on
 #: its outermost harmonics
 _EDGE_WEIGHT = 1e-20
@@ -80,11 +82,11 @@ def floquet_exponents(a0, a1, nu: float) -> FloquetModes:
     exactly similar to the complex one; the vectors are mapped back by
     c_+-k = (s_k -+ i d_k) / 2.  Each exponent appears once per harmonic
     shift; the copy whose harmonic weight is centred closest to n = 0 is
-    kept.  H starts at ``HILL_HARMONICS`` and doubles, up to 64, while a
-    kept vector reaches the outermost harmonics.  Raises ValueError unless A0
-    and A1 are finite and real, FloquetError when d distinct, resolved
-    exponents are not found.  The kept exponents sum to tr A0 modulo i nu
-    (Liouville's identity), -2 kappa for ``_linearization``.
+    kept.  H runs through ``_TRUNCATIONS`` until no kept vector reaches the
+    outermost harmonics.  Raises ValueError, before any solve, unless A0 and
+    A1 are finite and real and nu positive and finite; FloquetError when d
+    distinct, resolved exponents are not found.  The kept exponents sum to
+    tr A0 modulo i nu (Liouville's identity), -2 kappa for ``_linearization``.
     """
     a0, a1 = np.asarray(a0), np.asarray(a1)
     for a in (a0, a1):
@@ -92,16 +94,14 @@ def floquet_exponents(a0, a1, nu: float) -> FloquetModes:
             raise ValueError("Hill's method here needs real A0 and A1")
         if not np.all(np.isfinite(a)):
             raise ValueError("A0 and A1 must be finite")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     a0, half = a0.real.astype(float), 0.5 * a1.real.astype(float)
-    harmonics = HILL_HARMONICS
-    while True:
+    for harmonics in _TRUNCATIONS:
         modes = _hill_modes(a0, half, nu, harmonics)
         if modes is not None:
             return modes
-        if harmonics >= _MAX_HARMONICS:
-            raise FloquetError(f"{harmonics} harmonics do not resolve the "
-                               "Floquet exponents")
-        harmonics *= 2
+    raise FloquetError(f"{harmonics} harmonics do not resolve the exponents at nu = {nu}")
 
 
 def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int

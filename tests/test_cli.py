@@ -97,6 +97,18 @@ class TestConfigParsing:
             warnings.simplefilter("error")
             map_to_dicke(physical)
 
+    def test_field_types_are_resolved_once_per_process(self, monkeypatch):
+        # both model sections are read from the types resolved at import
+        from opendicke import config
+        monkeypatch.setattr(config, "get_type_hints", mock.Mock(side_effect=AssertionError))
+        cfg = load_config(str(FIG5_CONFIG), ["run.mode=map-params", "dicke.omega=300",
+                                             "dicke.omega0=1", "dicke.lam=2",
+                                             "dicke.lam_prime=0", "dicke.kappa=200",
+                                             "dicke.atom_number=1e5"])
+        assert type(cfg.physical.atom_number) is int and type(cfg.dicke.lam) is float
+        with pytest.raises(ConfigError, match=r"^\[physical\] atom_number must be an integer"):
+            load_config(str(FIG5_CONFIG), ["physical.atom_number=1.5"])
+
     def test_unknown_mode_rejected(self, tmp_path):
         path = write_config(tmp_path, "[run]\nmode = frobnicate\n")
         with pytest.raises(ConfigError, match="mode"):
@@ -1435,6 +1447,21 @@ class TestFailureContract:
                    "--set", "grid.lam_list=" + " ".join(map(repr, lam_list))])
         assert rc == 3
         assert capsys.readouterr().err == f"numerical failure: {alone.value}\n"
+        assert not out.exists()
+
+    def test_g2_past_the_float_range_is_one_numerical_failure(self, tmp_path, capsys):
+        # alpha = -3.2e19 - 3.2e159 i: squaring |alpha| raised OverflowError,
+        # which ended the run in a traceback
+        out = tmp_path / "o"
+        rc = main(["g2", "--out", str(out), "--set", "dicke.omega=1e-300",
+                   "--set", "dicke.omega0=1e-300", "--set", "dicke.kappa=1e-160",
+                   "--set", "dicke.lam=0", "--set", "dicke.lam_prime=0.001",
+                   "--set", "dicke.atom_number=1e5", "--set", "grid.tau_span=1",
+                   "--set", "grid.tau_points=8"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: total photon number inf is above 9.48e+153, where "
+            "g2's terms overflow: g2 not resolved\n")
         assert not out.exists()
 
     def test_help_still_exits_0(self, capsys):

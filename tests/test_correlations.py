@@ -546,6 +546,20 @@ class TestG2:
         # the four-point assembly must be real up to rounding
         assert np.max(np.abs(numerator.imag)) < 1e-10 * np.max(np.abs(numerator.real))
 
+    @pytest.mark.parametrize("alpha", [1e76, 1e76j, -0.97e77])
+    def test_g2_is_formed_up_to_the_photon_cap(self, alpha):
+        # a coherent photon number just below MAX_PHOTONS: the terms stay floats
+        g1, g2 = corr.assemble_g2([0.5, 0.0], [0.1, 0.0], 1.0, alpha)
+        assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
+        assert g2[0] == pytest.approx(1.0) and g2[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("photons, alpha", [(0.0, 1e77), (0.0, 3.2e159j),
+                                                (0.0, complex(1e300, 1e300)), (1e154, 0.0)])
+    def test_photon_number_past_the_cap_is_refused(self, photons, alpha):
+        # |alpha|^2 past sqrt(float max) raised OverflowError
+        with pytest.raises(fl.ValidityError, match="is above 9.48e\\+153"):
+            corr.assemble_g2([0.5], [0.1], photons, alpha)
+
     def test_spectrum_peak_tracks_soft_mode(self):
         for frac in (0.4, 0.7, 0.9):
             q = params(lam=frac * LC)

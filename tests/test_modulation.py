@@ -8,6 +8,8 @@ tongue, slow modulation, resonance scan) are asserted on the exponents of
 import concurrent.futures
 import math
 import warnings
+from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from opendicke import _solvers
 from opendicke import meanfield as mfd
+from opendicke.figures import FIGURE_PARAMS
 from opendicke import modulation as mod
 from opendicke.fluctuations import soft_mode_perturbative
 from opendicke.params import DickeParams, ParameterError
@@ -38,6 +41,24 @@ def max_rate(frac, nu):
     """Largest Re mu of the full linearization at lam = frac lam_c, eps = 0.02."""
     modes = mod.floquet_exponents(*mod._linearization(params(), frac * LC, 0.02), nu)
     return float(np.max(modes.mu.real))
+
+
+FIG4 = FIGURE_PARAMS["fig4"]
+#: (lam, nu) of every cell of the fig4 map; its parameters are params()'s
+FIG4_CELLS = [(lam, nu) for lam in np.linspace(*FIG4["lam_over_lc"], FIG4["map_points"]) * LC
+              for nu in np.linspace(*FIG4["nu_over_omega0"], FIG4["map_points"])]
+
+
+def hill_calls(monkeypatch) -> list:
+    """The truncation of each ``_hill_modes`` call from here on."""
+    calls, hill = [], mod._hill_modes
+
+    def counted(a0, half, nu, harmonics):
+        calls.append(harmonics)
+        return hill(a0, half, nu, harmonics)
+
+    monkeypatch.setattr(mod, "_hill_modes", counted)
+    return calls
 
 
 def modulo_gap(a, b, nu):
@@ -206,9 +227,67 @@ class TestFloquetExponents:
             ref += (c_j * np.exp((mu_j - 1j * h * nu) * t) * periodic.T).real
         assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_every_fig4_cell_resolves_at_the_start(self, monkeypatch):
+        calls = hill_calls(monkeypatch)
+        for lam, nu in FIG4_CELLS:
+            mod.floquet_exponents(*mod._linearization(params(), lam, FIG4["eps"]), nu)
+        assert calls == [mod.HILL_HARMONICS] * 400
+
+    @pytest.mark.parametrize("nu, tried", [(1.6, [6]), (0.1, [6, 8]), (0.02, [6, 8, 16]),
+                                           (0.002, [6, 8, 16, 32]),
+                                           (0.001, [6, 8, 16, 32, 64])])
+    def test_truncations_are_tried_in_turn(self, monkeypatch, nu, tried):
+        calls = hill_calls(monkeypatch)
+        modes = mod.floquet_exponents(*mod._linearization(params(), 0.8 * LC, 0.02), nu)
+        assert calls == tried
+        assert modes.vectors.shape[1] == 2 * tried[-1] + 1
+
+    def test_too_slow_a_modulation_gives_up_at_64_harmonics(self, monkeypatch):
+        calls = hill_calls(monkeypatch)
+        with pytest.raises(mod.FloquetError, match="64 harmonics .* at nu = 0.0001$"):
+            mod.floquet_exponents(*mod._linearization(params(), 0.8 * LC, 0.02), 1e-4)
+        assert calls == [6, 8, 16, 32, 64]
+
+    def test_fig4_maxima_at_the_start_match_twice_the_start(self, monkeypatch):
+        # both truncations pass the edge test at every cell, so what separates
+        # them is rounding: max Re beta moves by at most 4.3e-10 relative and
+        # max |alpha|^2 by 1.5e-9, at (0.926 lam_c, 0.684 omega0), where it
+        # scatters over 3.3e-9 as H runs from 7 to 24
+        t_max = mod._span(params(), None)
+        maxima = {}
+        for harmonics in (mod.HILL_HARMONICS, 2 * mod.HILL_HARMONICS):
+            monkeypatch.setattr(mod, "_TRUNCATIONS", (harmonics,))
+            cells = [mod._linear_response(params(), lam, nu, FIG4["eps"], 1e-4, 0.5 * t_max,
+                                          t_max, mod.DRIVEN_SAMPLES) for lam, nu in FIG4_CELLS]
+            maxima[harmonics] = np.array([[np.max(y[0] ** 2 + y[1] ** 2), np.max(y[2])]
+                                          for y in cells if y is not None])
+        short, long = maxima.values()
+        assert len(short) == 389               # fig4 integrates the other 11 cells
+        spread = np.max(np.abs(short / long - 1.0), axis=0)
+        assert spread[0] <= 2e-9 and spread[1] <= 1e-9
+
+    @settings(max_examples=60, deadline=timedelta(seconds=5), database=None)
+    @given(nu=st.sampled_from([math.nan, math.inf, 1e-300, 1e300]) | st.floats(max_value=0.0)
+           | st.floats(0.05, 5.0))
+    def test_any_nu_gives_finite_exponents_or_a_refusal(self, nu):
+        a0, a1 = mod._linearization(params(), 0.8 * LC, 0.02)
+        if not 0.0 < nu < math.inf:
+            # refused before any Hill solve, naming nu
+            with mock.patch.object(mod, "_hill_modes", side_effect=AssertionError):
+                with pytest.raises(ValueError, match=r"^nu must be positive and finite"):
+                    mod.floquet_exponents(a0, a1, nu)
+            return
+        try:
+            modes = mod.floquet_exponents(a0, a1, nu)
+        except mod.FloquetError as exc:
+            assert str(exc)
+            return
+        assert modes.mu.shape == (4,) and np.all(np.isfinite(modes.mu))
+        assert np.all(np.isfinite(modes.vectors))
+
     def test_slow_modulation_widens_the_truncation(self):
-        # at nu = 0.02 the Floquet vectors spread over more than 8 harmonics;
-        # the truncation must grow, not give up
+        # at nu = 0.02 the Floquet vectors spread past the first truncations,
+        # 6 and 8 harmonics; the truncation must grow, not give up
         modes = mod.floquet_exponents(*mod._linearization(params(), 0.8 * LC, 0.02), 0.02)
         assert modes.vectors.shape[1] > 2 * mod.HILL_HARMONICS + 1
         assert np.max(modes.mu.real) < 0.0
