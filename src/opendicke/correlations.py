@@ -173,31 +173,6 @@ def steady_moments(p: DickeParams, m: np.ndarray | None = None) -> MomentVector:
     return MomentVector(values)
 
 
-def photon_number_closed_form(p: DickeParams, lam: float | None = None) -> float:
-    """Below-threshold intracavity fluctuation photon number (lam' = 0).
-
-    <c+c>_ss = lam^2 / (2 omega omega0 [1 - (lam/lam_c)^2])
-    """
-    lam = p.lam if lam is None else lam
-    r = (lam / critical_coupling(p)) ** 2
-    return lam ** 2 / (2.0 * p.omega * p.omega0 * (1.0 - r))
-
-
-def cc_closed_form(p: DickeParams, lam: float | None = None) -> complex:
-    """Below-threshold anomalous moment <cc>_ss (lam' = 0).
-
-    lam^2 [(omega^2 - kappa^2) + 2 i omega kappa] /
-    (2 omega omega0 (omega^2 + kappa^2) [1 - (lam/lam_c)^2])
-
-    Its modulus equals <c+c>_ss, which is what pins g2(0) = 3.
-    """
-    lam = p.lam if lam is None else lam
-    r = (lam / critical_coupling(p)) ** 2
-    s2 = p.omega ** 2 + p.kappa ** 2
-    num = (p.omega ** 2 - p.kappa ** 2) + 2j * p.omega * p.kappa
-    return lam ** 2 * num / (2.0 * p.omega * p.omega0 * s2 * (1.0 - r))
-
-
 def photon_flux(p: DickeParams, lam=None) -> float | np.ndarray:
     """Detected photon flux 2 kappa (<c+c>_ss + |alpha_ss|^2).
 
@@ -220,21 +195,6 @@ def photon_flux(p: DickeParams, lam=None) -> float | np.ndarray:
             photon_flux(p.with_coupling(x))
         raise
     return 2.0 * p.kappa * (photons + np.hypot(vectors[:, 0], vectors[:, 1]) ** 2)
-
-
-def ground_state_photon_number(p: DickeParams, lam: float) -> float:
-    """Equilibrium (closed-system) photon number with exponent 1/2.
-
-    lam^2 / (omega^2 sqrt(1 - (lam/lam_c_closed)^2)), valid in the
-    dispersive regime omega0/omega << 1 below the closed-system threshold
-    lam_c_closed = (1/2) sqrt(omega*omega0).
-    """
-    if p.omega0 / p.omega > 0.1:
-        raise ValueError("ground-state formula requires omega0/omega << 1")
-    lc_closed = 0.5 * math.sqrt(p.omega * p.omega0)
-    if lam >= lc_closed:
-        raise ValueError(f"lam = {lam} is above the closed-system threshold {lc_closed}")
-    return lam ** 2 / (p.omega ** 2 * math.sqrt(1.0 - (lam / lc_closed) ** 2))
 
 
 @dataclass
@@ -484,42 +444,18 @@ def default_correlations(p: DickeParams) -> CorrelationSeries:
 
 
 @dataclass
-class SpectralPeak:
-    frequency: float
-    log_magnitude: float
-
-
-@dataclass
 class G2Spectrum:
     """One-sided spectrum of g2(tau) - (long-time mean)."""
 
     nu: np.ndarray
     log_magnitude: np.ndarray
 
-    def dominant_peak(self, nu_min: float = 0.0) -> SpectralPeak:
-        """The highest local maximum above ``nu_min``, at its parabola-refined frequency.
-
-        Of equal maxima the lowest in nu is taken; ValueError if none lies above.
-        """
-        logmag, nu = self.log_magnitude, self.nu
-        maxima = np.flatnonzero((logmag[1:-1] > logmag[:-2])
-                                & (logmag[1:-1] > logmag[2:])) + 1
-        for i in maxima[np.argsort(-logmag[maxima], kind="stable")]:
-            left, center, right = logmag[i - 1], logmag[i], logmag[i + 1]
-            denom = left - 2.0 * center + right
-            shift = 0.5 * (left - right) / denom if denom != 0 else 0.0
-            frequency = float(nu[i] + shift * (nu[1] - nu[0]))
-            if frequency > nu_min:
-                return SpectralPeak(frequency, float(center))
-        raise ValueError(f"no spectral peak above nu = {nu_min}")
-
 
 def g2_spectrum(series: CorrelationSeries) -> G2Spectrum:
     """Discrete Fourier transform of the mean-subtracted g2 series.
 
     The long-time mean is estimated from the trailing tenth of the series;
-    the series is zero-padded to the next power of two.  Its peaks are
-    found on demand (``G2Spectrum.dominant_peak``).
+    the series is zero-padded to the next power of two.
     """
     tau = series.tau
     dt = float(tau[1] - tau[0])

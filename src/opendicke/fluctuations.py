@@ -335,54 +335,3 @@ def _follow(freqs: np.ndarray) -> np.ndarray:
         k = int(_best_permutation(cost[i, _PERMUTATIONS[k]])[0]) if tie else _COMPOSE[k][step]
         order.append(k)
     return np.take_along_axis(freqs, _PERMUTATIONS[order], axis=1)
-
-
-def soft_mode_perturbative(p: DickeParams, lam: float) -> complex:
-    """Dispersive-regime approximation of the soft polaritonic frequency.
-
-    omega_ex = omega0 sqrt(1 - r) (1 + eps r / 2) - i kappa omega0^2 r /
-    (omega^2 + kappa^2), with r = (lam/lam_c)^2 and eps = omega0^2 /
-    (omega^2 + kappa^2).  Valid below the overdamped region and for
-    eps < 1e-2.
-    """
-    eps = p.omega0 ** 2 / (p.omega ** 2 + p.kappa ** 2)
-    if eps >= 1e-2:
-        raise ValidityError(f"dispersive-regime check failed: eps = {eps:.3e} >= 1e-2")
-    window = overdamped_window(p)
-    if lam >= window.lam1:
-        raise ValidityError(
-            f"lam = {lam} is inside or above the overdamped region "
-            f"starting at lam1 = {window.lam1}")
-    r = (lam / critical_coupling(p)) ** 2
-    re = p.omega0 * math.sqrt(1.0 - r) * (1.0 + 0.5 * eps * r)
-    im = -p.kappa * p.omega0 ** 2 / (p.omega ** 2 + p.kappa ** 2) * r
-    return complex(re, im)
-
-
-@dataclass(frozen=True)
-class OverdampedWindow:
-    """Overdamped region (lam1, lam2) around the critical point.
-
-    lam1 = lam_c [1 - kappa^2 omega0^2 / (omega^2+kappa^2)^2]
-    lam2 = lam_c [1 + kappa^2 omega0^2 / (2 (omega^2+kappa^2)^2)]
-
-    ``soft_frequency`` evaluates the purely damped near-critical eigenvalue
-    -i (omega^2+kappa^2)/(2 kappa) (1 - lam^2/lam_c^2) valid inside the
-    window below threshold.
-    """
-
-    lam1: float
-    lam2: float
-    lam_c: float
-    rate_scale: float
-
-    def soft_frequency(self, lam: float) -> complex:
-        return -1j * self.rate_scale * (1.0 - (lam / self.lam_c) ** 2)
-
-
-def overdamped_window(p: DickeParams) -> OverdampedWindow:
-    lc = critical_coupling(p)
-    s2 = p.omega ** 2 + p.kappa ** 2
-    half = p.kappa ** 2 * p.omega0 ** 2 / s2 ** 2
-    rate = s2 / (2.0 * p.kappa) if p.kappa > 0 else math.inf
-    return OverdampedWindow(lc * (1.0 - half), lc * (1.0 + 0.5 * half), lc, rate)

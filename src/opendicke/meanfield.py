@@ -99,12 +99,6 @@ def _rhs_vector(t, y, p: DickeParams, k_l: float, k_lp: float, half_n: float):
     return [d_ar, d_ai, d_br, d_bi, d_w]
 
 
-def eom_rhs(state: MeanFieldState, p: DickeParams) -> MeanFieldState:
-    """Right-hand sides of the mean-field equations of motion (see ``_rhs_vector``)."""
-    return MeanFieldState.from_vector(_rhs_vector(0.0, state.as_vector(), p,
-                                                  *_couplings(p)))
-
-
 class Trajectory(NamedTuple):
     """Sample times ``t`` and the solver's (5, len(t)) samples ``y`` of a run.
 

@@ -6,7 +6,7 @@ equations read y' = (A0 + A1 cos(nu t)) y (``_linearization``), and their
 Floquet exponents, found with Hill's method (``floquet_exponents``), are
 the one Floquet model here.  The soft polariton pair of A0 oscillates at
 omega0 sqrt(1 - (lam/lam_c)^2); the principal parametric resonance at
-twice that frequency (``instability_boundary``) opens an unstable tongue.
+twice that frequency opens an unstable tongue.
 
 Since A0 and A1 are real, the Hill matrix is built and diagonalized in
 real arithmetic, in the trigonometric basis of the harmonics.
@@ -33,7 +33,7 @@ import numpy as np
 from . import _solvers
 from ._expsum import uniform_samples
 from ._solvers import solve_ivp
-from .meanfield import Trajectory, _bounded, _rhs_vector, critical_coupling
+from .meanfield import Trajectory, _bounded, _rhs_vector
 from .params import DickeParams, ParameterError
 
 
@@ -148,17 +148,6 @@ def _hill_modes(a0: np.ndarray, half: np.ndarray, nu: float, harmonics: int
                            f"{d} distinct Floquet exponents")
     vectors = np.moveaxis(vec_all[:, :, chosen], 2, 0)
     return FloquetModes(mu_all[chosen].astype(complex), vectors)
-
-
-def instability_boundary(p: DickeParams, lam: float) -> float:
-    """Principal parametric resonance frequency, twice the soft-mode energy.
-
-    nu_res = 2 omega0 sqrt(1 - (lam/lam_c)^2)
-    """
-    lc = critical_coupling(p)
-    if lam >= lc:
-        raise ValueError(f"resonance formula requires lam < lam_c = {lc}")
-    return 2.0 * p.omega0 * math.sqrt(1.0 - (lam / lc) ** 2)
 
 
 @dataclass

@@ -17,23 +17,17 @@ import numpy as np
 import pytest
 
 from opendicke import correlations as corr
-from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke import modulation as mod
 from opendicke.config import load_config
 from opendicke.params import DickeParams, density_profile, map_to_dicke
 
-from util import alternation_ratio, correlation_shift, loglog_slope
+from util import (KAPPA, LC, OMEGA, alternation_ratio, cc_closed_form, correlation_shift,
+                  dominant_peak, exact_soft_pair, ground_state_photon_number, loglog_slope,
+                  overdamped_window, params, photon_number_closed_form,
+                  soft_mode_perturbative)
 
-OMEGA, KAPPA = 300.0, 200.0
 FIG5_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fig5_physical.ini"
-
-
-def params(lam=0.0, lam_prime=0.0, n=1e5):
-    return DickeParams(OMEGA, 1.0, lam, lam_prime, KAPPA, n)
-
-
-LC = mfd.critical_coupling(params())
 
 
 def report(num: int, text: str, passed: bool) -> bool:
@@ -62,8 +56,8 @@ def test_criterion_3_moment_closed_forms():
     for lam in np.linspace(0.05, 0.995, 20) * LC:
         q = params(lam=float(lam))
         m = corr.steady_moments(q)
-        n_ref = corr.photon_number_closed_form(q)
-        cc_ref = corr.cc_closed_form(q)
+        n_ref = photon_number_closed_form(q)
+        cc_ref = cc_closed_form(q)
         worst_n = max(worst_n, abs(m.photon_number - n_ref) / n_ref)
         worst_cc = max(worst_cc, abs(m.cc - cc_ref) / abs(cc_ref))
         worst_id = max(worst_id, abs(abs(m.cc) - m.photon_number) / n_ref)
@@ -78,21 +72,12 @@ def test_criterion_4_scaling_exponents():
     flux = [corr.photon_flux(p.with_coupling(float((1 - ui) * LC))) for ui in u]
     slope_open = loglog_slope(u, flux)
     lc_closed = 0.5 * math.sqrt(OMEGA)
-    n_gs = [corr.ground_state_photon_number(p, float((1 - ui) * lc_closed))
+    n_gs = [ground_state_photon_number(p, float((1 - ui) * lc_closed))
             for ui in u]
     slope_gs = loglog_slope(u, n_gs)
     ok = abs(slope_open + 1.0) < 0.05 and abs(slope_gs + 0.5) < 0.05
     assert report(4, f"scaling exponents {slope_open:.3f} (open, -1.00 +- 0.05) "
                      f"and {slope_gs:.3f} (equilibrium, -0.50 +- 0.05)", ok)
-
-
-def _exact_soft_pair(lam: float):
-    p = params()
-    q = p.with_coupling(lam)
-    ss = mfd.trivial_state(p) if lam <= LC else mfd.superradiant_states(q)[0]
-    m = fl.dynamical_matrix(fl.hp_coefficients(ss, q), q)
-    freqs = sorted(1j * np.linalg.eigvals(m), key=lambda z: abs(z.real))
-    return freqs[:2]
 
 
 @pytest.mark.xfail(
@@ -108,14 +93,14 @@ def test_criterion_5_soft_mode_validation():
     eps = 1.0 / (OMEGA ** 2 + KAPPA ** 2)
     worst_re, worst_im = 0.0, 0.0
     for lam in np.linspace(0.02, 0.95, 50) * LC:
-        exact = max(_exact_soft_pair(float(lam)), key=lambda z: z.real)
-        approx = fl.soft_mode_perturbative(p, float(lam))
+        exact = max(exact_soft_pair(p, float(lam)), key=lambda z: z.real)
+        approx = soft_mode_perturbative(p, float(lam))
         worst_re = max(worst_re, abs(approx.real - exact.real) / exact.real)
         worst_im = max(worst_im, abs(approx.imag - exact.imag))
-    window = fl.overdamped_window(p)
+    window = overdamped_window(p)
     worst_window = 0.0
     for lam in np.linspace(window.lam1, window.lam2, 23)[1:-1]:
-        pair = _exact_soft_pair(float(lam))
+        pair = exact_soft_pair(p, float(lam))
         worst_window = max(worst_window, max(abs(z.real) for z in pair))
     ok = worst_re < 10 * eps ** 2 and worst_im < 10 * eps ** 2 \
         and worst_window < 1e-6
@@ -132,7 +117,7 @@ def test_criterion_6_g2_spectroscopy():
         q = params(lam=frac * LC)
         series = corr.two_time_correlations(q, corr.default_tau_grid(q))
         spec = corr.g2_spectrum(series)
-        peak = spec.dominant_peak(nu_min=0.2)
+        peak = dominant_peak(spec, nu_min=0.2)
         bin_width = float(spec.nu[1] - spec.nu[0])
         expected = 2.0 * math.sqrt(1.0 - frac ** 2)
         off = abs(peak.frequency - expected)
@@ -175,7 +160,7 @@ def test_criterion_8_modulation_resonance():
     cell = float(nu_grid[1] - nu_grid[0])
     worst_cells = 0.0
     for i, lam in enumerate(lam_rows):
-        soft = max(_exact_soft_pair(float(lam)), key=lambda z: z.real)
+        soft = max(exact_soft_pair(params(), float(lam)), key=lambda z: z.real)
         ridge = float(nu_grid[int(np.argmax(rmap.max_re_beta[i]))])
         worst_cells = max(worst_cells, abs(ridge - 2.0 * soft.real) / cell)
     ok = ok and worst_cells <= 1.0

@@ -28,14 +28,14 @@ from hypothesis import strategies as st
 from opendicke import _floattext, cli, figures, meanfield, modulation
 from opendicke.cli import build_parser, main
 from opendicke.config import MAX_POINTS, MODES, SECTIONS, ConfigError, load_config
-from opendicke.correlations import (ThresholdError, photon_flux,
-                                    photon_number_closed_form, two_time_correlations)
+from opendicke.correlations import ThresholdError, photon_flux, two_time_correlations
 from opendicke.figures import Table
 from opendicke.params import DickeParams, map_to_dicke
 from opendicke.runio import NonFiniteValue, RunWriter
 
 from conftest import blas_thread_vars
-from util import DOPRI5_ERROR, ODEPACK_ERROR, FailingOde, failing_odeint
+from util import (DOPRI5_ERROR, ODEPACK_ERROR, FailingOde, failing_odeint,
+                  photon_number_closed_form)
 
 REPO = Path(__file__).resolve().parents[1]
 FIG5_CONFIG = REPO / "configs" / "fig5_physical.ini"

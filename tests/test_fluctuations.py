@@ -20,24 +20,8 @@ from opendicke.figures import FIGURE_PARAMS
 from opendicke.modulation import FloquetError
 from opendicke.params import DickeParams, ParameterError
 
-OMEGA, KAPPA = 300.0, 200.0
-
-
-def params(lam=0.0, lam_prime=0.0, n=1e5):
-    return DickeParams(OMEGA, 1.0, lam, lam_prime, KAPPA, n)
-
-
-LC = mfd.critical_coupling(params())
-
-
-def exact_soft_pair(p, lam):
-    """Two smallest-|Re| eigenfrequencies about the physical steady state."""
-    q = p.with_coupling(lam)
-    lc = mfd.critical_coupling(p)
-    ss = mfd.trivial_state(p) if lam <= lc else mfd.superradiant_states(q)[0]
-    m = fl.dynamical_matrix(fl.hp_coefficients(ss, q), q)
-    freqs = sorted(1j * np.linalg.eigvals(m), key=lambda z: abs(z.real))
-    return freqs[:2]
+from util import (KAPPA, LC, OMEGA, eom_rhs, exact_soft_pair, overdamped_window, params,
+                  soft_mode_perturbative)
 
 
 class TestHPCoefficients:
@@ -88,7 +72,7 @@ class TestHPCoefficients:
         def rhs(z):
             beta = complex(z[2], z[3])
             w = -math.sqrt(max(n * n / 4 - abs(beta) ** 2, 0.0))
-            d = mfd.eom_rhs(mfd.MeanFieldState(complex(z[0], z[1]), beta, w), q)
+            d = eom_rhs(mfd.MeanFieldState(complex(z[0], z[1]), beta, w), q)
             return np.array([d.alpha.real, d.alpha.imag, d.beta.real, d.beta.imag])
 
         z0 = np.array([ss.alpha.real, ss.alpha.imag, ss.beta.real, ss.beta.imag])
@@ -418,7 +402,7 @@ class TestStability:
         m = fl.dynamical_matrix(fl.hp_coefficients(mfd.trivial_state(q), q), q)
         assert fl.stability(m, q.omega0) == "stable"
         growth = float(np.max(fl._eigenvalues(m).real))
-        assert growth == pytest.approx(fl.soft_mode_perturbative(q, lam).imag, rel=0.15)
+        assert growth == pytest.approx(soft_mode_perturbative(q, lam).imag, rel=0.15)
 
     @pytest.mark.parametrize("lam_prime", [0.0, 1e-3])
     def test_steady_moments_refuse_exactly_the_unstable_states(self, lam_prime):
@@ -950,16 +934,16 @@ class TestBiasedGrids:
 
 class TestPerturbativeSoftMode:
     def test_zero_coupling_limit(self):
-        assert fl.soft_mode_perturbative(params(), 0.0) == pytest.approx(1.0)
+        assert soft_mode_perturbative(params(), 0.0) == pytest.approx(1.0)
 
     def test_leading_order_at_eighty_percent(self):
-        val = fl.soft_mode_perturbative(params(), 0.8 * mfd.critical_coupling(params()))
+        val = soft_mode_perturbative(params(), 0.8 * mfd.critical_coupling(params()))
         assert val.real == pytest.approx(0.6, abs=1e-4)
 
     def test_damping_approaches_kappa_scale_at_threshold(self):
         p = params()
-        win = fl.overdamped_window(p)
-        val = fl.soft_mode_perturbative(p, win.lam1 * (1 - 1e-9))
+        win = overdamped_window(p)
+        val = soft_mode_perturbative(p, win.lam1 * (1 - 1e-9))
         assert val.imag == pytest.approx(-KAPPA / (OMEGA ** 2 + KAPPA ** 2),
                                          rel=1e-4)
 
@@ -971,7 +955,7 @@ class TestPerturbativeSoftMode:
         worst_re, worst_im = 0.0, 0.0
         for lam in np.linspace(0.02, 0.95, 50) * lc:
             exact = max(exact_soft_pair(p, float(lam)), key=lambda z: z.real)
-            approx = fl.soft_mode_perturbative(p, float(lam))
+            approx = soft_mode_perturbative(p, float(lam))
             worst_re = max(worst_re, abs(approx.real - exact.real) / exact.real)
             worst_im = max(worst_im, abs(approx.imag - exact.imag))
         assert worst_re < 2e-5
@@ -979,24 +963,24 @@ class TestPerturbativeSoftMode:
 
     def test_guards(self):
         p = params()
-        win = fl.overdamped_window(p)
+        win = overdamped_window(p)
         with pytest.raises(fl.ValidityError, match="overdamped"):
-            fl.soft_mode_perturbative(p, win.lam1 * 1.000001)
+            soft_mode_perturbative(p, win.lam1 * 1.000001)
         with pytest.raises(fl.ValidityError, match="dispersive"):
-            fl.soft_mode_perturbative(DickeParams(2.0, 1.0, 0.0, 0.0, 1.0, 10), 0.1)
+            soft_mode_perturbative(DickeParams(2.0, 1.0, 0.0, 0.0, 1.0, 10), 0.1)
 
 
 class TestOverdampedWindow:
     def test_lossless_window_closes(self):
         p = DickeParams(OMEGA, 1.0, 0.0, 0.0, 0.0, 1e5)
-        win = fl.overdamped_window(p)
+        win = overdamped_window(p)
         lc = mfd.critical_coupling(p)
         assert win.lam1 == pytest.approx(lc)
         assert win.lam2 == pytest.approx(lc)
 
     def test_half_widths(self):
         p = params()
-        win = fl.overdamped_window(p)
+        win = overdamped_window(p)
         lc = mfd.critical_coupling(p)
         width = KAPPA ** 2 / (OMEGA ** 2 + KAPPA ** 2) ** 2
         assert (lc - win.lam1) / lc == pytest.approx(width, rel=1e-12)
@@ -1004,7 +988,7 @@ class TestOverdampedWindow:
 
     def test_exact_spectrum_is_overdamped_at_window_center(self):
         p = params()
-        win = fl.overdamped_window(p)
+        win = overdamped_window(p)
         center = 0.5 * (win.lam1 + win.lam2)
         pair = exact_soft_pair(p, center)
         assert max(abs(z.real) for z in pair) < 1e-6
@@ -1015,7 +999,7 @@ class TestOverdampedWindow:
         p = params()
         lc = mfd.critical_coupling(p)
         lam = lc * (1 - 0.4e-6)
-        win = fl.overdamped_window(p)
+        win = overdamped_window(p)
         least_damped = max(exact_soft_pair(p, lam), key=lambda z: z.imag)
         assert win.soft_frequency(lam).imag == pytest.approx(
             least_damped.imag, rel=0.1)

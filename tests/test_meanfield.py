@@ -17,9 +17,7 @@ from opendicke import fluctuations as fl
 from opendicke import meanfield as mfd
 from opendicke.params import DickeParams, ParameterError
 
-from util import DOPRI5_ERROR, FailingOde
-
-OMEGA, KAPPA = 300.0, 200.0
+from util import DOPRI5_ERROR, KAPPA, OMEGA, FailingOde, eom_rhs
 
 
 def params(lam=0.0, lam_prime=0.0, n=1e4):
@@ -47,12 +45,12 @@ class TestCriticalCoupling:
 class TestEquationsOfMotion:
     def test_trivial_fixed_point(self):
         p = params(lam=5.0)
-        d = mfd.eom_rhs(mfd.trivial_state(p), p)
+        d = eom_rhs(mfd.trivial_state(p), p)
         assert d.alpha == 0 and d.beta == 0 and d.w == 0
 
     def test_bias_drives_cavity_only(self):
         p = params(lam=5.0, lam_prime=0.02)
-        d = mfd.eom_rhs(mfd.trivial_state(p), p)
+        d = eom_rhs(mfd.trivial_state(p), p)
         assert d.alpha == pytest.approx(-1j * 0.02 * math.sqrt(p.atom_number))
         assert d.beta == 0 and d.w == 0
 
@@ -62,7 +60,7 @@ class TestEquationsOfMotion:
         for lam in (1.05 * lc, math.sqrt(2) * lc, 3.0 * lc):
             q = p.with_coupling(lam)
             for ss in mfd.superradiant_states(q):
-                d = mfd.eom_rhs(ss, q)
+                d = eom_rhs(ss, q)
                 assert state_norm(d) < 1e-12 * p.atom_number
 
     def test_order_parameter_value_at_sqrt2_lambda_c(self):
@@ -84,7 +82,7 @@ class TestEquationsOfMotion:
         w_mag2 = n * n / 4.0 - abs(beta) ** 2
         w = -math.sqrt(max(w_mag2, 0.0))
         s = mfd.MeanFieldState(complex(ar, ai) * math.sqrt(n), beta, w)
-        d = mfd.eom_rhs(s, p)
+        d = eom_rhs(s, p)
         rate = 2.0 * (beta.conjugate() * d.beta).real + 2.0 * w * d.w
         assert abs(rate) < 1e-9 * n * n
 
@@ -396,7 +394,7 @@ class TestSteadyStateBranches:
         state = mfd.MeanFieldState.from_vector(vector)
         assert flag == "stable"
         assert state.beta.real > 0
-        assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * p.atom_number
+        assert state_norm(eom_rhs(state, p)) < 1e-12 * p.atom_number
 
     def test_random_regimes_solve_on_the_bias_side(self):
         rng = random.Random(21)
@@ -409,7 +407,7 @@ class TestSteadyStateBranches:
             lam_prime = rng.choice((-1.0, 1.0)) * omega0 * 10.0 ** rng.uniform(-6.0, -1.0)
             p = DickeParams(omega, omega0, rng.uniform(0.05, 2.5) * lc, lam_prime, kappa, n)
             state = mfd.operating_point(p)
-            assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * n, p
+            assert state_norm(eom_rhs(state, p)) < 1e-12 * n, p
             assert state.beta.real * lam_prime > 0, p
 
     def test_slope_is_the_derivative_of_the_residual(self):
@@ -449,7 +447,7 @@ class TestSteadyStateBranches:
         p = DickeParams(OMEGA, 1.0, 15.0, lam_prime, KAPPA, 1e5)
         state = mfd.operating_point(p)
         assert state.beta.real / p.atom_number == pytest.approx(0.438, abs=1e-3)
-        assert state_norm(mfd.eom_rhs(state, p)) < 1e-12 * p.atom_number
+        assert state_norm(eom_rhs(state, p)) < 1e-12 * p.atom_number
         branch = mfd.steady_states(p, [9.0, 15.0])
         assert branch.flags.tolist() == ["stable", "stable"]
         assert branch.vectors[1].tobytes() == state.as_vector().tobytes()
@@ -481,7 +479,7 @@ class TestSteadyStateBranches:
         for lam, vector in zip(branch.lam, branch.vectors):
             q = biased.with_coupling(float(lam))
             st_ = mfd.MeanFieldState.from_vector(vector)
-            assert state_norm(mfd.eom_rhs(st_, q)) < 1e-10 * p.atom_number
+            assert state_norm(eom_rhs(st_, q)) < 1e-10 * p.atom_number
 
     def test_bias_removes_bifurcation(self):
         p = DickeParams(OMEGA, 1.0, 0.0, 0.05, KAPPA, 1e4)
@@ -559,7 +557,7 @@ class TestSteadyStateBranches:
             state = mfd.MeanFieldState.from_vector(vector)
             assert state.beta.real * q.lam_prime > 0
             assert vector.tobytes() == mfd.operating_point(q).as_vector().tobytes()
-            assert state_norm(mfd.eom_rhs(state, q)) < 1e-10 * p.atom_number
+            assert state_norm(eom_rhs(state, q)) < 1e-10 * p.atom_number
 
     @pytest.mark.parametrize("ratio", [None, 0.0])
     def test_unbiased_walk_keeps_the_branch_rule_through_threshold(self, ratio):

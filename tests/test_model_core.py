@@ -1,10 +1,12 @@
-"""Physical-parameter mapping, mode functions and density profiles."""
+"""Physical-parameter mapping, mode functions, density profiles and the public surface."""
 
+import ast
 import math
 import re
 import warnings
 from dataclasses import fields
 from datetime import timedelta
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -383,3 +385,43 @@ class TestDensityProfile:
         translated = density_profile(p, MeanFieldState(0j, beta, w),
                                      x[keep] + period_half)
         assert np.allclose(dens_minus[keep], translated, rtol=1e-10, atol=1e-10)
+
+
+PACKAGE = Path(params.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_in(tree: ast.AST) -> set:
+    """The identifiers, attribute names and imported names that ``tree`` holds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+class TestPublicSurface:
+    def test_every_public_definition_has_a_caller(self):
+        """Each public module-level function and class of the package is named
+        in the package or in ``perfbench`` outside its own definition, as a
+        name, an attribute or an imported name; a docstring does not count.
+
+        Methods and properties are not checked.  Nor is a chain: a public
+        definition named only by another that only the tests reach passes,
+        as ``util.overdamped_window`` would in the package beside
+        ``soft_mode_perturbative``, its one caller.
+        """
+        package = sorted(PACKAGE.glob("*.py"))
+        public, named = set(), set()
+        for path in package + sorted(PERFBENCH.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                own = top.name if isinstance(top, DEFINITIONS) else None
+                if own and path in package and not own.startswith("_"):
+                    public.add(own)
+                named |= names_in(top) - {own}
+        assert sorted(public - named) == []

@@ -22,19 +22,10 @@ from opendicke import _solvers
 from opendicke import meanfield as mfd
 from opendicke.figures import FIGURE_PARAMS
 from opendicke import modulation as mod
-from opendicke.fluctuations import soft_mode_perturbative
 from opendicke.params import DickeParams, ParameterError
 
-from util import ODEPACK_ERROR, dop853_reference, failing_odeint
-
-OMEGA, KAPPA = 300.0, 200.0
-
-
-def params(lam=0.0, lam_prime=0.0, n=1e5):
-    return DickeParams(OMEGA, 1.0, lam, lam_prime, KAPPA, n)
-
-
-LC = mfd.critical_coupling(params())
+from util import (KAPPA, LC, ODEPACK_ERROR, OMEGA, dop853_reference, eom_rhs, failing_odeint,
+                  instability_boundary, params, soft_mode_perturbative)
 
 
 def max_rate(frac, nu):
@@ -395,26 +386,26 @@ class TestFloquetExponents:
 
 class TestInstabilityBoundary:
     def test_resonance_at_eighty_percent(self):
-        assert mod.instability_boundary(params(), 0.8 * LC) == pytest.approx(1.2)
+        assert instability_boundary(params(), 0.8 * LC) == pytest.approx(1.2)
 
     def test_resonance_at_zero_coupling(self):
-        assert mod.instability_boundary(params(), 0.0) == pytest.approx(2.0)
+        assert instability_boundary(params(), 0.0) == pytest.approx(2.0)
 
     def test_above_threshold_rejected(self):
         with pytest.raises(ValueError):
-            mod.instability_boundary(params(), 1.2 * LC)
+            instability_boundary(params(), 1.2 * LC)
 
     def test_consistency_chain(self):
         # the resonance law, twice the leading-order soft-mode energy and
         # the g2 spectral-peak law are one identical function of lam
         p = params()
         for lam in np.linspace(0.05, 0.9, 10) * LC:
-            nu_res = mod.instability_boundary(p, float(lam))
+            nu_res = instability_boundary(p, float(lam))
             leading = 2.0 * math.sqrt(1.0 - (lam / LC) ** 2)
             assert nu_res == pytest.approx(leading, rel=1e-12)
         # and the full perturbative expression only deviates at O(eps)
         lam = 0.8 * LC
-        assert mod.instability_boundary(p, lam) == pytest.approx(
+        assert instability_boundary(p, lam) == pytest.approx(
             2.0 * soft_mode_perturbative(p, lam).real, rel=1e-4)
 
     def test_floquet_scan_peaks_at_resonance(self):
@@ -423,7 +414,7 @@ class TestInstabilityBoundary:
         nu_grid = np.linspace(1.2, 1.7, 101)
         growth = [max_rate(frac, float(nu)) for nu in nu_grid]
         nu_star = nu_grid[int(np.argmax(growth))]
-        assert abs(nu_star - mod.instability_boundary(params(), frac * LC)) < eps_t
+        assert abs(nu_star - instability_boundary(params(), frac * LC)) < eps_t
 
 
 class TestDrivenResponse:
@@ -512,7 +503,7 @@ class TestDrivenResponse:
 
     def test_growth_flagged_when_not_stabilized(self):
         p = params(lam=0.9 * LC)
-        nu_res = mod.instability_boundary(p, 0.9 * LC)
+        nu_res = instability_boundary(p, 0.9 * LC)
         rmap = mod.driven_response_map(p, [0.9 * LC], [nu_res], eps=1.0 / 50.0,
                                        t_max=300.0)
         assert not bool(rmap.stabilized[0, 0])
@@ -532,8 +523,8 @@ class TestDrivenResponse:
         w = -math.sqrt(max(0.25 - (br * br + bi * bi), 0.0))
         driven = DickeParams(omega, omega0, lam0 * (1 + eps * math.cos(nu * t)),
                              lam_prime, kappa, 1.0)
-        rates = mfd.eom_rhs(mfd.MeanFieldState(complex(ar, ai), complex(br, bi), w),
-                            driven)
+        rates = eom_rhs(mfd.MeanFieldState(complex(ar, ai), complex(br, bi), w),
+                        driven)
         expected = [rates.alpha.real, rates.alpha.imag, rates.beta.real, rates.beta.imag]
         got = mod._scaled_rhs(t, np.array([ar, ai, br, bi]), p, lam0, eps, nu)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
